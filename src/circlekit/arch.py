@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 _REPLICATES = 8
 
@@ -59,6 +58,7 @@ class SingularIntegralEstimate:
 
 def _replicate_samples(n, spec):
     """List of per-replicate sample blocks in [0,1]^n, shape (m, n) each."""
+    from scipy.stats import qmc     # costs about a second of import time
     per = max(spec.box_points // _REPLICATES, 2)
     out = []
     for r in range(_REPLICATES):

@@ -14,13 +14,8 @@ from itertools import product
 
 import numpy as np
 
+from .local import DEFAULT_ENUM_BUDGET, BudgetExceeded
 from .poly import weyl_difference
-
-_ENUM_BUDGET = 10 ** 8
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +113,7 @@ def T_sum(b, alpha, N, table):
     """
     ks, logs = _weighted_support(table, N)
     n = b.n
-    if len(ks) ** n > _ENUM_BUDGET:
+    if len(ks) ** n > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("prime-power grid too large")
     re_parts, im_parts = [], []
     # outer tuples in lexicographic order, innermost coordinate vectorized
@@ -149,7 +144,7 @@ def S_sum(psi, alpha, box, P):
         ranges.append(np.arange(math.ceil(P * lo), math.floor(P * hi) + 1,
                                 dtype=np.int64))
     total = math.prod(len(r) for r in ranges)
-    if total > _ENUM_BUDGET:
+    if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("lattice box too large")
     if total == 0:
         return 0j
@@ -178,7 +173,7 @@ def E_normalized(psi, q, m):
     if not psi.is_integral():
         raise ValueError("need integer coefficients")
     n = psi.n
-    if q ** n > _ENUM_BUDGET:
+    if q ** n > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("residue grid too large")
     total = 0j
     roots = np.exp(2j * np.pi * np.arange(q) / q)
@@ -286,7 +281,7 @@ def z_count(f, d, R):
     n = f.n
     if d < 2:
         raise ValueError("degeneracy count needs d >= 2")
-    if (2 * R + 1) ** (n * (d - 2 if d > 2 else 0) + n) > _ENUM_BUDGET:
+    if (2 * R + 1) ** (n * (d - 2 if d > 2 else 0) + n) > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("tuple grid too large")
     basis = np.eye(n, dtype=np.int64)
     Y = _grid(n, R).astype(float)               # candidate last vectors

@@ -1,4 +1,4 @@
-"""Command-line front end: subcommands, config/caching, JSON and CSV reports.
+"""Command-line front end: subcommands, config files, JSON and CSV reports.
 
 Every JSON report embeds the tool version, the sha256 of the input
 polynomial, the fully resolved configuration and the wall time.  With fixed
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -54,49 +53,6 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _cache_dir(args):
-    if getattr(args, "cache", None):
-        return Path(args.cache)
-    env = os.environ.get("CIRCLEKIT_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "circlekit"
-
-
-def _cached_table(args, poly_hash, N):
-    base = _cache_dir(args) / poly_hash
-    path = base / f"mangoldt-{N}.bin"
-    if path.exists():
-        with open(path, "rb") as fh:
-            data = np.load(fh)
-            table = mangoldt_table(0)
-            table.N = N
-            table.values = data["values"]
-            table.base = data["base"]
-            return table
-    table = mangoldt_table(N)
-    base.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, values=table.values, base=table.base)
-    return table
-
-
-def _cached_local_factors(args, poly, poly_hash, prime_bound, t_max):
-    """singular_series with a per-polynomial JSON cache of local factors."""
-    base = _cache_dir(args) / poly_hash
-    path = base / "localfactors.json"
-    cache = {}
-    if path.exists():
-        cache = json.loads(path.read_text())
-    key = f"series:{prime_bound}:{t_max}"
-    if key not in cache:
-        series, factors = singular_series(poly, prime_bound, t_max=t_max)
-        cache[key] = _jsonable({"series": series, "factors": factors})
-        base.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(cache, sort_keys=True, indent=2))
-    return cache[key]
-
-
 def _load_poly(args):
     try:
         return load_polynomial(args.poly)
@@ -135,20 +91,27 @@ def _spec_from(args):
 
 # -- subcommand handlers ----------------------------------------------------
 
+def _warning_flags(factors):
+    """One report flag per kind of local-factor warning."""
+    return tuple(sorted({"budget" if "budget" in f.warning
+                         else "no_stabilization"
+                         for f in factors if f.warning}))
+
+
 def _cmd_predict(args, t0):
     b = _load_poly(args)
-    table = _cached_table(args, b.sha256(), args.N) if args.ground_truth \
-        else None
     rep = predict(b, args.N, prime_bound=args.prime_bound, t_max=args.tmax,
                   spec=_spec_from(args), ground_truth=args.ground_truth,
-                  strategy=args.strategy, split=args.split, table=table)
-    flags = tuple(rep.sigma.flags)
-    return _emit(args, "predict", b, vars(args), rep, t0, flags)
+                  strategy=args.strategy, split=args.split)
+    flags = tuple(rep.sigma.flags) + _warning_flags(rep.factors)
+    result = _jsonable(rep)
+    del result["factors"]       # the report carries only their warnings
+    return _emit(args, "predict", b, vars(args), result, t0, flags)
 
 
 def _cmd_count(args, t0):
     b = _load_poly(args)
-    table = _cached_table(args, b.sha256(), args.N)
+    table = mangoldt_table(args.N)
     if args.strategy == "mitm":
         res = count_mitm(b, args.N, table,
                          args.split if args.split is not None else b.n // 2)
@@ -172,15 +135,16 @@ def _cmd_count(args, t0):
 def _cmd_local(args, t0):
     b = _load_poly(args)
     factor = mu_p(b, args.p, t_max=args.tmax)
-    flags = ("budget",) if factor.warning else ()
-    return _emit(args, "local", b, vars(args), factor, t0, flags)
+    return _emit(args, "local", b, vars(args), factor, t0,
+                 _warning_flags([factor]))
 
 
 def _cmd_series(args, t0):
     b = _load_poly(args)
-    res = _cached_local_factors(args, b, b.sha256(), args.prime_bound,
-                                args.tmax)
-    return _emit(args, "series", b, vars(args), res, t0)
+    series, factors = singular_series(b, args.prime_bound, t_max=args.tmax)
+    return _emit(args, "series", b, vars(args),
+                 {"series": series, "factors": factors}, t0,
+                 _warning_flags(factors))
 
 
 def _cmd_sigma_inf(args, t0):
@@ -204,7 +168,7 @@ def _cmd_arcs(args, t0):
 
 def _cmd_weyl_scan(args, t0):
     b = _load_poly(args)
-    table = _cached_table(args, b.sha256(), args.N)
+    table = mangoldt_table(args.N)
     alphas = [k / args.points for k in range(args.points)]
     rows = ["alpha,re_T,im_T,abs_T,classification"]
     for a in alphas:
@@ -274,11 +238,7 @@ def _add_common(sp, poly=True):
     if poly:
         sp.add_argument("--poly", required=True, help="polynomial text file")
     sp.add_argument("--output", help="report path (default: stdout)")
-    sp.add_argument("--cache", help="cache directory "
-                    "(default: $CIRCLEKIT_CACHE or ~/.cache/circlekit)")
     sp.add_argument("--config", help="key=value config file; flags win")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker cap for parallel internals")
 
 
 def _add_quadrature(sp):
@@ -371,13 +331,10 @@ def build_parser():
     sp.set_defaults(func=_cmd_gm_split)
 
     sp = sub.add_parser("regularity", help="growth exponent of a system")
+    _add_common(sp, poly=False)
     sp.add_argument("--poly", action="append", required=True)
     sp.add_argument("--N-list", dest="N_list", type=int, action="append",
                     required=True)
-    sp.add_argument("--output")
-    sp.add_argument("--cache")
-    sp.add_argument("--config")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_regularity)
     return ap
 

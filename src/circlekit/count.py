@@ -19,9 +19,8 @@ from itertools import product
 import numpy as np
 
 from .arch import QuadratureSpec, sigma_scaled
-from .local import singular_series
-
-_INT64_SAFE = 2 ** 62
+from .local import (_INT64_SAFE, DEFAULT_ENUM_BUDGET, BudgetExceeded,
+                    primes_up_to, singular_series)
 
 
 @dataclass
@@ -39,11 +38,7 @@ def mangoldt_table(N):
         raise ValueError("N must be nonnegative")
     values = np.zeros(N + 1)
     base = np.zeros(N + 1, dtype=np.int64)
-    is_comp = np.zeros(N + 1, dtype=bool)
-    for p in range(2, N + 1):
-        if is_comp[p]:
-            continue
-        is_comp[p * p::p] = True
+    for p in primes_up_to(N):
         lp = math.log(p)
         pk = p
         while pk <= N:
@@ -191,7 +186,7 @@ class RegularityReport:
     slack: float = 0.25
 
 
-def regularity_exponent(system, N_list, budget=10 ** 8):
+def regularity_exponent(system, N_list, budget=DEFAULT_ENUM_BUDGET):
     """Fit the growth exponent of the integer zero count of a polynomial
     system on [-N, N]^n and compare with the regular-growth bound n - D."""
     if len(N_list) < 3:
@@ -202,11 +197,14 @@ def regularity_exponent(system, N_list, budget=10 ** 8):
     if any(p.n != n for p in system):
         raise ValueError("mixed variable counts in the system")
     D = sum(p.degree for p in system)
+    # clearing denominators leaves the zero set unchanged
+    system = [p * math.lcm(*(c.denominator for c in p.terms.values()))
+              for p in system]
     N_list = sorted(N_list)
     counts = []
     for N in N_list:
         if (2 * N + 1) ** n > budget:
-            raise MemoryError("enumeration budget exceeded")
+            raise BudgetExceeded("enumeration budget exceeded")
         axes = [np.arange(-N, N + 1, dtype=np.int64)] * n
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
         ok = np.ones(len(pts), dtype=bool)
@@ -235,10 +233,11 @@ class PredictionReport:
     ground_truth: CountResult | None
     ratio: float | None
     parameters: dict
+    factors: list = field(default_factory=list, repr=False)   # LocalFactor
 
 
 def predict(b, N, prime_bound=100, t_max=6, spec=QuadratureSpec(),
-            ground_truth=False, strategy="direct", split=None, table=None):
+            ground_truth=False, strategy="direct", split=None):
     """Main-term prediction  product(mu_p) * sigma * N^{n-d}  for M_b(N),
     optionally checked against the exact count."""
     series, factors = singular_series(b, prime_bound, t_max=t_max)
@@ -248,8 +247,7 @@ def predict(b, N, prime_bound=100, t_max=6, spec=QuadratureSpec(),
     truth = None
     ratio = None
     if ground_truth:
-        if table is None:
-            table = mangoldt_table(N)
+        table = mangoldt_table(N)
         if strategy == "mitm":
             truth = count_mitm(b, N, table, split if split is not None
                                else b.n // 2)
@@ -262,4 +260,4 @@ def predict(b, N, prime_bound=100, t_max=6, spec=QuadratureSpec(),
               "seed": spec.seed, "strategy": strategy, "split": split}
     return PredictionReport(N=N, series=series, sigma=sigma, main_term=main,
                             ground_truth=truth, ratio=ratio,
-                            parameters=params)
+                            parameters=params, factors=factors)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from sympy import factorint
-
 from .poly import LinearForm, Polynomial, SubstitutionMap
 
 
@@ -80,6 +78,7 @@ def linear_count(dec):
 
 def squarefree_part(a):
     """Signed squarefree integer representing the square class of a rational."""
+    from sympy import factorint     # imported here to keep start-up fast
     a = Fraction(a)
     if a == 0:
         return 0
@@ -227,6 +226,7 @@ def witt_index(diag):
     (strong Hasse-Minkowski).  Only finitely many places can be extremal:
     the reals, 2, primes dividing an entry, and the generic unramified bound.
     """
+    from sympy import factorint     # imported here to keep start-up fast
     entries = [squarefree_part(a) for a in diag if a != 0]
     r = len(entries)
     if r == 0:

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt
 
 import numpy as np
-from sympy import isprime, primerange, totient
-
-from .poly import Polynomial
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
 LIFT_THRESHOLD = 10 ** 6
@@ -28,6 +25,22 @@ _INT64_SAFE = 2 ** 62
 
 class BudgetExceeded(RuntimeError):
     """Raised when an exact enumeration would exceed the configured budget."""
+
+
+def primes_up_to(N):
+    """The primes p <= N, by the sieve of Eratosthenes."""
+    if N < 2:
+        return []
+    sieve = np.ones(N + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(N) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def _is_prime(p):
+    return p >= 2 and all(p % k for k in range(2, isqrt(p) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +210,12 @@ def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
     hist = value_histogram(b, q, units=True, budget=budget)
     weights = hist.astype(float) if isinstance(hist, np.ndarray) else \
         np.array([float(x) for x in hist])
+    units = unit_residues(q)
     u = np.zeros(q)
-    u[np.asarray(unit_residues(q))] = 1.0
+    u[units] = 1.0
     # sum over units m of e(m r / q), all r at once, via an inverse DFT
     ram = np.fft.ifft(u) * q
-    phin = int(totient(q)) ** b.n
+    phin = len(units) ** b.n
     return complex(np.dot(weights, ram) / phin)
 
 
@@ -218,7 +232,7 @@ class UnitSolutionCount:
 
 def nu_count(b, p, t, budget=DEFAULT_ENUM_BUDGET):
     """Exact count of x in (U_{p^t})^n with b(x) = 0 mod p^t."""
-    if not isprime(p):
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if t < 1:
         raise ValueError("level t must be >= 1")
@@ -271,7 +285,7 @@ def padic_nonsingular_witness(b, p, tries=4000, seed=0):
     the standard sufficient condition at the even prime.  Returns None when no
     witness is found (which is a valid outcome, not an error).
     """
-    if not isprime(p):
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     grads = b.gradient()
     if p == 2:
@@ -391,7 +405,7 @@ def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
                 warning = f"enumeration budget hit at level t={t}"
                 break
         nus.append(nu)
-        partials.append(Fraction(p ** t * nu, int(totient(p ** t)) ** n))
+        partials.append(Fraction(p ** t * nu, (p ** t - p ** (t - 1)) ** n))
         if nu == 0:
             # no solution mod p^t means none at any higher level either
             return LocalFactor(p=p, partial_sums=partials, mu_p=Fraction(0),
@@ -433,7 +447,7 @@ def singular_series(b, prime_bound, t_max=6, budget=DEFAULT_ENUM_BUDGET):
     if prime_bound < 2:
         raise ValueError("prime bound must be >= 2")
     factors = [mu_p(b, p, t_max=t_max, budget=budget)
-               for p in primerange(2, prime_bound + 1)]
+               for p in primes_up_to(prime_bound)]
     if any(f.mu_p == 0 for f in factors):
         product = 0.0
     else:

@@ -413,28 +413,6 @@ class SubstitutionMap:
                 raise TypeError("assignments must be LinearForm or int/Fraction")
 
 
-# -- operation-style wrappers (thin aliases over methods) -------------------
-
-def evaluate_int(p, point):
-    return p.evaluate(point)
-
-
-def evaluate_mod(p, point, q):
-    return p.evaluate_mod(point, q)
-
-
-def top_degree_part(p):
-    return p.top_degree_part()
-
-
-def restrict_zero(p, i):
-    return p.restrict_zero(i)
-
-
-def substitute_linear(p, smap):
-    return p.substitute(smap)
-
-
 # -- Weyl differencing ------------------------------------------------------
 
 def weyl_difference(G, d, args):

@@ -1,13 +1,21 @@
-"""End-to-end command-line checks: exit codes, report envelope, caching,
-config merging, and the CSV/decomposition file formats.
+"""End-to-end command-line checks: exit codes, report envelope, warning
+flags, config merging, start-up imports, and the CSV/decomposition file
+formats.
 """
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from circlekit import cli
 from circlekit.cli import main
+from circlekit.local import LocalFactor
 from circlekit.poly import parse_polynomial
 
 LINEAR6 = "n=2\n1 1 0\n1 0 1\n-6 0 0\n"
@@ -33,8 +41,7 @@ class TestEnvelope:
     def test_fields_and_exit_zero(self, poly_file, tmp_path):
         pf = poly_file(LINEAR6)
         code, rep = run_json(
-            ["count", "--poly", pf, "--N", "5",
-             "--cache", str(tmp_path / "c")], tmp_path)
+            ["count", "--poly", pf, "--N", "5"], tmp_path)
         assert code == 0
         assert rep["tool"] == "circlekit"
         assert rep["command"] == "count"
@@ -48,8 +55,7 @@ class TestEnvelope:
     def test_reruns_identical_except_wall_time(self, poly_file, tmp_path):
         pf = poly_file(LINEAR6)
         argv = ["predict", "--poly", pf, "--N", "20", "--prime-bound", "10",
-                "--box-points", str(1 << 14), "--ground-truth",
-                "--cache", str(tmp_path / "c")]
+                "--box-points", str(1 << 14), "--ground-truth"]
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
@@ -69,8 +75,7 @@ class TestExitCodes:
         pf = poly_file("n=1\n1 1\n500 0\n")
         code, rep = run_json(
             ["predict", "--poly", pf, "--N", "50", "--prime-bound", "10",
-             "--box-points", str(1 << 14),
-             "--cache", str(tmp_path / "c")], tmp_path)
+             "--box-points", str(1 << 14)], tmp_path)
         assert code == 1
         assert "zero_measure" in rep["flags"]
         assert rep["result"]["main_term"] == 0.0
@@ -97,34 +102,55 @@ class TestExitCodes:
             main(["frobnicate"])
 
 
-class TestCaching:
-    def test_cache_files_created_and_reused(self, poly_file, tmp_path):
-        pf = poly_file(LINEAR6)
-        cache = tmp_path / "cachedir"
-        argv = ["count", "--poly", pf, "--N", "12", "--cache", str(cache)]
-        _, rep1 = run_json(argv, tmp_path, "r1.json")
-        bins = list(cache.glob("*/mangoldt-12.bin"))
-        assert len(bins) == 1
-        _, rep2 = run_json(argv, tmp_path, "r2.json")
-        assert rep1["result"] == rep2["result"]
+class TestWarningFlags:
+    """Every local-factor warning becomes a report flag and exit code 1."""
 
-    def test_env_var_cache_for_series(self, poly_file, tmp_path, monkeypatch):
-        cache = tmp_path / "envcache"
-        monkeypatch.setenv("CIRCLEKIT_CACHE", str(cache))
+    def test_local_no_stabilization(self, poly_file, tmp_path):
         pf = poly_file(LINEAR6)
         code, rep = run_json(
-            ["series", "--poly", pf, "--prime-bound", "10", "--tmax", "3"],
+            ["local", "--poly", pf, "--p", "3", "--tmax", "1"], tmp_path)
+        assert code == 1
+        assert rep["flags"] == ["no_stabilization"]
+
+    def test_local_budget(self, poly_file, tmp_path, monkeypatch):
+        def over_budget(b, p, t_max):
+            return LocalFactor(p=p, partial_sums=[], mu_p=Fraction(0),
+                               stabilized_at=None,
+                               warning="enumeration budget hit at level t=1")
+        monkeypatch.setattr(cli, "mu_p", over_budget)
+        pf = poly_file(LINEAR6)
+        code, rep = run_json(["local", "--poly", pf, "--p", "3"], tmp_path)
+        assert code == 1
+        assert rep["flags"] == ["budget"]
+
+    def test_series_no_stabilization(self, poly_file, tmp_path):
+        pf = poly_file(LINEAR6)
+        code, rep = run_json(
+            ["series", "--poly", pf, "--prime-bound", "5", "--tmax", "1"],
             tmp_path)
-        assert code == 0
-        stored = list(cache.glob("*/localfactors.json"))
-        assert len(stored) == 1
-        key = "series:10:3"
-        assert key in json.loads(stored[0].read_text())
-        # second run must serve the cached factors unchanged
-        _, rep2 = run_json(
-            ["series", "--poly", pf, "--prime-bound", "10", "--tmax", "3"],
-            tmp_path, "again.json")
-        assert rep["result"] == rep2["result"]
+        assert code == 1
+        assert rep["flags"] == ["no_stabilization"]
+
+    def test_predict_no_stabilization(self, poly_file, tmp_path):
+        pf = poly_file(LINEAR6)
+        code, rep = run_json(
+            ["predict", "--poly", pf, "--N", "20", "--prime-bound", "5",
+             "--tmax", "1", "--box-points", str(1 << 14)], tmp_path)
+        assert code == 1
+        assert rep["flags"] == ["no_stabilization"]
+        assert "factors" not in rep["result"]
+
+
+def test_cli_import_skips_heavy_modules():
+    # sympy and scipy.stats cost over a second of start-up per job
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import circlekit.cli, sys; "
+            "print(sorted({'sympy', 'scipy.stats'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigFile:
@@ -174,7 +200,6 @@ class TestSubcommands:
         out = tmp_path / "scan.csv"
         code = main(["weyl-scan", "--poly", pf, "--N", "10",
                      "--points", "8", "--Delta", "1.2",
-                     "--cache", str(tmp_path / "c"),
                      "--output", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
@@ -200,8 +225,7 @@ class TestSubcommands:
     def test_count_primes_only_variant(self, poly_file, tmp_path):
         pf = poly_file(LINEAR6)
         _, rep = run_json(
-            ["count", "--poly", pf, "--N", "5", "--primes-only",
-             "--cache", str(tmp_path / "c")], tmp_path)
+            ["count", "--poly", pf, "--N", "5", "--primes-only"], tmp_path)
         res = rep["result"]
         assert res["primes_only_solutions"] == 1    # only (3, 3)
         assert res["primes_only_value"] == pytest.approx(math.log(3) ** 2)

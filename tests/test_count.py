@@ -138,6 +138,12 @@ class TestRegularity:
         assert rep.counts == [1, 1, 1]
         assert rep.regular
 
+    def test_rational_coefficients_not_truncated(self):
+        # x1/2 - x2 = 0 needs x1 = 2 x2: 2 floor(N/2) + 1 points in the box
+        p = parse_polynomial("n=2\n1/2 1 0\n-1 0 1\n")
+        rep = regularity_exponent([p], [5, 10, 20])
+        assert rep.counts == [5, 11, 21]
+
     def test_needs_scales(self):
         with pytest.raises(ValueError):
             regularity_exponent([parse_polynomial("n=1\n1 1\n")], [5, 10])
