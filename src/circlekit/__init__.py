@@ -7,8 +7,9 @@ h-invariant tools for rational forms.
 
 __version__ = "0.1.0"
 
-from .poly import (LinearForm, Polynomial, SubstitutionMap, load_polynomial,
-                   parse_polynomial, weyl_difference, weyl_difference_poly)
+from .poly import (LinearForm, Polynomial, SubstitutionMap, grid_blocks,
+                   load_polynomial, parse_polynomial, weyl_difference,
+                   weyl_difference_poly)
 from .hinv import (Decomposition, QuadraticFormData, build_gm_fm,
                    hilbert_symbol, lemma21_check, linear_count, quadratic_h,
                    verify_decomposition, witt_index)
@@ -16,10 +17,10 @@ from .local import (B_of_q, LocalFactor, SeriesEstimate, mu_p, nu_count,
                     padic_nonsingular_witness, singular_series, unit_exp_sum,
                     value_histogram)
 from .arch import (QuadratureSpec, SingularIntegralEstimate, I_eta, J_of_L,
-                   mu_infinity, real_nonsingular_witness, sigma_measure,
-                   sigma_scaled)
+                   mu_infinity, real_nonsingular_witness, sigma_infinity,
+                   sigma_measure, sigma_scaled)
 from .arcs import (ArcDissection, RationalFreq, WeylReport, E_normalized,
-                   S_sum, T_sum, build_arcs, classify_alpha, estimate_gd,
+                   S_sum, T_sum, T_sums, build_arcs, classify_alpha, estimate_gd,
                    z_count)
 from .count import (CountResult, MangoldtTable, PredictionReport,
                     RegularityReport, count_direct, count_mitm,

@@ -137,7 +137,11 @@ def sigma_measure(f, spec=QuadratureSpec()):
     sqrt(eps)*log(eps) edge model.  Sustained growth at very small widths
     flags a divergent density instead.
     """
-    vals = _replicate_values(f, spec)
+    return _measure(_replicate_values(f, spec), spec)
+
+
+def _measure(vals, spec):
+    """sigma_measure on already evaluated samples."""
     ladder = np.array([spec.eps * s for s in _LADDER])
     ests = [_sausage_from_values(vals, e) for e in ladder]
     values = np.array([v for v, _ in ests])
@@ -168,11 +172,16 @@ def mu_infinity(f, spec=QuadratureSpec()):
     locus touching the box.  Divergent densities are flagged via the sausage
     probe and via J-increments that stop shrinking.
     """
+    return sigma_infinity(f, spec)[0]
+
+
+def sigma_infinity(f, spec=QuadratureSpec()):
+    """(mu_infinity(f, spec), sigma_measure(f, spec)) from one set of samples."""
     if not f.is_homogeneous():
         raise ValueError("mu(infinity) is defined for the top-degree form")
     vals = _replicate_values(f, spec)
     flags = ()
-    measure = sigma_measure(f, spec)
+    measure = _measure(vals, spec)
     if measure.diverged:
         flags = ("divergent",)
     Ls = np.array([spec.eta_L * s for s in _L_STEPS])
@@ -197,7 +206,7 @@ def mu_infinity(f, spec=QuadratureSpec()):
         slack = 0.005 + 0.01 * abs(est.value)
         if gap > 3 * (est.error_estimate + measure.error_estimate) + slack:
             est.flags = ("estimator_disagreement",)
-    return est
+    return est, measure
 
 
 def sigma_scaled(b, N, spec=QuadratureSpec()):

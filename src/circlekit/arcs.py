@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .local import DEFAULT_ENUM_BUDGET, BudgetExceeded
-from .poly import weyl_difference
+from .poly import grid_blocks, weyl_difference
 
 
 # ---------------------------------------------------------------------------
@@ -96,38 +96,31 @@ def build_arcs(N, C, d):
 # exponential sums
 # ---------------------------------------------------------------------------
 
-def _weighted_support(table, N):
-    """Indices k <= N with Lambda(k) > 0 and their log weights."""
+def T_sums(b, alphas, N, table):
+    """Von-Mangoldt-weighted exponential sums over [0, N]^n, one per alpha.
+
+    sum over x of Lambda(x_1)...Lambda(x_n) e(alpha b(x)), iterating over
+    prime-power coordinates only; b is evaluated once for all alphas.
+    """
     if table.N < N:
         raise ValueError("von Mangoldt table too small")
-    ks = [k for k in range(min(N, table.N) + 1) if table.values[k] > 0]
-    return np.array(ks, dtype=np.int64), np.array(
-        [table.values[k] for k in ks])
+    ks = np.flatnonzero(table.values[:N + 1])
+    if len(ks) ** b.n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded("prime-power grid too large")
+    parts = [([], []) for _ in alphas]
+    for block in grid_blocks([ks] * b.n):
+        vals = b.eval_float(block.astype(float))
+        w = table.values[block].prod(axis=1)
+        for alpha, (re_parts, im_parts) in zip(alphas, parts):
+            ph = 2 * np.pi * alpha * vals
+            re_parts.append(float(np.dot(w, np.cos(ph))))
+            im_parts.append(float(np.dot(w, np.sin(ph))))
+    return [complex(math.fsum(re), math.fsum(im)) for re, im in parts]
 
 
 def T_sum(b, alpha, N, table):
-    """Von-Mangoldt-weighted exponential sum over [0, N]^n.
-
-    sum over x of Lambda(x_1)...Lambda(x_n) e(alpha b(x)), iterating over
-    prime-power coordinates only.
-    """
-    ks, logs = _weighted_support(table, N)
-    n = b.n
-    if len(ks) ** n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("prime-power grid too large")
-    re_parts, im_parts = [], []
-    # outer tuples in lexicographic order, innermost coordinate vectorized
-    for head in product(range(len(ks)), repeat=n - 1):
-        pts = np.empty((len(ks), n), dtype=np.int64)
-        for i, hi in enumerate(head):
-            pts[:, i] = ks[hi]
-        pts[:, n - 1] = ks
-        vals = b.eval_float(pts.astype(float))
-        w = math.prod(logs[hi] for hi in head) * logs
-        ph = 2 * np.pi * alpha * vals
-        re_parts.append(float(np.dot(w, np.cos(ph))))
-        im_parts.append(float(np.dot(w, np.sin(ph))))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    """T_sums at a single alpha."""
+    return T_sums(b, [alpha], N, table)[0]
 
 
 def S_sum(psi, alpha, box, P):
@@ -141,20 +134,12 @@ def S_sum(psi, alpha, box, P):
     for lo, hi in box:
         if hi - lo > 1 + 1e-12:
             raise ValueError("box sides must be at most 1")
-        ranges.append(np.arange(math.ceil(P * lo), math.floor(P * hi) + 1,
-                                dtype=np.int64))
-    total = math.prod(len(r) for r in ranges)
-    if total > DEFAULT_ENUM_BUDGET:
+        ranges.append(range(math.ceil(P * lo), math.floor(P * hi) + 1))
+    if math.prod(len(r) for r in ranges) > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("lattice box too large")
-    if total == 0:
-        return 0j
     re_parts, im_parts = [], []
-    for head in product(*[range(len(r)) for r in ranges[:-1]]):
-        pts = np.empty((len(ranges[-1]), psi.n), dtype=np.int64)
-        for i, hi in enumerate(head):
-            pts[:, i] = ranges[i][hi]
-        pts[:, psi.n - 1] = ranges[-1]
-        ph = 2 * np.pi * alpha * psi.eval_float(pts.astype(float))
+    for block in grid_blocks(ranges):
+        ph = 2 * np.pi * alpha * psi.eval_float(block.astype(float))
         re_parts.append(float(np.sum(np.cos(ph))))
         im_parts.append(float(np.sum(np.sin(ph))))
     return complex(math.fsum(re_parts), math.fsum(im_parts))
@@ -177,27 +162,9 @@ def E_normalized(psi, q, m):
         raise BudgetExceeded("residue grid too large")
     total = 0j
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    last = np.arange(q, dtype=np.int64)
-    for head in product(range(q), repeat=n - 1):
-        pts = np.empty((q, n), dtype=np.int64)
-        for i, h in enumerate(head):
-            pts[:, i] = h
-        pts[:, n - 1] = last
-        vals = _eval_mod_batch(psi, pts, q)
-        total += roots[(m % q) * vals % q].sum()
+    for block in grid_blocks([range(q)] * n):
+        total += roots[(m % q) * psi.eval_int(block, q) % q].sum()
     return total / q ** n
-
-
-def _eval_mod_batch(psi, pts, q):
-    """Exact modular evaluation on an int64 batch of points; needs q^2 < 2^63."""
-    out = np.zeros(len(pts), dtype=np.int64)
-    for e, c in psi.terms.items():
-        v = np.full(len(pts), int(c) % q, dtype=np.int64)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                v = v * (pts[:, i] % q) % q
-        out = (out + v) % q
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arch import QuadratureSpec, mu_infinity, sigma_measure, sigma_scaled
-from .arcs import build_arcs, classify_alpha, estimate_gd, T_sum, z_count
+from .arch import QuadratureSpec, sigma_infinity
+from .arcs import build_arcs, classify_alpha, estimate_gd, T_sums, z_count
 from .count import (count_direct, count_mitm, mangoldt_table, predict,
                     regularity_exponent)
 from .hinv import Decomposition, build_gm_fm, quadratic_h
-from .local import mu_p, singular_series
+from .local import BudgetExceeded, mu_p, singular_series
 from .poly import load_polynomial, parse_polynomial
 
 _FLAG_EXIT = 1
@@ -150,8 +150,7 @@ def _cmd_series(args, t0):
 def _cmd_sigma_inf(args, t0):
     b = _load_poly(args)
     form = b.top_degree_part()
-    mu = mu_infinity(form, _spec_from(args))
-    meas = sigma_measure(form, _spec_from(args))
+    mu, meas = sigma_infinity(form, _spec_from(args))
     flags = tuple(set(mu.flags) | set(meas.flags))
     return _emit(args, "sigma-inf", b, vars(args),
                  {"quadrature": mu, "measure": meas}, t0, flags)
@@ -171,8 +170,7 @@ def _cmd_weyl_scan(args, t0):
     table = mangoldt_table(args.N)
     alphas = [k / args.points for k in range(args.points)]
     rows = ["alpha,re_T,im_T,abs_T,classification"]
-    for a in alphas:
-        v = T_sum(b, a, args.N, table)
+    for a, v in zip(alphas, T_sums(b, alphas, args.N, table)):
         cls = classify_alpha(a, args.N, b.degree, args.Delta)
         tag = "minor" if cls == "minor" else f"{cls[1]}/{cls[0]}"
         rows.append(f"{a},{v.real!r},{v.imag!r},{abs(v)!r},{tag}")
@@ -379,7 +377,7 @@ def main(argv=None):
             print(exc.code, file=sys.stderr)
             return _USAGE_EXIT
         raise
-    except ValueError as exc:
+    except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 

@@ -19,8 +19,9 @@ from itertools import product
 import numpy as np
 
 from .arch import QuadratureSpec, sigma_scaled
-from .local import (_INT64_SAFE, DEFAULT_ENUM_BUDGET, BudgetExceeded,
-                    primes_up_to, singular_series)
+from .local import (DEFAULT_ENUM_BUDGET, BudgetExceeded, primes_up_to,
+                    singular_series)
+from .poly import grid_blocks
 
 
 @dataclass
@@ -72,45 +73,17 @@ def _finish(solutions, table, N, strategy):
                        solutions=solutions)
 
 
-def _eval_int_batch(b, pts):
-    """Exact integer evaluation on an int64 point batch.
-
-    Falls back to per-point big-int arithmetic when the worst-case magnitude
-    could overflow int64.
-    """
-    bound = sum(abs(int(c)) for c in b.terms.values()) * \
-        max(int(pts.max(initial=1)), 1) ** max(b.degree, 1)
-    if bound < _INT64_SAFE:
-        out = np.zeros(len(pts), dtype=np.int64)
-        for e, c in b.terms.items():
-            v = np.full(len(pts), int(c), dtype=np.int64)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    v = v * pts[:, i]
-            out += v
-        return out
-    return np.array([b.evaluate([int(x) for x in pt]) for pt in pts],
-                    dtype=object)
-
-
 def count_direct(b, N, table):
     """Exact M_b(N): von-Mangoldt-weighted count of prime-power solutions
     of b = 0 in [0, N]^n, iterating over the prime-power support only."""
     if not b.is_integral():
         raise ValueError("need integer coefficients")
     ks = _support(table, N)
-    n = b.n
+    if len(ks) ** b.n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded("prime-power grid too large")
     solutions = []
-    if ks:
-        tail = np.array(ks, dtype=np.int64)
-        for head in product(ks, repeat=n - 1):
-            pts = np.empty((len(tail), n), dtype=np.int64)
-            for i, h in enumerate(head):
-                pts[:, i] = h
-            pts[:, n - 1] = tail
-            vals = _eval_int_batch(b, pts)
-            for j in np.nonzero(vals == 0)[0]:
-                solutions.append(head + (int(tail[j]),))
+    for block in grid_blocks([ks] * b.n):
+        solutions.extend(map(tuple, block[b.eval_int(block) == 0].tolist()))
     return _finish(solutions, table, N, "direct")
 
 
@@ -201,17 +174,16 @@ def regularity_exponent(system, N_list, budget=DEFAULT_ENUM_BUDGET):
     system = [p * math.lcm(*(c.denominator for c in p.terms.values()))
               for p in system]
     N_list = sorted(N_list)
+    if (2 * N_list[-1] + 1) ** n > budget:
+        raise BudgetExceeded("enumeration budget exceeded")
     counts = []
     for N in N_list:
-        if (2 * N + 1) ** n > budget:
-            raise BudgetExceeded("enumeration budget exceeded")
-        axes = [np.arange(-N, N + 1, dtype=np.int64)] * n
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
-        ok = np.ones(len(pts), dtype=bool)
-        for p in system:
-            vals = _eval_int_batch(p, pts)
-            ok &= (vals == 0)
-        counts.append(int(np.count_nonzero(ok)))
+        count = 0
+        for block in grid_blocks([range(-N, N + 1)] * n):
+            for p in system:
+                block = block[p.eval_int(block) == 0]
+            count += len(block)
+        counts.append(count)
     slope = float(np.polyfit(np.log(N_list),
                              np.log(np.maximum(counts, 1)), 1)[0])
     ref = n - D

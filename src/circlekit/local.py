@@ -18,9 +18,10 @@ from math import gcd, isqrt
 
 import numpy as np
 
+from .poly import _INT64_SAFE, Polynomial, grid_blocks
+
 DEFAULT_ENUM_BUDGET = 10 ** 8
 LIFT_THRESHOLD = 10 ** 6
-_INT64_SAFE = 2 ** 62
 
 
 class BudgetExceeded(RuntimeError):
@@ -48,42 +49,23 @@ def _is_prime(p):
 # ---------------------------------------------------------------------------
 
 def _separable_parts(b):
-    """Split b into per-variable univariate term lists plus a constant.
+    """Split b into univariate polynomials, one per variable, plus a constant.
 
-    Returns (parts, const) where parts[i] is a list of (coeff, exponent) for
-    variable i (0-based), or None if some term mixes two or more variables.
+    Returns (parts, const) where parts[i] is the sum of the terms in x_{i+1}
+    alone, as a Polynomial in one variable, or (None, None) if some term
+    mixes two or more variables.
     """
-    parts = [[] for _ in range(b.n)]
+    parts = [{} for _ in range(b.n)]
     const = 0
     for e, c in b.terms.items():
         nz = [i for i, k in enumerate(e) if k]
         if len(nz) == 0:
             const += c
         elif len(nz) == 1:
-            parts[nz[0]].append((c, e[nz[0]]))
+            parts[nz[0]][(e[nz[0]],)] = c
         else:
             return None, None
-    return parts, const
-
-
-def _univar_values_mod(part, xs, q):
-    """Values of sum c*x^e mod q over the int array xs."""
-    out = np.zeros(len(xs), dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    for c, e in part:
-        out = (out + (c % q) * _pow_mod(xs, e, q)) % q
-    return out
-
-
-def _pow_mod(xs, e, q):
-    out = np.ones(len(xs), dtype=np.int64)
-    base = xs % q
-    while e:
-        if e & 1:
-            out = (out * base) % q
-        base = (base * base) % q
-        e >>= 1
-    return out
+    return [Polynomial(1, t) for t in parts], const
 
 
 def _convolve_mod(h, g, q):
@@ -119,8 +101,8 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
     """Counts of b(x) mod q over x in U_q^n (or all of (Z/q)^n).
 
     Additively separable polynomials go through exact per-variable histogram
-    convolution; anything else is enumerated directly under the budget.
-    Entries are exact integers (int64 array, or Python ints when counts could
+    convolution; anything else is enumerated directly.  Either path raises
+    BudgetExceeded before any work when its cost exceeds the budget.  Entries are exact integers (int64 array, or Python ints when counts could
     overflow 64 bits).
     """
     q = int(q)
@@ -128,15 +110,17 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
         raise ValueError("q must be >= 1")
     if not b.is_integral():
         raise ValueError("histogram needs integer coefficients")
-    domain = unit_residues(q) if units else np.arange(q, dtype=np.int64)
-    m = len(domain)
     parts, const = _separable_parts(b)
+    # the separable path makes n - 1 exact convolutions of about q^2 steps each
+    if parts is not None and (b.n - 1) * q * q > budget:
+        raise BudgetExceeded(
+            f"{b.n - 1} convolutions mod {q} exceed enumeration budget {budget}")
+    domain = unit_residues(q) if units else np.arange(q, dtype=np.int64)
     if parts is not None:
-        exact64 = m ** b.n < _INT64_SAFE
+        exact64 = len(domain) ** b.n < _INT64_SAFE
         hist = None
         for part in parts:
-            vals = _univar_values_mod(part, domain, q)
-            g = np.bincount(vals, minlength=q).astype(np.int64)
+            g = np.bincount(part.eval_int(domain[:, None], q), minlength=q)
             if not exact64:
                 g = [int(x) for x in g]
             hist = g if hist is None else _convolve_mod(hist, g, q)
@@ -147,36 +131,13 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
             else:
                 hist = hist[-shift:] + hist[:-shift]
         return hist
-    # general enumeration, chunked over the leading coordinate
-    if m ** b.n > budget:
+    if len(domain) ** b.n > budget:
         raise BudgetExceeded(
-            f"domain size {m}^{b.n} exceeds enumeration budget {budget}")
+            f"domain size {len(domain)}^{b.n} exceeds enumeration budget {budget}")
     hist = np.zeros(q, dtype=np.int64)
-    if b.n == 0:
-        hist[const % q] += 1
-        return hist
-    grids = np.meshgrid(*([domain] * (b.n - 1)), indexing="ij") if b.n > 1 else []
-    flat = [g.reshape(-1) for g in grids]
-    for x0 in domain:
-        if b.n == 1:
-            vals = _eval_mod_grid(b, [np.array([x0])], q)
-        else:
-            cols = [np.full(len(flat[0]), x0, dtype=np.int64)] + flat
-            vals = _eval_mod_grid(b, cols, q)
-        hist += np.bincount(vals, minlength=q)
+    for block in grid_blocks([domain] * b.n):
+        hist += np.bincount(b.eval_int(block, q), minlength=q)
     return hist
-
-
-def _eval_mod_grid(b, cols, q):
-    """Evaluate b mod q on columns of coordinates (int64 arrays)."""
-    out = np.zeros(len(cols[0]) if len(cols) else 1, dtype=np.int64)
-    for e, c in b.terms.items():
-        term = np.full_like(out, c % q)
-        for i, k in enumerate(e):
-            if k:
-                term = (term * _pow_mod(cols[i], k, q)) % q
-        out = (out + term) % q
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,30 +298,26 @@ def _has_fully_singular_solution(b, p, budget=DEFAULT_ENUM_BUDGET):
     When the answer is no (and nu_1 > 0), every solution mod p^t lifts in
     exactly p^(n-1) ways, so the partial sums are constant from t = 1 on.
     """
-    grads = b.gradient()
     parts, const = _separable_parts(b)
+    units = unit_residues(p)
     if parts is not None:
         # restrict each variable to units where its own derivative vanishes
-        units = unit_residues(p)
         hist = None
-        for i, part in enumerate(parts):
-            gi = _univar_values_mod(
-                [(c * e, e - 1) for c, e in part if e >= 1], units, p)
-            dom = units[gi == 0]
+        for part in parts:
+            dom = units[part.gradient()[0].eval_int(units[:, None], p) == 0]
             if len(dom) == 0:
                 return False
-            vals = _univar_values_mod(part, dom, p)
-            g = np.bincount(vals, minlength=p).astype(np.int64)
+            g = np.bincount(part.eval_int(dom[:, None], p), minlength=p)
             hist = g if hist is None else _convolve_mod(hist, g, p)
-        target = (-const) % p
-        return int(hist[target]) > 0
-    from itertools import product as iproduct
-    units = [int(u) for u in unit_residues(p)]
+        return int(hist[(-const) % p]) > 0
     if len(units) ** b.n > budget:
         raise BudgetExceeded("cannot verify absence of singular solutions")
-    for x in iproduct(units, repeat=b.n):
-        if b.evaluate_mod(x, p) == 0 and \
-                all(g.evaluate_mod(x, p) == 0 for g in grads):
+    grads = b.gradient()
+    for block in grid_blocks([units] * b.n):
+        block = block[b.eval_int(block, p) == 0]
+        for g in grads:
+            block = block[g.eval_int(block, p) == 0]
+        if len(block):
             return True
     return False
 

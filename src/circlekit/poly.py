@@ -16,6 +16,9 @@ from math import gcd
 import numpy as np
 
 Coeff = "int | Fraction"
+_INT64_SAFE = 2 ** 62
+# rows per block of grid_blocks: about 1 MB of int64 per coordinate
+_BLOCK_ROWS = 1 << 17
 
 
 def _norm_coeff(c):
@@ -226,6 +229,51 @@ class Polynomial:
             out += v
         return out
 
+    def eval_int(self, points, q=None):
+        """Exact batch evaluation on an integer array of shape (m, n).
+
+        With ``q=None`` the values are exact: int64 while a coefficient and
+        coordinate bound keeps them below 2^62, Python ints (object array)
+        otherwise.  With ``q`` they are reduced into [0, q); that needs
+        q^2 < 2^63 so that no product of two residues overflows.
+        """
+        if not self.is_integral():
+            raise ValueError("integer evaluation needs integer coefficients")
+        pts = np.asarray(points, dtype=np.int64)
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise ValueError(f"points must have shape (m, {self.n})")
+        if q is None:
+            big = int(np.abs(pts).max(initial=1)) ** max(self.degree, 1)
+            bound = sum(abs(c) for c in self.terms.values()) * big
+            dtype = np.int64 if bound < _INT64_SAFE else object
+        else:
+            q = int(q)
+            if q < 1 or q * q >= 2 ** 63:
+                raise ValueError(f"modulus {q} needs 1 <= q and q^2 < 2^63")
+            dtype = np.int64
+        cols = np.ascontiguousarray(pts.T, dtype=dtype)
+        if q is not None:
+            cols %= q
+
+        def reduce(v):
+            return v if q is None else v % q
+
+        # powers[i][k] = x_i^k, built once per variable and shared by all terms
+        powers = []
+        for i in range(self.n):
+            pw = [None, cols[i]]
+            for _ in range(2, max((e[i] for e in self.terms), default=0) + 1):
+                pw.append(reduce(pw[-1] * cols[i]))
+            powers.append(pw)
+        out = np.zeros(len(pts), dtype=dtype)
+        for e, c in self.terms.items():
+            v = np.full(len(pts), c if q is None else c % q, dtype=dtype)
+            for i, k in enumerate(e):
+                if k:
+                    v = reduce(v * powers[i][k])
+            out = reduce(out + v)
+        return out
+
     def gradient(self):
         """List of partial derivatives, one Polynomial per variable."""
         grads = []
@@ -411,6 +459,38 @@ class SubstitutionMap:
                         f"assignment for x_{i} references assigned variables {sorted(bad)}")
             elif not isinstance(a, (int, Fraction)):
                 raise TypeError("assignments must be LinearForm or int/Fraction")
+
+
+def grid_blocks(axes):
+    """Cover ``itertools.product(*axes)`` with int64 point blocks of shape (m, n).
+
+    Blocks come in lexicographic order and hold at most ``_BLOCK_ROWS``
+    rows.  The trailing axes that fit are vectorised whole, the next axis
+    in slices, and the leading ones are fixed per block.
+    """
+    axes = [np.asarray(a, dtype=np.int64).reshape(-1) for a in axes]
+    if any(len(a) == 0 for a in axes):
+        return
+    n = j = len(axes)
+    rows = 1
+    while j and rows * len(axes[j - 1]) <= _BLOCK_ROWS:
+        j -= 1
+        rows *= len(axes[j])
+    tail = np.empty((rows, n - j), dtype=np.int64)
+    for i, g in enumerate(np.meshgrid(*axes[j:], indexing="ij")):
+        tail[:, i] = g.reshape(-1)
+    if j == 0:
+        yield tail
+        return
+    mid, step = axes[j - 1], _BLOCK_ROWS // rows
+    for head in iproduct(*axes[:j - 1]):
+        for s in range(0, len(mid), step):
+            part = mid[s:s + step]
+            block = np.empty((len(part) * rows, n), dtype=np.int64)
+            block[:, :j - 1] = head
+            block[:, j - 1] = np.repeat(part, rows)
+            block[:, j:] = np.tile(tail, (len(part), 1))
+            yield block
 
 
 # -- Weyl differencing ------------------------------------------------------

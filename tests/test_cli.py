@@ -239,6 +239,13 @@ class TestSubcommands:
         assert code == 1
         assert "not_regular" in rep["flags"]
 
+    def test_budget_exceeded_is_usage_error(self, poly_file, capsys):
+        pf = poly_file("n=2\n1 2 0\n1 0 2\n")
+        code = main(["regularity", "--poly", pf, "--N-list", "5000",
+                     "--N-list", "6000", "--N-list", "7000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGmSplit:
     def test_split_of_hyperbolic_pair(self, poly_file, tmp_path):

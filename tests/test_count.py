@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from circlekit.arch import QuadratureSpec
-from circlekit.count import (count_direct, count_mitm, count_via_histogram,
-                             mangoldt_table, predict, regularity_exponent)
+from circlekit.count import (BudgetExceeded, count_direct, count_mitm,
+                             count_via_histogram, mangoldt_table, predict,
+                             regularity_exponent)
 from circlekit.poly import parse_polynomial
 
 
@@ -73,6 +74,13 @@ class TestDirectCount:
                 if t.values[x] > 0 and t.values[y] > 0 and x * x == y:
                     expect += t.values[x] * t.values[y]
         assert count_direct(b, 30, t).value == pytest.approx(expect, rel=1e-12)
+
+    def test_budget_checked_before_work(self):
+        # about 1280^5 prime-power tuples: must refuse at once, not walk them
+        b = parse_polynomial("n=5\n1 1 0 0 0 0\n1 0 1 0 0 0\n1 0 0 1 0 0\n"
+                             "1 0 0 0 1 0\n1 0 0 0 0 1\n-5 0 0 0 0 0\n")
+        with pytest.raises(BudgetExceeded):
+            count_direct(b, 10 ** 4, mangoldt_table(10 ** 4))
 
 
 class TestMitm:

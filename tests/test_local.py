@@ -76,6 +76,9 @@ class TestHistograms:
         b = parse_polynomial("n=2\n1 1 1\n")       # not separable
         with pytest.raises(BudgetExceeded):
             value_histogram(b, 97, budget=100)
+        separable = parse_polynomial("n=2\n1 1 0\n1 0 1\n")
+        with pytest.raises(BudgetExceeded):
+            value_histogram(separable, 10 ** 4, units=False, budget=100)
 
 
 class TestExponentialSums:

@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from circlekit.poly import (LinearForm, Polynomial, SubstitutionMap,
-                            parse_polynomial, weyl_difference,
-                            weyl_difference_poly)
+from circlekit.poly import (_BLOCK_ROWS, LinearForm, Polynomial,
+                            SubstitutionMap, grid_blocks, parse_polynomial,
+                            weyl_difference, weyl_difference_poly)
 
 
 def sympy_expr(p, symbols):
@@ -78,16 +78,46 @@ class TestEvaluation:
     @settings(max_examples=30, deadline=None)
     @given(small_polys, st.tuples(*[st.integers(-5, 5)] * 3),
            st.integers(2, 30))
+    @example(Polynomial.zero(2), (1, -2, 3), 7)
     def test_evaluate_mod_consistent(self, p, pt, q):
         if not p.is_integral():
             return
         pt = pt[:p.n]
         assert p.evaluate_mod(pt, q) == int(p.evaluate(pt)) % q
+        pts = np.array([pt, [-x for x in pt]], dtype=np.int64).reshape(2, p.n)
+        want = [p.evaluate(x) for x in pts.tolist()]
+        assert p.eval_int(pts).tolist() == want
+        assert p.eval_int(pts, q).tolist() == [v % q for v in want]
+
+    def test_eval_int_big_values_fall_back_to_python_ints(self):
+        p = parse_polynomial("n=2\n1000000 3 0\n-1 0 1\n")
+        got = p.eval_int(np.array([[-10 ** 5, 7], [2, 3]]))
+        assert got.dtype == object
+        assert got.tolist() == [-10 ** 21 - 7, 8 * 10 ** 6 - 3]
+
+    def test_eval_int_rejects_rationals_and_wide_moduli(self):
+        pts = np.array([[2]])
+        with pytest.raises(ValueError):
+            parse_polynomial("n=1\n1/2 1\n").eval_int(pts)
+        with pytest.raises(ValueError):
+            parse_polynomial("n=1\n1 1\n").eval_int(pts, 2 ** 32)
 
     def test_eval_float_batch(self):
         p = parse_polynomial("n=2\n3 2 0\n-1 0 1\n5 0 0\n")
         pts = np.array([[1.0, 2.0], [0.5, -1.0]])
         np.testing.assert_allclose(p.eval_float(pts), [3 - 2 + 5, 0.75 + 1 + 5])
+
+    def test_grid_blocks_cover_product_in_order(self):
+        axes = [[5, -1, 2], range(-2, 300), range(500)]
+        blocks = list(grid_blocks(axes))
+        assert len(blocks) > 1
+        assert all(len(b) <= _BLOCK_ROWS for b in blocks)
+        want = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+        np.testing.assert_array_equal(np.concatenate(blocks), want)
+        long_axis = np.arange(3 * _BLOCK_ROWS // 2)
+        blocks = list(grid_blocks([long_axis]))
+        assert [len(b) for b in blocks] == [_BLOCK_ROWS, _BLOCK_ROWS // 2]
+        np.testing.assert_array_equal(np.concatenate(blocks)[:, 0], long_axis)
 
     def test_gradient(self):
         p = parse_polynomial("n=2\n1 2 1\n")     # x1^2 x2
