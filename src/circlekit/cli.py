@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .arch import QuadratureSpec, sigma_infinity
 from .arcs import build_arcs, classify_alpha, estimate_gd, T_sums, z_count
-from .count import (count_direct, count_mitm, mangoldt_table, predict,
-                    regularity_exponent)
+from .count import (MangoldtTable, count_direct, count_mitm, mangoldt_table,
+                    predict, regularity_exponent)
 from .hinv import Decomposition, build_gm_fm, quadratic_h
 from .local import BudgetExceeded, mu_p, singular_series
 from .poly import load_polynomial, parse_polynomial
@@ -82,11 +82,8 @@ def _emit(args, command, poly, config, result, t0, flags=()):
 
 
 def _spec_from(args):
-    return QuadratureSpec(
-        box_points=getattr(args, "box_points", 1 << 20),
-        eta_L=getattr(args, "eta_L", 16.0),
-        eps=getattr(args, "eps", 0.01),
-        seed=getattr(args, "seed", 7))
+    return QuadratureSpec(box_points=args.box_points, eta_L=args.eta_L,
+                          eps=args.eps, seed=args.seed)
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -104,31 +101,25 @@ def _cmd_predict(args, t0):
                   spec=_spec_from(args), ground_truth=args.ground_truth,
                   strategy=args.strategy, split=args.split)
     flags = tuple(rep.sigma.flags) + _warning_flags(rep.factors)
-    result = _jsonable(rep)
-    del result["factors"]       # the report carries only their warnings
-    return _emit(args, "predict", b, vars(args), result, t0, flags)
+    return _emit(args, "predict", b, vars(args), rep, t0, flags)
 
 
 def _cmd_count(args, t0):
     b = _load_poly(args)
+    count = (partial(count_mitm, split=args.split)
+             if args.strategy == "mitm" else count_direct)
     table = mangoldt_table(args.N)
-    if args.strategy == "mitm":
-        res = count_mitm(b, args.N, table,
-                         args.split if args.split is not None else b.n // 2)
-    else:
-        res = count_direct(b, args.N, table)
+    out = res = count(b, args.N, table)
     if args.primes_only:
-        # variant count: restrict the weighted sum to first prime powers
-        sols = [s for s in res.solutions
-                if all(table.base[k] == k for k in s)]
-        value = math.fsum(
-            math.prod(table.values[k] for k in s) for s in sorted(sols))
-        out = {"full": res, "primes_only_value": value,
-               "primes_only_solutions": len(sols),
+        # the same count with the higher prime powers weighing 0
+        first = table.base == np.arange(args.N + 1)
+        only = count(b, args.N, MangoldtTable(
+            args.N, np.where(first, table.values, 0.0),
+            np.where(first, table.base, 0)))
+        out = {"full": res, "primes_only_value": only.value,
+               "primes_only_solutions": only.solution_count,
                "note": "primes-only restricts the standard weighted count "
                        "to first powers"}
-    else:
-        out = res
     return _emit(args, "count", b, vars(args), out, t0)
 
 
@@ -337,40 +328,33 @@ def build_parser():
     return ap
 
 
-def _apply_config_file(args, argv):
-    """Merge key=value lines under explicit flags (flags win)."""
-    if not getattr(args, "config", None):
-        return args
-    explicit = {a.split("=")[0] for a in argv if a.startswith("--")}
+def _config_argv(args):
+    """Flags for the key=value lines of the config file, for the parser to
+    type and check; the command line's own flags follow them and win."""
+    extra = []
     for line in Path(args.config).read_text().splitlines():
-        line = line.split("#")[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+        key, eq, val = (s.strip() for s in line.split("#")[0].partition("="))
+        if key and not eq:
             raise SystemExit(f"error: bad config line: {line}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
         attr = key.replace("-", "_")
-        if flag in explicit or not hasattr(args, attr):
-            continue
-        cur = getattr(args, attr)
-        if isinstance(cur, bool):
-            setattr(args, attr, val.lower() in ("1", "true", "yes"))
-        elif isinstance(cur, int):
-            setattr(args, attr, int(val))
-        elif isinstance(cur, float):
-            setattr(args, attr, float(val))
+        if not hasattr(args, attr) or isinstance(getattr(args, attr), list):
+            continue    # blank, not an option here, or a list already given
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, attr), bool):
+            extra += [flag] * (val.lower() in ("1", "true", "yes"))
         else:
-            setattr(args, attr, val)
-    return args
+            extra.append(f"{flag}={val}")
+    return extra
 
 
 def main(argv=None):
     t0 = time.monotonic()
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args = _apply_config_file(args, sys.argv[1:] if argv is None else argv)
+        if getattr(args, "config", None):
+            args = ap.parse_args(argv[:1] + _config_argv(args) + argv[1:])
         return args.func(args, t0)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -4,11 +4,12 @@ The von Mangoldt table, exact prime-power solution counting M_b(N) (direct
 and meet-in-the-middle), the regularity growth diagnostic, and assembly of
 the main-term prediction against ground truth.
 
-The direct and meet-in-the-middle counters must agree bit for bit, so both
-funnel their solutions through the same weighting routine: solutions are
-sorted lexicographically, each weight is a product of per-coordinate logs
-taken in coordinate order, and the weights are totaled with exact (fsum)
-summation.
+Each Lambda(k) is a float of at least log 2 > 1/2, so Lambda(k) * 2^53 is an
+integer.  Every count sums exact integer products of those and divides once
+by 2^(53 n): the correctly rounded true sum in any order, so all strategies
+agree bit for bit.  b is split into additive groups of variables, each group
+gets an exact weighted value histogram, the groups are convolved, and the
+last group is matched against the target.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .arch import QuadratureSpec, sigma_scaled
 from .local import (DEFAULT_ENUM_BUDGET, BudgetExceeded, primes_up_to,
                     singular_series)
-from .poly import grid_blocks
+from .poly import _INT64_SAFE, Polynomial, grid_blocks
 
 
 @dataclass
@@ -55,94 +56,113 @@ class CountResult:
     value: float
     solution_count: int
     strategy: str               # "direct" | "mitm"
-    solutions: list = field(default_factory=list, repr=False)
 
 
 def _support(table, N):
+    """Points 2..N of positive weight, and exact [Lambda(k) 2^53, 1] per k."""
     if table.N < N:
         raise ValueError("von Mangoldt table too small")
-    return [k for k in range(2, N + 1) if table.values[k] > 0]
+    scaled = table.values[:N + 1] * 2.0 ** 53   # integral: weights 0 or >= 1/2
+    if np.any(scaled % 1):
+        raise ValueError("weights must be 0 or at least 1/2")
+    ks = [k for k in range(2, N + 1) if scaled[k] > 0]
+    return ks, np.array([[int(w), 1] for w in scaled.tolist()], object)
 
 
-def _finish(solutions, table, N, strategy):
-    """Shared weighting: sort solutions, per-solution log product, fsum."""
-    solutions = sorted(solutions)
-    weights = [math.prod(table.values[k] for k in sol) for sol in solutions]
-    return CountResult(N=N, value=math.fsum(weights),
-                       solution_count=len(solutions), strategy=strategy,
-                       solutions=solutions)
+def _result(N, total, n, strategy):
+    """Round an exact [weight, count] sum over n coordinates once."""
+    return CountResult(N=N, value=int(total[0]) / 2 ** (53 * n),
+                       solution_count=int(total[1]), strategy=strategy)
+
+
+def _histogram(g, ks, W, keep=None):
+    """The values of g on the prime-power grid of its own variables, each
+    with its exact [weight, count]; only the values in ``keep`` if given."""
+    values, wc = [np.empty(0, np.int64)], [np.empty((0, 2), object)]
+    for block in grid_blocks([ks] * g.n):
+        v = g.eval_int(block)
+        if keep is not None:
+            hit = np.isin(v, keep)
+            block, v = block[hit], v[hit]
+        values.append(v)
+        wc.append(W[block].prod(axis=1))
+    return np.concatenate(values), np.concatenate(wc)
+
+
+def _reduce(groups, table, N, strategy):
+    """Exact M_b(N) for b = the sum of the groups, polynomials in consecutive
+    blocks of variables; the cost bound is checked before any work."""
+    if not all(g.is_integral() for g in groups):
+        raise ValueError("need integer coefficients")
+    ks, W = _support(table, N)
+    sizes = [len(ks) ** g.n for g in groups]
+    if sum(sizes) + sum(math.prod(sizes[:j]) for j in range(2, len(sizes))) \
+            > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded("prime-power grid too large")
+    # histogram of the groups so far: distinct values, summed [weight, count]
+    bound = sum(sum(map(abs, g.terms.values())) * N ** g.degree
+                for g in groups)
+    values = np.zeros(1, np.int64 if bound < _INT64_SAFE else object)
+    wc = np.array([[1, 1]], object)
+    for g in groups[:-1]:
+        v, w = _histogram(g, ks, W)
+        values, inv = np.unique(np.add.outer(values, v), return_inverse=True)
+        pairs = (wc[:, None] * w).reshape(-1, 2)
+        wc = np.zeros((len(values), 2), object)
+        np.add.at(wc, inv.ravel(), pairs)
+    v, w = _histogram(groups[-1], ks, W, keep=-values)
+    total = (wc[np.searchsorted(values, -v)] * w).sum(axis=0)
+    return _result(N, total, sum(g.n for g in groups), strategy)
+
+
+def _split_poly(b, sizes):
+    """b as polynomials in consecutive blocks of ``sizes`` variables, the
+    constant in the first; None if a term mixes two blocks."""
+    cuts = np.cumsum([0, *sizes]).tolist()
+    blocks = [{} for _ in sizes]
+    for e, c in b.terms.items():
+        hit = [i for i in range(len(sizes)) if any(e[cuts[i]:cuts[i + 1]])]
+        if len(hit) > 1:
+            return None
+        i = hit[0] if hit else 0
+        blocks[i][e[cuts[i]:cuts[i + 1]]] = c
+    return [Polynomial(m, t) for m, t in zip(sizes, blocks)]
 
 
 def count_direct(b, N, table):
-    """Exact M_b(N): von-Mangoldt-weighted count of prime-power solutions
-    of b = 0 in [0, N]^n, iterating over the prime-power support only."""
-    if not b.is_integral():
-        raise ValueError("need integer coefficients")
-    ks = _support(table, N)
-    if len(ks) ** b.n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("prime-power grid too large")
-    solutions = []
-    for block in grid_blocks([ks] * b.n):
-        solutions.extend(map(tuple, block[b.eval_int(block) == 0].tolist()))
-    return _finish(solutions, table, N, "direct")
+    """Exact M_b(N): von-Mangoldt-weighted count of the prime-power points
+    of b = 0 in [0, N]^n.  A separable b is reduced one variable at a time;
+    any other b is walked whole and only its zeros are weighted."""
+    return _reduce(_split_poly(b, [1] * b.n) or [b], table, N, "direct")
 
 
-def _split_poly(b, split):
-    """Check b = g(x_1..x_k) + h(x_{k+1}..x_n) syntactically; return terms."""
-    k = split
-    if not 1 <= k < b.n:
+def count_mitm(b, N, table, split=None):
+    """Meet-in-the-middle M_b(N) for b = g(x_1..x_split) + h(the rest), split
+    n // 2 by default: the exact histogram of g is matched against h."""
+    split = b.n // 2 if split is None else split
+    if not 1 <= split < b.n:
         raise ValueError("split must leave variables on both sides")
-    left, right = {}, {}
-    for e, c in b.terms.items():
-        lsup = any(e[i] for i in range(k))
-        rsup = any(e[i] for i in range(k, b.n))
-        if lsup and rsup:
-            raise ValueError("polynomial is not additively separable "
-                             f"at split {k}: mixed term {e}")
-        (left if lsup or not rsup else right)[e] = c
-    return left, right, k
-
-
-def count_mitm(b, N, table, split):
-    """Meet-in-the-middle M_b(N) for b = g(left) + h(right).
-
-    Hashes g over left prime-power tuples, scans right tuples for -h
-    matches; solutions then get the exact same weighting as count_direct.
-    """
-    if not b.is_integral():
-        raise ValueError("need integer coefficients")
-    left, right, k = _split_poly(b, split)
-    ks = _support(table, N)
-    n = b.n
-    solutions = []
-    if ks:
-        g_index = {}
-        for xl in product(ks, repeat=k):
-            gv = sum(int(c) * math.prod(x ** e for x, e in zip(xl, eL[:k]))
-                     for eL, c in left.items())
-            g_index.setdefault(gv, []).append(xl)
-        for xr in product(ks, repeat=n - k):
-            hv = sum(int(c) * math.prod(x ** e for x, e in zip(xr, eR[k:]))
-                     for eR, c in right.items())
-            for xl in g_index.get(-hv, ()):
-                solutions.append(xl + xr)
-    return _finish(solutions, table, N, "mitm")
+    groups = _split_poly(b, [split, b.n - split])
+    if groups is None:
+        raise ValueError(f"polynomial is not additively separable at {split}")
+    return _reduce(groups, table, N, "mitm")
 
 
 def count_via_histogram(b, N, table):
     """Independent cross-check of count_direct through a value histogram.
 
-    Buckets all weighted tuples by their exact b-value (traversed in the
-    reverse tuple order), then reduces the zero bucket with the shared
-    weighting routine.  Must agree with count_direct to the last bit.
+    Buckets all prime-power tuples by their scalar b-value (traversed in the
+    reverse tuple order), then reduces the zero bucket through the same
+    exact weight sum.  Must agree with count_direct to the last bit.
     """
     if not b.is_integral():
         raise ValueError("need integer coefficients")
-    ks = _support(table, N)
+    ks, W = _support(table, N)
     buckets = {}
     for pt in product(reversed(ks), repeat=b.n):
         buckets.setdefault(b.evaluate(pt), []).append(pt)
-    return _finish(buckets.get(0, []), table, N, "direct")
+    zeros = np.array(buckets.get(0, []), np.int64).reshape(-1, b.n)
+    return _result(N, W[zeros].prod(axis=1).sum(axis=0), b.n, "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +236,11 @@ def predict(b, N, prime_bound=100, t_max=6, spec=QuadratureSpec(),
     sigma = sigma_scaled(b, N, spec)
     main = max(series.product, 0.0) * max(sigma.value, 0.0) \
         * N ** (b.n - b.degree)
-    truth = None
-    ratio = None
+    truth = ratio = None
     if ground_truth:
         table = mangoldt_table(N)
-        if strategy == "mitm":
-            truth = count_mitm(b, N, table, split if split is not None
-                               else b.n // 2)
-        else:
-            truth = count_direct(b, N, table)
+        truth = (count_mitm(b, N, table, split) if strategy == "mitm"
+                 else count_direct(b, N, table))
         if truth.value > 0:
             ratio = main / truth.value
     params = {"prime_bound": prime_bound, "t_max": t_max,

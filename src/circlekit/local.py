@@ -102,8 +102,9 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
 
     Additively separable polynomials go through exact per-variable histogram
     convolution; anything else is enumerated directly.  Either path raises
-    BudgetExceeded before any work when its cost exceeds the budget.  Entries are exact integers (int64 array, or Python ints when counts could
-    overflow 64 bits).
+    BudgetExceeded before any work when its cost exceeds the budget.
+    Entries are exact integers (int64 array, or Python ints when counts
+    could overflow 64 bits).
     """
     q = int(q)
     if q < 1:

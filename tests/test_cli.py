@@ -138,7 +138,7 @@ class TestWarningFlags:
              "--tmax", "1", "--box-points", str(1 << 14)], tmp_path)
         assert code == 1
         assert rep["flags"] == ["no_stabilization"]
-        assert "factors" not in rep["result"]
+        assert [f["p"] for f in rep["result"]["factors"]] == [2, 3, 5]
 
 
 def test_cli_import_skips_heavy_modules():
@@ -171,6 +171,36 @@ class TestConfigFile:
             ["local", "--poly", pf, "--p", "3", "--tmax", "4",
              "--config", str(cfg)], tmp_path)
         assert rep["config"]["tmax"] == 4
+
+    def test_abbreviated_flag_wins(self, poly_file, tmp_path):
+        pf = poly_file(LINEAR6)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("tmax=2\n")
+        _, rep = run_json(
+            ["local", "--poly", pf, "--p", "3", "--tm", "4",
+             "--config", str(cfg)], tmp_path)
+        assert rep["config"]["tmax"] == 4
+
+    def test_value_takes_the_option_type(self, poly_file, tmp_path):
+        # split has no default, so its value must be typed by the parser
+        pf = poly_file(LINEAR6)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("split = 1\n")
+        code, rep = run_json(
+            ["count", "--poly", pf, "--N", "5", "--strategy", "mitm",
+             "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert rep["config"]["split"] == 1
+        assert rep["result"]["solution_count"] == 3
+
+    @pytest.mark.parametrize("line", ["split = one", "strategy = fast"])
+    def test_bad_value_is_usage_error(self, poly_file, tmp_path, line):
+        pf = poly_file(LINEAR6)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--poly", pf, "--N", "5", "--config", str(cfg)])
+        assert exc.value.code == 2
 
     def test_bad_line_is_usage_error(self, poly_file, tmp_path):
         pf = poly_file(LINEAR6)
@@ -221,6 +251,18 @@ class TestSubcommands:
         pf = poly_file("n=2\n1 2 0\n")
         _, rep = run_json(["zcount", "--poly", pf, "--R", "5"], tmp_path)
         assert rep["result"]["z_counts"] == [11]
+
+    def test_predict_report_has_factors_not_solutions(self, poly_file,
+                                                      tmp_path):
+        pf = poly_file(LINEAR6)
+        _, rep = run_json(
+            ["predict", "--poly", pf, "--N", "20", "--prime-bound", "10",
+             "--box-points", str(1 << 14), "--ground-truth"], tmp_path)
+        res = rep["result"]
+        assert [f["p"] for f in res["factors"]] == [2, 3, 5, 7]
+        assert all({"mu_p", "partial_sums"} <= set(f) for f in res["factors"])
+        assert res["ground_truth"]["solution_count"] > 0
+        assert "solutions" not in res["ground_truth"]
 
     def test_count_primes_only_variant(self, poly_file, tmp_path):
         pf = poly_file(LINEAR6)

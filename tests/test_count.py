@@ -3,16 +3,26 @@ counts, the histogram cross-check, growth diagnostics, and prediction
 assembly.
 """
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
 from circlekit.arch import QuadratureSpec
-from circlekit.count import (BudgetExceeded, count_direct, count_mitm,
-                             count_via_histogram, mangoldt_table, predict,
-                             regularity_exponent)
+from circlekit.count import (BudgetExceeded, MangoldtTable, count_direct,
+                             count_mitm, count_via_histogram, mangoldt_table,
+                             predict, regularity_exponent)
 from circlekit.poly import parse_polynomial
+
+
+def brute_force(b, N, table):
+    """The correctly rounded exact sum of Lambda products over every
+    prime-power solution in [0, N]^n, and the number of solutions."""
+    ks = [k for k in range(N + 1) if table.values[k] > 0]
+    sols = [x for x in product(ks, repeat=b.n) if b.evaluate(x) == 0]
+    exact = sum(math.prod(Fraction(table.values[k]) for k in x) for x in sols)
+    return float(exact), len(sols)
 
 
 class TestMangoldtTable:
@@ -44,7 +54,9 @@ class TestDirectCount:
     def test_hand_value(self):
         b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")
         r = count_direct(b, 5, mangoldt_table(5))
-        assert r.solutions == [(2, 4), (3, 3), (4, 2)]
+        assert r.solution_count == 3            # (2, 4), (3, 3), (4, 2)
+        log2, log3 = Fraction(math.log(2)), Fraction(math.log(3))
+        assert r.value == float(2 * log2 ** 2 + log3 ** 2)
         assert r.value == pytest.approx(
             2 * math.log(2) ** 2 + math.log(3) ** 2, abs=1e-13)
 
@@ -99,7 +111,8 @@ class TestMitm:
         rd = count_direct(b, N, t)
         rm = count_mitm(b, N, t, split)
         assert rm.value == rd.value            # exact float equality
-        assert rm.solutions == rd.solutions
+        assert rm.solution_count == rd.solution_count
+        assert (rd.value, rd.solution_count) == brute_force(b, N, t)
 
     def test_rejects_mixed_terms(self):
         b = parse_polynomial("n=2\n1 1 1\n")
@@ -110,6 +123,58 @@ class TestMitm:
         b = parse_polynomial("n=2\n1 1 0\n1 0 1\n")
         with pytest.raises(ValueError):
             count_mitm(b, 10, mangoldt_table(10), 2)
+
+
+class TestExactReduction:
+    """Every strategy returns the correctly rounded exact weighted sum."""
+
+    CASES = [
+        # separable, negative coefficients and a constant
+        ("n=3\n1 2 0 0\n-2 0 1 0\n3 0 0 1\n-7 0 0 0\n", 20, 1),
+        ("n=3\n1 2 0 0\n-2 0 1 0\n3 0 0 1\n-7 0 0 0\n", 20, 2),
+        # x1 x2 + x3 x4 - 40: not separable, two variables on each side
+        ("n=4\n1 1 1 0 0\n1 0 0 1 1\n-40 0 0 0 0\n", 20, 2),
+        # 2^58 (x1 + x2 + x3 - x4): each variable's values fit int64, the
+        # sums of three of them do not
+        ("n=4\n%d 1 0 0 0\n%d 0 1 0 0\n%d 0 0 1 0\n%d 0 0 0 1\n"
+         % (2 ** 58, 2 ** 58, 2 ** 58, -2 ** 58), 11, 2),
+    ]
+
+    @pytest.mark.parametrize("text,N,split", CASES)
+    def test_equals_brute_force(self, text, N, split):
+        b = parse_polynomial(text)
+        t = mangoldt_table(N)
+        want = brute_force(b, N, t)
+        assert want[1] > 0
+        for r in (count_direct(b, N, t), count_mitm(b, N, t, split),
+                  count_via_histogram(b, N, t)):
+            assert (r.value, r.solution_count) == want
+
+    def test_int64_sums_do_not_wrap(self):
+        # 2^57 (x1 + ... + x5) has no zeros in prime powers; in int64 the
+        # sum 2^57 (31 + 31 + 31 + 4 + 31) = 2^64 would wrap round to 0
+        b = parse_polynomial("n=5\n" + "".join(
+            f"{2 ** 57} " + " ".join("1" if j == i else "0" for j in range(5))
+            + "\n" for i in range(5)))
+        t = mangoldt_table(31)
+        for r in (count_direct(b, 31, t), count_mitm(b, 31, t, 2)):
+            assert (r.value, r.solution_count) == (0.0, 0)
+
+    def test_primes_only_table_drops_prime_squares(self):
+        # x1 + x2 = 13 in prime powers: (2, 11), (4, 9), (5, 8) and their
+        # swaps; weighting the squares 4 and 9 and the cube 8 by 0 leaves
+        # (2, 11) and (11, 2)
+        b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-13 0 0\n")
+        t = mangoldt_table(13)
+        first = t.base == np.arange(14)
+        primes = MangoldtTable(13, np.where(first, t.values, 0.0),
+                               np.where(first, t.base, 0))
+        assert count_direct(b, 13, t).solution_count == 6
+        want = float(2 * Fraction(math.log(2)) * Fraction(math.log(11)))
+        for r in (count_direct(b, 13, primes), count_mitm(b, 13, primes, 1),
+                  count_via_histogram(b, 13, primes)):
+            assert (r.value, r.solution_count) == (want, 2)
+            assert (r.value, r.solution_count) == brute_force(b, 13, primes)
 
 
 class TestHistogramCrossCheck:
