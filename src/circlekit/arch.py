@@ -6,6 +6,12 @@ epsilon-sausage density used in actual predictions.
 
 All stochastic estimates use low-discrepancy (Sobol) sampling with a recorded
 seed and carry replicate-based error estimates, so results are reproducible.
+The Sobol points are drawn here with numpy and equal scipy's
+``qmc.Sobol(d, scramble=True, seed=seed).random(n)`` bit for bit: Joe-Kuo
+direction numbers (read from the table scipy ships, without importing
+scipy), Owen's linear matrix scramble plus a digital shift, and the
+Gray-code order.  A replicate whose size is not a power of two loses the
+balance of the sequence; estimates then carry the flag ``sobol_unbalanced``.
 
 The eta-integral of I over [-L, L] is done in closed form: integrating
 cos(2 pi eta f(x)) in eta gives the Dirichlet kernel 2L sinc(2L f(x)), so
@@ -16,7 +22,9 @@ term alongside the smooth one.
 """
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -56,15 +64,78 @@ class SingularIntegralEstimate:
         return "divergent" in self.flags
 
 
+_SOBOL_BITS = 30
+_SOBOL_MAXDIM = 21201
+
+
+def _sobol_directions(d):
+    """(d, 30) Joe-Kuo direction numbers, column j scaled by 2^(29-j)."""
+    if d > _SOBOL_MAXDIM:
+        raise ValueError(f"Sobol sampling supports at most {_SOBOL_MAXDIM} "
+                         "dimensions")
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    with np.load(Path(root, "stats", "_sobol_direction_numbers.npz")) as z:
+        poly, vinit = z["poly"][:d].tolist(), z["vinit"][:d].tolist()
+    v = [[1] * _SOBOL_BITS]
+    for p, init in zip(poly[1:], vinit[1:]):
+        m = p.bit_length() - 1
+        row = init[:m]
+        for j in range(m, _SOBOL_BITS):     # Bratley-Fox recurrence
+            newv = row[j - m]
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    newv ^= row[j - k - 1] << (k + 1)
+            row.append(newv)
+        v.append(row)
+    return np.array(v, dtype=np.uint32) << np.arange(_SOBOL_BITS - 1, -1, -1,
+                                                     dtype=np.uint32)
+
+
+def _sobol(directions, n, seed):
+    """n scrambled Sobol points in [0,1)^d, shape (n, d), as scipy's."""
+    if n > 1 << _SOBOL_BITS:
+        raise ValueError(f"Sobol sampling supports at most 2**{_SOBOL_BITS} "
+                         "points")
+    d = len(directions)
+    rng = np.random.default_rng(seed)
+    powers = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(0, 2, (d, _SOBOL_BITS), dtype=np.uint32) @ powers
+    ltm = np.tril(rng.integers(0, 2, (d, _SOBOL_BITS, _SOBOL_BITS),
+                               dtype=np.uint32))
+    ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+    # linear matrix scramble: bit 29-p of sv[d, j] becomes the parity of
+    # ltm[d, p, ::-1] . bits(sv[d, j])
+    bits = directions[:, :, None] >> np.arange(_SOBOL_BITS,
+                                               dtype=np.uint32) & 1
+    parity = np.einsum("dpk,djk->djp", ltm[:, :, ::-1], bits) & 1
+    sv = parity @ powers[::-1]
+    # Gray-code order: the reflected second half of each doubling differs
+    # from the first half in one more direction number
+    q = np.empty((1 << (n - 1).bit_length(), d), dtype=np.uint32)
+    q[0] = shift
+    h = 1
+    while h < n:
+        q[h:2 * h] = q[h - 1::-1] ^ sv[:, h.bit_length() - 1]
+        h *= 2
+    return q[:n] * 2.0 ** -_SOBOL_BITS
+
+
+def _per_replicate(spec):
+    return max(spec.box_points // _REPLICATES, 2)
+
+
+def _balance_flags(spec):
+    """Sobol points keep their balance only in blocks of a power of two."""
+    per = _per_replicate(spec)
+    return ("sobol_unbalanced",) if per & (per - 1) else ()
+
+
 def _replicate_samples(n, spec):
     """List of per-replicate sample blocks in [0,1]^n, shape (m, n) each."""
-    from scipy.stats import qmc     # costs about a second of import time
-    per = max(spec.box_points // _REPLICATES, 2)
-    out = []
-    for r in range(_REPLICATES):
-        eng = qmc.Sobol(d=n, scramble=True, seed=spec.seed * 1009 + r)
-        out.append(eng.random(per))
-    return out
+    per = _per_replicate(spec)
+    directions = _sobol_directions(n)
+    return [_sobol(directions, per, spec.seed * 1009 + r)
+            for r in range(_REPLICATES)]
 
 
 def _replicate_values(f, spec, scale=1.0):
@@ -137,7 +208,9 @@ def sigma_measure(f, spec=QuadratureSpec()):
     sqrt(eps)*log(eps) edge model.  Sustained growth at very small widths
     flags a divergent density instead.
     """
-    return _measure(_replicate_values(f, spec), spec)
+    measure = _measure(_replicate_values(f, spec), spec)
+    measure.flags += _balance_flags(spec)
+    return measure
 
 
 def _measure(vals, spec):
@@ -206,6 +279,8 @@ def sigma_infinity(f, spec=QuadratureSpec()):
         slack = 0.005 + 0.01 * abs(est.value)
         if gap > 3 * (est.error_estimate + measure.error_estimate) + slack:
             est.flags = ("estimator_disagreement",)
+    est.flags += _balance_flags(spec)
+    measure.flags += _balance_flags(spec)
     return est, measure
 
 
@@ -230,10 +305,12 @@ def sigma_scaled(b, N, spec=QuadratureSpec()):
         return SingularIntegralEstimate(method="measure", value=0.0,
                                         error_estimate=v16,
                                         eps_used=eps_rel * N ** d,
-                                        flags=("zero_measure",))
+                                        flags=("zero_measure",)
+                                        + _balance_flags(spec))
     return SingularIntegralEstimate(method="measure", value=v,
                                     error_estimate=se,
-                                    eps_used=eps_rel * N ** d, flags=())
+                                    eps_used=eps_rel * N ** d,
+                                    flags=_balance_flags(spec))
 
 
 @dataclass

@@ -70,7 +70,7 @@ def _emit(args, command, poly, config, result, t0, flags=()):
         "poly_sha256": poly.sha256() if poly is not None else None,
         "config": _jsonable(config),
         "result": _jsonable(result),
-        "flags": list(flags),
+        "flags": sorted(set(flags)),
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -89,10 +89,9 @@ def _spec_from(args):
 # -- subcommand handlers ----------------------------------------------------
 
 def _warning_flags(factors):
-    """One report flag per kind of local-factor warning."""
-    return tuple(sorted({"budget" if "budget" in f.warning
-                         else "no_stabilization"
-                         for f in factors if f.warning}))
+    """The report flag of each local-factor warning."""
+    return tuple("budget" if "budget" in f.warning else "no_stabilization"
+                 for f in factors if f.warning)
 
 
 def _cmd_predict(args, t0):
@@ -142,9 +141,9 @@ def _cmd_sigma_inf(args, t0):
     b = _load_poly(args)
     form = b.top_degree_part()
     mu, meas = sigma_infinity(form, _spec_from(args))
-    flags = tuple(set(mu.flags) | set(meas.flags))
     return _emit(args, "sigma-inf", b, vars(args),
-                 {"quadrature": mu, "measure": meas}, t0, flags)
+                 {"quadrature": mu, "measure": meas}, t0,
+                 mu.flags + meas.flags)
 
 
 def _cmd_arcs(args, t0):

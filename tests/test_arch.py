@@ -1,18 +1,21 @@
-"""Archimedean estimators: box integrals, truncated eta-integrals, sausage
-densities, and real positivity witnesses.
+"""Archimedean estimators: Sobol sampling, box integrals, truncated
+eta-integrals, sausage densities, and real positivity witnesses.
 
 Closed forms for linear polynomials and scipy quadrature serve as the
-independent oracles.
+independent oracles, and scipy's Sobol engine as the sampling oracle.
 """
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import qmc
 
-from circlekit.arch import (I_eta, J_of_L, QuadratureSpec,
-                            mu_infinity, real_nonsingular_witness,
+from circlekit.arch import (I_eta, J_of_L, QuadratureSpec, _replicate_samples,
+                            _sobol_directions, mu_infinity,
+                            real_nonsingular_witness, sigma_infinity,
                             sigma_measure, sigma_scaled)
 from circlekit.poly import parse_polynomial
 
@@ -24,6 +27,39 @@ def I_linear_exact(eta):
     if eta == 0:
         return 1.0 + 0j
     return (cmath.exp(2j * cmath.pi * eta) - 1) / (2j * cmath.pi * eta)
+
+
+class TestSobol:
+    @pytest.mark.parametrize("box_points", [16, 8000, 1 << 20])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+    def test_bit_identical_to_scipy(self, n, box_points):
+        for seed in (0, 7, 123457):
+            spec = QuadratureSpec(box_points=box_points, seed=seed)
+            blocks = _replicate_samples(n, spec)
+            assert len(blocks) == 8
+            for r, block in enumerate(blocks):
+                eng = qmc.Sobol(d=n, scramble=True, seed=seed * 1009 + r)
+                with warnings.catch_warnings():
+                    # 8000 / 8 points is not a power of two
+                    warnings.simplefilter("ignore", UserWarning)
+                    ref = eng.random(box_points // 8)
+                assert block.dtype == ref.dtype
+                assert np.array_equal(block, ref), (seed, r)
+
+    def test_limits_are_checked_before_work(self):
+        with pytest.raises(ValueError):
+            _replicate_samples(1, QuadratureSpec(box_points=8 << 31))
+        with pytest.raises(ValueError):
+            _sobol_directions(21202)
+
+    def test_unbalanced_replicates_are_flagged(self):
+        f = parse_polynomial("n=2\n1 1 0\n-1 0 1\n")     # x1 - x2
+        odd = QuadratureSpec(box_points=1000)
+        mu, meas = sigma_infinity(f, odd)
+        for est in (mu, meas, sigma_measure(f, odd), sigma_scaled(f, 10, odd)):
+            assert "sobol_unbalanced" in est.flags
+        for est in (*sigma_infinity(f, SPEC), sigma_scaled(f, 10, SPEC)):
+            assert "sobol_unbalanced" not in est.flags
 
 
 class TestBoxIntegral:

@@ -2,6 +2,7 @@
 flags, config merging, start-up imports, and the CSV/decomposition file
 formats.
 """
+import argparse
 import json
 import math
 import os
@@ -141,16 +142,45 @@ class TestWarningFlags:
         assert [f["p"] for f in rep["result"]["factors"]] == [2, 3, 5]
 
 
-def test_cli_import_skips_heavy_modules():
-    # sympy and scipy.stats cost over a second of start-up per job
+    def test_sobol_unbalanced(self, poly_file, tmp_path):
+        # 1000 / 8 points per replicate is not a power of two
+        pf = poly_file("n=2\n1 1 0\n-1 0 1\n")      # x1 - x2
+        for argv in (["sigma-inf"], ["predict", "--N", "20"]):
+            argv = argv + ["--poly", pf, "--box-points"]
+            code, rep = run_json(argv + ["1000"], tmp_path)
+            assert code == 1
+            assert "sobol_unbalanced" in rep["flags"]
+            _, rep = run_json(argv + ["1024"], tmp_path)
+            assert "sobol_unbalanced" not in rep["flags"]
+
+    def test_flags_sorted_and_unique(self, tmp_path):
+        out = tmp_path / "out.json"
+        code = cli._emit(argparse.Namespace(output=str(out)), "sigma-inf",
+                         None, {}, {}, 0.0,
+                         ("zero_measure", "nonconvergent", "zero_measure"))
+        assert code == 1
+        assert json.loads(out.read_text())["flags"] == [
+            "nonconvergent", "zero_measure"]
+
+
+def test_cli_import_skips_heavy_modules(poly_file, tmp_path):
+    # sympy and scipy.stats cost over a second of start-up per job; neither
+    # the import nor a sigma-inf, predict or hinv job may load them
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import circlekit.cli, sys; "
-            "print(sorted({'sympy', 'scipy.stats'} & set(sys.modules)))")
+    sq, lin = poly_file(SQUARES3, "sq.txt"), poly_file(LINEAR6, "lin.txt")
+    jobs = [["sigma-inf", "--poly", sq, "--box-points", "1024"],
+            ["predict", "--poly", lin, "--N", "20", "--prime-bound", "10",
+             "--box-points", "1024", "--ground-truth"],
+            ["hinv", "--poly", sq]]
+    jobs = [job + ["--output", str(tmp_path / "out.json")] for job in jobs]
+    code = ("import sys; from circlekit.cli import main; "
+            "heavy = lambda: sorted({'sympy', 'scipy.stats'} & sys.modules.keys()); "
+            f"print(heavy(), [main(job) for job in {jobs!r}], heavy())")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] [0, 0, 0] []"
 
 
 class TestConfigFile:

@@ -10,11 +10,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from circlekit.hinv import (Decomposition, a_d_lower, build_gm_fm,
-                            gram_matrix, hilbert_symbol, is_local_square,
-                            lemma21_check, linear_count, quadratic_h,
-                            squarefree_part, verify_decomposition, witt_index)
+from circlekit.hinv import (Decomposition, _factorint, _is_prime,
+                            _strong_lucas_probable_prime, a_d_lower,
+                            build_gm_fm, gram_matrix, hilbert_symbol,
+                            is_local_square, lemma21_check, linear_count,
+                            quadratic_h, squarefree_part,
+                            verify_decomposition, witt_index)
 from circlekit.poly import LinearForm, Polynomial, parse_polynomial
 
 
@@ -40,6 +45,43 @@ def random_quadratic(rng, n):
     return Polynomial(n, terms)
 
 
+M61, M89, M127 = 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1     # Mersenne primes
+
+
+class TestFactorisation:
+    """The factoriser and its primality test against sympy's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10 ** 15))
+    def test_matches_sympy(self, n):
+        assert _factorint(n) == sympy.factorint(n)
+
+    @pytest.mark.parametrize("n", [
+        M127, M61 * 3 ** 5 * 2 ** 31, M89 ** 2 * 7, 1000003 ** 5 * 1000033,
+        (10 ** 12 + 39) ** 3 * 41 ** 2, 2 ** 64 * 3])
+    def test_large_primes_and_powers(self, n):
+        assert _factorint(n) == sympy.factorint(n)
+
+    @pytest.mark.parametrize("n", [
+        # strong pseudoprimes to the first prime bases, Carmichael numbers,
+        # and composites just above 2^64, where Baillie-PSW takes over
+        2047, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981, 561, 41041, 5394826801, 9746347772161,
+        (2 ** 64 + 13) * (2 ** 65 + 1), (2 ** 32 + 15) ** 2, 2 ** 64 + 13,
+        M89, M127, M61 * M89])
+    def test_primality_on_pseudoprimes(self, n):
+        assert _is_prime(n) == sympy.isprime(n)
+
+    def test_strong_lucas_matches_sympy(self):
+        # includes the strong Lucas pseudoprimes 5459, 5777, 10877, ...
+        coprime = [n for n in range(41, 30000, 2)
+                   if all(n % p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29,
+                                          31, 37))]
+        assert [_strong_lucas_probable_prime(n) for n in coprime] \
+            == [is_strong_lucas_prp(n) for n in coprime]
+
+
 class TestSquareClasses:
     def test_squarefree_part(self):
         assert squarefree_part(12) == 3
@@ -47,6 +89,7 @@ class TestSquareClasses:
         assert squarefree_part(Fraction(4, 9)) == 1
         assert squarefree_part(Fraction(2, 3)) == 6
         assert squarefree_part(0) == 0
+        assert squarefree_part(Fraction(-M89 ** 3, 4 * 101)) == -M89 * 101
 
     def test_local_squares(self):
         assert is_local_square(9, None) and not is_local_square(-9, None)
