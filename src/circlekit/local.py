@@ -1,27 +1,32 @@
 """p-adic local densities.
 
-Unit exponential sums, B(q), exact unit-solution counts nu_t(p), the local
-factor mu(p) through the exact rational identity
+Unit exponential sums, B(q), exact unit-solution counts nu_t(p), the
+truncated singular series, and the local factor mu(p) through the exact
+rational identity  1 + sum_{j<=t} B(p^j)  =  p^t * nu_t(p) / phi(p^t)^n.
 
-    1 + sum_{j<=t} B(p^j)  =  p^t * nu_t(p) / phi(p^t)^n,
-
-the truncated singular series, and p-adic positivity witnesses.
-
-The exact rational path is primary (stabilization is decidable there); the
-complex B(q) path exists as a floating-point cross-check.
+nu_t(p) comes from one Hensel-tree recursion, the one behind Igusa's and
+Denef's local zeta computations.  A zero of b mod p with a unit partial
+derivative lifts in exactly p^(n-1) ways per level (Hensel's lemma, at
+p = 2 too).  A singular zero x0, where every partial derivative vanishes
+mod p, is refined to h(y) = b(x0 + p y) / p^c, c the p-adic valuation of
+the content, and h is treated the same way.  The tree gives every nu_t
+exactly and proves the level from which the partial sums stop changing.
+The complex B(q) path exists as a floating-point cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import reduce
+from itertools import product as iproduct
+from math import gcd, inf, isqrt, prod
 
 import numpy as np
 
+from .hinv import _is_prime
 from .poly import _INT64_SAFE, Polynomial, grid_blocks
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
-LIFT_THRESHOLD = 10 ** 6
 
 
 class BudgetExceeded(RuntimeError):
@@ -38,10 +43,6 @@ def primes_up_to(N):
         if sieve[p]:
             sieve[p * p::p] = False
     return np.flatnonzero(sieve).tolist()
-
-
-def _is_prime(p):
-    return p >= 2 and all(p % k for k in range(2, isqrt(p) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -69,20 +70,11 @@ def _separable_parts(b):
 
 
 def _convolve_mod(h, g, q):
-    """Exact circular convolution of two length-q count vectors."""
-    if isinstance(h, np.ndarray) and isinstance(g, np.ndarray):
-        full = np.convolve(h, g)
-        out = full[:q].copy()
-        out[: len(full) - q] += full[q:]
-        return out
-    h = [int(x) for x in h]
-    g = [int(x) for x in g]
-    out = [0] * q
-    for i, hv in enumerate(h):
-        if hv:
-            for j, gv in enumerate(g):
-                if gv:
-                    out[(i + j) % q] += hv * gv
+    """Exact circular convolution of two length-q count vectors (int64, or
+    object arrays of Python ints)."""
+    full = np.convolve(h, g)
+    out = full[:q].copy()
+    out[: len(full) - q] += full[q:]
     return out
 
 
@@ -103,8 +95,8 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
     Additively separable polynomials go through exact per-variable histogram
     convolution; anything else is enumerated directly.  Either path raises
     BudgetExceeded before any work when its cost exceeds the budget.
-    Entries are exact integers (int64 array, or Python ints when counts
-    could overflow 64 bits).
+    Entries are exact integers (int64, or an object array of Python ints
+    when counts could overflow 64 bits).
     """
     q = int(q)
     if q < 1:
@@ -123,15 +115,9 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
         for part in parts:
             g = np.bincount(part.eval_int(domain[:, None], q), minlength=q)
             if not exact64:
-                g = [int(x) for x in g]
+                g = g.astype(object)
             hist = g if hist is None else _convolve_mod(hist, g, q)
-        if const % q:
-            shift = const % q
-            if isinstance(hist, np.ndarray):
-                hist = np.roll(hist, shift)
-            else:
-                hist = hist[-shift:] + hist[:-shift]
-        return hist
+        return np.roll(hist, const % q)
     if len(domain) ** b.n > budget:
         raise BudgetExceeded(
             f"domain size {len(domain)}^{b.n} exceeds enumeration budget {budget}")
@@ -156,9 +142,7 @@ def unit_exp_sum(b, m, q, budget=DEFAULT_ENUM_BUDGET):
     hist = value_histogram(b, q, units=True, budget=budget)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     idx = (m * np.arange(q)) % q
-    weights = hist.astype(float) if isinstance(hist, np.ndarray) else \
-        np.array([float(x) for x in hist])
-    return complex(np.dot(weights, roots[idx]))
+    return complex(np.dot(np.asarray(hist, dtype=float), roots[idx]))
 
 
 def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
@@ -170,8 +154,7 @@ def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
     if q == 1:
         return complex(1.0)
     hist = value_histogram(b, q, units=True, budget=budget)
-    weights = hist.astype(float) if isinstance(hist, np.ndarray) else \
-        np.array([float(x) for x in hist])
+    weights = np.asarray(hist, dtype=float)
     units = unit_residues(q)
     u = np.zeros(q)
     u[units] = 1.0
@@ -182,8 +165,125 @@ def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# unit solution counts and mu(p)
+# unit solution counts and mu(p): the Hensel tree
 # ---------------------------------------------------------------------------
+
+def _grid_cost(g, p, units):
+    """What finding the zeros of g mod p costs: histogram convolution when g
+    is separable, the whole grid U_p^n (``units``) or (Z/p)^n otherwise."""
+    n = g.n
+    if _separable_parts(g)[0]:
+        return (n - 1) * p * p + n * p
+    return (p - 1 if units else p) ** n
+
+
+def _zeros_mod_p(g, p, units, budget, child):
+    """(count, singular, cost) for the zeros of g mod p: their number, the
+    (k, n) array of those where every partial derivative vanishes, and the
+    cost, checked before any allocation.  ``singular`` is None when its
+    nodes, at ``child`` each, do not fit the budget.
+    """
+    n = g.n
+    parts, _ = _separable_parts(g)
+    cost = _grid_cost(g, p, units)
+    if cost > budget:
+        raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
+    domain = unit_residues(p) if units else np.arange(p, dtype=np.int64)
+    count, axes = None, [domain] * n
+    if parts:
+        # a singular zero has each coordinate where its own derivative
+        # vanishes; the histogram counts every zero
+        count = int(value_histogram(g, p, units, budget)[0])
+        axes = [domain[part.gradient()[0].eval_int(domain[:, None], p) == 0]
+                for part in parts]
+        cost += prod(map(len, axes))
+        if cost > budget:
+            raise BudgetExceeded(f"singular zeros mod {p} over budget {budget}")
+    zeros, singular, grads = 0, [np.empty((0, n), np.int64)], g.gradient()
+    room = (budget - cost) // child
+    for block in grid_blocks(axes):
+        block = block[g.eval_int(block, p) == 0]
+        zeros += len(block)
+        for d in grads:
+            block = block[d.eval_int(block, p) == 0]
+        room -= len(block)
+        if room >= 0:
+            singular.append(block)
+        elif parts:
+            break
+    return (zeros if count is None else count), \
+        (np.concatenate(singular) if room >= 0 else None), cost
+
+
+def _refine(g, singular, p):
+    """(h, c) for each row x0 of ``singular``: h(y) = g(x0 + p y) / p^c,
+    with c the p-adic valuation of the content (infinite when g is zero)."""
+    n = g.n
+    x = [Polynomial.variable(2 * n, i + 1) for i in range(2 * n)]
+    G = g.compose([x[i] + p * x[n + i] for i in range(n)], 2 * n)
+    coeffs = {}     # the coefficient of y^a in g(x0 + p y), a polynomial in x0
+    for e, c in G.terms.items():
+        coeffs.setdefault(e[n:], {})[e[:n]] = c
+    values = [(a, Polynomial(n, t).eval_int(singular)) for a, t in coeffs.items()]
+    for k in range(len(singular)):
+        terms = {a: int(v[k]) for a, v in values}
+        content, c = reduce(gcd, terms.values(), 0), 0
+        while content and content % p == 0:
+            content //= p
+            c += 1
+        yield Polynomial(n, {a: v // p ** c for a, v in terms.items()}), \
+            c if content else inf
+
+
+def _hensel_tree(b, p, t_max, budget):
+    """(nus, closing, depth): nu_1, nu_2, ... of b at p, exact.
+
+    A node (g, m) at level L adds m times its zeros' counts to nu_t, t > L.
+    The root is (b, 1) at 0 on U_p^n, the others run over (Z/p)^n.  Nodes
+    are expanded level by level against one budget, which may cut ``nus``
+    short of t_max; a node's grid is charged when the node is made.  The
+    partial sums are constant from ``closing``, the largest L + 1 of a node
+    without singular zeros, or None after a cut or a node at level t_max or
+    deeper.  ``depth`` counts refined generations.
+    """
+    if not _is_prime(p) or t_max < 1:
+        raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
+    n, nus, child = b.n, [0] * t_max, _grid_cost(b, p, False)
+    levels = [[(b, 1, 0)]] + [[] for _ in range(t_max - 1)]  # (g, m, gen)
+    horizon, closing, depth, spent = t_max, 1, 0, 0   # nus exact to horizon
+    for L, nodes in enumerate(levels):
+        for g, m, gen in nodes if L < horizon else ():
+            paid = child if L else 0
+            try:
+                zeros, singular, cost = _zeros_mod_p(
+                    g, p, L == 0, budget - spent + paid, child)
+            except BudgetExceeded:
+                horizon = L
+                break
+            spent += cost - paid
+            if singular is None:    # every zero is one at level L + 1
+                nus[L] += m * zeros
+                horizon, closing, depth = L + 1, None, max(depth, gen + 1)
+                continue
+            # a nonsingular zero lifts in p^(n-1) ways per level
+            for t in range(L + 1, t_max + 1):
+                nus[t - 1] += m * (zeros - len(singular)) * \
+                    p ** ((n - 1) * (t - L - 1))
+            if not len(singular):
+                closing = closing and L + 1     # nodes come in level order
+                continue
+            spent += len(singular) * child
+            depth = max(depth, gen + 1)
+            # a singular one is a zero mod p^c; h counts it beyond that
+            for h, c in _refine(g, singular, p):
+                for t in range(L + 1, min(L + c, t_max) + 1):
+                    nus[t - 1] += m * p ** (n * (t - L - 1))
+                if L + c < t_max:
+                    levels[L + c].append((h, m * p ** (n * (c - 1)), gen + 1))
+                else:
+                    closing = None
+    return nus[:horizon], closing if horizon == t_max else None, depth
+
 
 @dataclass
 class UnitSolutionCount:
@@ -194,41 +294,10 @@ class UnitSolutionCount:
 
 def nu_count(b, p, t, budget=DEFAULT_ENUM_BUDGET):
     """Exact count of x in (U_{p^t})^n with b(x) = 0 mod p^t."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if t < 1:
-        raise ValueError("level t must be >= 1")
-    q = p ** t
-    try:
-        hist = value_histogram(b, q, units=True, budget=budget)
-        return UnitSolutionCount(p=p, t=t, nu=int(hist[0]))
-    except BudgetExceeded:
-        if len(unit_residues(p)) ** b.n <= LIFT_THRESHOLD:
-            return UnitSolutionCount(p=p, t=t, nu=_nu_by_lifting(b, p, t, budget))
-        raise
-
-
-def _nu_by_lifting(b, p, t, budget):
-    """Level-by-level lifting: only residues above current solutions are kept.
-
-    Feasible only while the intermediate solution lists stay small.
-    """
-    from itertools import product as iproduct
-    units = [int(x) for x in unit_residues(p)]
-    sols = [x for x in iproduct(units, repeat=b.n) if b.evaluate_mod(x, p) == 0]
-    q = p
-    for level in range(2, t + 1):
-        q *= p
-        if len(sols) * p ** b.n > budget:
-            raise BudgetExceeded("lifting path solution list exceeds budget")
-        new = []
-        for x in sols:
-            for e in iproduct(range(p), repeat=b.n):
-                y = tuple(xi + (q // p) * ei for xi, ei in zip(x, e))
-                if b.evaluate_mod(y, q) == 0:
-                    new.append(y)
-        sols = new
-    return len(sols)
+    nus = _hensel_tree(b, p, t, budget)[0]
+    if len(nus) < t:
+        raise BudgetExceeded(f"enumeration budget hit at level t={len(nus) + 1}")
+    return UnitSolutionCount(p=p, t=t, nu=nus[-1])
 
 
 @dataclass
@@ -242,85 +311,31 @@ class HenselWitness:
 def padic_nonsingular_witness(b, p, tries=4000, seed=0):
     """Search for a unit solution mod p with a unit partial derivative.
 
-    A hit certifies mu(p) > 0 via Hensel lifting.  For p = 2 the search runs
-    mod 8 and asks for a partial derivative of 2-adic valuation <= 1, which is
-    the standard sufficient condition at the even prime.  Returns None when no
-    witness is found (which is a valid outcome, not an error).
+    A library diagnostic (``mu_p`` does not use it): a hit shows mu(p) > 0
+    by Hensel lifting.  For p = 2 the search runs mod 8 and asks for a
+    partial derivative of 2-adic valuation <= 1, the standard sufficient
+    condition at the even prime.  None (no witness found) is not an error.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    grads = b.gradient()
-    if p == 2:
-        modulus, domain = 8, [1, 3, 5, 7]
-
-        def good(x):
-            if b.evaluate_mod(x, 8) != 0:
-                return None
-            for i, g in enumerate(grads):
-                if g.evaluate_mod(x, 4) % 2 == 1 or g.evaluate_mod(x, 4) == 2:
-                    return i
-            return None
-    else:
-        modulus, domain = p, [int(u) for u in unit_residues(p)]
-
-        def good(x):
-            if b.evaluate_mod(x, p) != 0:
-                return None
-            for i, g in enumerate(grads):
-                if g.evaluate_mod(x, p) != 0:
-                    return i
-            return None
-
-    n = b.n
+    modulus, gmod = (8, 4) if p == 2 else (p, p)
+    domain = [int(u) for u in unit_residues(modulus)]
+    grads, n = b.gradient(), b.n
     if len(domain) ** n <= 200_000:
-        from itertools import product as iproduct
-        for x in iproduct(domain, repeat=n):
-            i = good(x)
-            if i is not None:
-                return HenselWitness(p=p, point=x, modulus=modulus,
-                                     unit_gradient_index=i + 1)
-        return None
-    # randomized tails with a scan over the leading coordinate
-    rng = np.random.default_rng((seed, p))
-    for _ in range(tries):
-        tail = [domain[k] for k in rng.integers(0, len(domain), size=n - 1)]
-        for x0 in domain:
-            x = (x0, *tail)
-            i = good(x)
-            if i is not None:
-                return HenselWitness(p=p, point=x, modulus=modulus,
-                                     unit_gradient_index=i + 1)
+        points = iproduct(domain, repeat=n)
+    else:
+        # randomized tails with a scan over the leading coordinate
+        rng = np.random.default_rng((seed, p))
+        tails = ([domain[k] for k in rng.integers(0, len(domain), size=n - 1)]
+                 for _ in range(tries))
+        points = ((x0, *tail) for tail in tails for x0 in domain)
+    for x in points:
+        if b.evaluate_mod(x, modulus) == 0:
+            for i, g in enumerate(grads):
+                if g.evaluate_mod(x, gmod):
+                    return HenselWitness(p=p, point=x, modulus=modulus,
+                                         unit_gradient_index=i + 1)
     return None
-
-
-def _has_fully_singular_solution(b, p, budget=DEFAULT_ENUM_BUDGET):
-    """Does some unit solution mod p have *all* partial derivatives = 0 mod p?
-
-    When the answer is no (and nu_1 > 0), every solution mod p^t lifts in
-    exactly p^(n-1) ways, so the partial sums are constant from t = 1 on.
-    """
-    parts, const = _separable_parts(b)
-    units = unit_residues(p)
-    if parts is not None:
-        # restrict each variable to units where its own derivative vanishes
-        hist = None
-        for part in parts:
-            dom = units[part.gradient()[0].eval_int(units[:, None], p) == 0]
-            if len(dom) == 0:
-                return False
-            g = np.bincount(part.eval_int(dom[:, None], p), minlength=p)
-            hist = g if hist is None else _convolve_mod(hist, g, p)
-        return int(hist[(-const) % p]) > 0
-    if len(units) ** b.n > budget:
-        raise BudgetExceeded("cannot verify absence of singular solutions")
-    grads = b.gradient()
-    for block in grid_blocks([units] * b.n):
-        block = block[b.eval_int(block, p) == 0]
-        for g in grads:
-            block = block[g.eval_int(block, p) == 0]
-        if len(block):
-            return True
-    return False
 
 
 @dataclass
@@ -331,57 +346,37 @@ class LocalFactor:
     stabilized_at: int | None
     nu_values: list = field(default_factory=list)
     warning: str | None = None
+    method: str | None = None   # no_solution, nonsingular or hensel_tree(depth)
 
 
 def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
-    """Local factor mu(p) through the exact rational nu_t identity.
+    """Local factor mu(p), read from the Hensel tree of b at p.
 
-    Stabilization is declared when two consecutive exact partial sums agree
-    and a Hensel witness certifies that the stabilized value is the limit
-    (or when nu_1 = 0, which forces mu(p) = 0 outright).
+    partial_sums[t-1] = p^t nu_t / phi(p^t)^n, exact for t <= t_max, and
+    mu(p) is the one at ``stabilized_at``, the level from which the tree
+    proves them constant.  ``method`` is ``no_solution`` (some nu_t = 0, so
+    mu(p) = 0), ``nonsingular`` (no singular zero mod p: constant from
+    t = 1) or ``hensel_tree(d)`` (singular zeros refined d generations
+    deep; d = 0 when the budget stops the root).  A budget cut or a node at
+    level t_max or deeper leaves stabilized_at None, mu(p) the last partial
+    sum, and a warning.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    n = b.n
-    nus = []
-    partials = []
-    witness = padic_nonsingular_witness(b, p)
-    analytic = False
-    if p != 2:
-        try:
-            analytic = not _has_fully_singular_solution(b, p, budget=budget)
-        except BudgetExceeded:
-            analytic = False
-    warning = None
-    for t in range(1, t_max + 1):
-        if analytic and t > 1:
-            nu = nus[-1] * p ** (n - 1)
-        else:
-            try:
-                nu = nu_count(b, p, t, budget=budget).nu
-            except BudgetExceeded:
-                warning = f"enumeration budget hit at level t={t}"
-                break
-        nus.append(nu)
-        partials.append(Fraction(p ** t * nu, (p ** t - p ** (t - 1)) ** n))
-        if nu == 0:
-            # no solution mod p^t means none at any higher level either
-            return LocalFactor(p=p, partial_sums=partials, mu_p=Fraction(0),
-                               stabilized_at=t, nu_values=nus)
-    stabilized_at = None
-    certified = witness is not None or (analytic and nus and nus[0] > 0)
-    if certified:
-        for t in range(2, len(partials) + 1):
-            if partials[t - 1] == partials[t - 2]:
-                stabilized_at = t
-                break
-    mu = partials[stabilized_at - 1] if stabilized_at else \
-        (partials[-1] if partials else Fraction(0))
-    if stabilized_at is None and warning is None:
-        warning = "no stabilization within t_max"
+    nus, closing, depth = _hensel_tree(b, p, t_max, budget)
+    partials = [Fraction(p ** t * nu, (p ** t - p ** (t - 1)) ** b.n)
+                for t, nu in enumerate(nus, start=1)]
+    if 0 in nus:
+        t = nus.index(0) + 1
+        return LocalFactor(p=p, partial_sums=partials[:t], mu_p=Fraction(0),
+                           stabilized_at=t, nu_values=nus[:t],
+                           method="no_solution")
+    warning = (f"enumeration budget hit at level t={len(nus) + 1}"
+               if len(nus) < t_max else
+               None if closing else "no stabilization within t_max")
+    mu = partials[-1] if partials else Fraction(0)
+    method = "nonsingular" if nus and not depth else f"hensel_tree({depth})"
     return LocalFactor(p=p, partial_sums=partials, mu_p=mu,
-                       stabilized_at=stabilized_at, nu_values=nus,
-                       warning=warning)
+                       stabilized_at=closing, nu_values=nus,
+                       warning=warning, method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -338,10 +338,17 @@ class Polynomial:
         a fresh ring with ``n_new`` variables."""
         if len(rows) != self.n:
             raise ValueError("need one coefficient row per variable")
-        repl = [Polynomial(n_new, {tuple(1 if j == k else 0 for j in range(n_new)): c
-                                   for k, c in enumerate(row) if c})
-                for row in rows]
-        out = Polynomial.zero(n_new)
+        return self.compose(
+            [Polynomial(n_new, {tuple(1 if j == k else 0 for j in range(n_new)): c
+                                for k, c in enumerate(row) if c})
+             for row in rows], n_new)
+
+    def compose(self, repl, n_new):
+        """Substitute x_i by the polynomial ``repl[i-1]``, all of them in a
+        ring with ``n_new`` variables."""
+        if len(repl) != self.n:
+            raise ValueError("need one polynomial per variable")
+        out = {}        # summed once at the end, not one polynomial per term
         powers = [{0: Polynomial.constant(n_new, 1)} for _ in range(self.n)]
         for e, c in self.terms.items():
             term = Polynomial.constant(n_new, c)
@@ -352,8 +359,9 @@ class Polynomial:
                 while max(cache) < k:
                     cache[max(cache) + 1] = cache[max(cache)] * repl[i]
                 term = term * cache[k]
-            out = out + term
-        return out
+            for f, v in term.terms.items():
+                out[f] = out.get(f, 0) + v
+        return Polynomial(n_new, out)
 
     # -- serialization -----------------------------------------------------
 

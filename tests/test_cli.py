@@ -20,6 +20,9 @@ from circlekit.local import LocalFactor
 from circlekit.poly import parse_polynomial
 
 LINEAR6 = "n=2\n1 1 0\n1 0 1\n-6 0 0\n"
+# 3 x1 + 3 x2 - 18: content 3, so every zero mod 3 is singular and its
+# Hensel tree at p = 3 has a node at level 1 or deeper
+LINEAR18 = "n=2\n3 1 0\n3 0 1\n-18 0 0\n"
 SQUARES3 = "n=3\n1 2 0 0\n1 0 2 0\n1 0 0 2\n"
 
 
@@ -94,6 +97,10 @@ class TestExitCodes:
                      "--N", "5"])
         assert code == 2
 
+    def test_usage_exit_on_composite_p(self, poly_file):
+        pf = poly_file(LINEAR6)
+        assert main(["local", "--poly", pf, "--p", "6"]) == 2
+
     def test_usage_exit_on_malformed_poly(self, poly_file):
         pf = poly_file("n=2\n1 1\n")        # wrong exponent arity
         assert main(["count", "--poly", pf, "--N", "5"]) == 2
@@ -107,7 +114,7 @@ class TestWarningFlags:
     """Every local-factor warning becomes a report flag and exit code 1."""
 
     def test_local_no_stabilization(self, poly_file, tmp_path):
-        pf = poly_file(LINEAR6)
+        pf = poly_file(LINEAR18)
         code, rep = run_json(
             ["local", "--poly", pf, "--p", "3", "--tmax", "1"], tmp_path)
         assert code == 1
@@ -125,7 +132,7 @@ class TestWarningFlags:
         assert rep["flags"] == ["budget"]
 
     def test_series_no_stabilization(self, poly_file, tmp_path):
-        pf = poly_file(LINEAR6)
+        pf = poly_file(LINEAR18)
         code, rep = run_json(
             ["series", "--poly", pf, "--prime-bound", "5", "--tmax", "1"],
             tmp_path)
@@ -133,13 +140,33 @@ class TestWarningFlags:
         assert rep["flags"] == ["no_stabilization"]
 
     def test_predict_no_stabilization(self, poly_file, tmp_path):
-        pf = poly_file(LINEAR6)
+        pf = poly_file(LINEAR18)
         code, rep = run_json(
             ["predict", "--poly", pf, "--N", "20", "--prime-bound", "5",
              "--tmax", "1", "--box-points", str(1 << 14)], tmp_path)
         assert code == 1
         assert rep["flags"] == ["no_stabilization"]
         assert [f["p"] for f in rep["result"]["factors"]] == [2, 3, 5]
+        assert rep["result"]["factors"][1]["method"] == "hensel_tree(1)"
+
+    def test_reports_name_the_method(self, poly_file, tmp_path):
+        pf = poly_file(LINEAR18)
+        _, rep = run_json(["local", "--poly", pf, "--p", "5"], tmp_path)
+        assert rep["result"]["method"] == "nonsingular"
+        _, rep = run_json(["series", "--poly", pf, "--prime-bound", "5"],
+                          tmp_path)
+        assert [f["method"] for f in rep["result"]["factors"]] == \
+            ["nonsingular", "hensel_tree(1)", "nonsingular"]
+
+    @pytest.mark.parametrize("text", [LINEAR6, "n=2\n1 1 1\n-1 0 0\n"])
+    def test_local_budget_on_a_huge_prime(self, poly_file, tmp_path, text):
+        # the root of the Hensel tree is over budget before any allocation
+        pf = poly_file(text)
+        code, rep = run_json(
+            ["local", "--poly", pf, "--p", "10000000000000061"], tmp_path)
+        assert code == 1
+        assert rep["flags"] == ["budget"]
+        assert rep["result"]["partial_sums"] == []
 
 
     def test_sobol_unbalanced(self, poly_file, tmp_path):

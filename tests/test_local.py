@@ -44,6 +44,15 @@ POLYS = [
     "n=2\n1 1 1\n1 1 0\n",                         # non-separable: x1 x2 + x1
     "n=3\n2 1 0 0\n3 0 2 0\n-1 0 0 3\n",           # mixed degrees
 ]
+# ((x1 - x2)^2 + 27 x3)(x1 - 2 x2): at p = 3 its partial sums read
+# 3, 6, 6, 3/2, 3/2, 3/2, so two equal ones do not make a limit
+SINGULAR_AT_3 = ("n=3\n1 3 0 0\n-4 2 1 0\n5 1 2 0\n-2 0 3 0\n27 1 0 1\n"
+                 "-54 0 1 1\n")
+SINGULAR = [
+    SINGULAR_AT_3,
+    "n=3\n1 3 0 0\n1 0 3 0\n1 0 0 3\n-3 0 0 0\n",  # every zero mod 3 singular
+    "n=2\n3 2 0\n3 0 2\n-6 0 0\n",                  # content 3
+]
 
 
 class TestHistograms:
@@ -122,9 +131,9 @@ class TestUnitSolutionCounts:
         return sum(1 for pt in product(dom, repeat=b.n)
                    if b.evaluate(pt) % q == 0)
 
-    @pytest.mark.parametrize("text", POLYS[:4])
+    @pytest.mark.parametrize("text", POLYS[:4] + SINGULAR)
     @pytest.mark.parametrize("p,t", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
-                                     (5, 1), (7, 1)])
+                                     (3, 3), (5, 1), (7, 1)])
     def test_matches_brute(self, text, p, t):
         b = parse_polynomial(text)
         assert nu_count(b, p, t).nu == self.brute_nu(b, p, t)
@@ -159,6 +168,39 @@ class TestLocalFactors:
         b = parse_polynomial("n=1\n1 1\n")      # x1 = 0 has no unit solution
         f = mu_p(b, 2)
         assert f.mu_p == 0 and f.stabilized_at == 1
+
+    def test_equal_partial_sums_are_not_a_limit(self):
+        b = parse_polynomial(SINGULAR_AT_3)
+        f = mu_p(b, 3, t_max=6)
+        assert f.partial_sums == [3, 6, 6, Fraction(3, 2), Fraction(3, 2),
+                                  Fraction(3, 2)]
+        assert f.mu_p == Fraction(3, 2) and f.stabilized_at == 4
+        assert f.warning is None
+
+    def test_method_no_solution(self):
+        f = mu_p(parse_polynomial("n=1\n1 1\n"), 2)
+        assert f.method == "no_solution" and f.mu_p == 0
+
+    def test_method_nonsingular(self):
+        b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")
+        f = mu_p(b, 5, t_max=4)
+        assert f.method == "nonsingular" and f.stabilized_at == 1
+        assert len(set(f.partial_sums)) == 1
+
+    def test_method_hensel_tree(self):
+        f = mu_p(parse_polynomial(SINGULAR_AT_3), 3, t_max=6)
+        assert f.method == "hensel_tree(2)"
+
+    def test_prime_checked_and_budget_before_allocation(self):
+        b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")
+        with pytest.raises(ValueError):
+            mu_p(b, 6)
+        with pytest.raises(ValueError):
+            nu_count(b, 6, 1)
+        f = mu_p(b, 10 ** 16 + 61)
+        assert f.partial_sums == [] and "budget" in f.warning
+        with pytest.raises(BudgetExceeded):
+            nu_count(b, 10 ** 16 + 61, 1)
 
     def test_odd_prime_stabilization(self):
         b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")
