@@ -11,15 +11,17 @@ p = 2 too).  A singular zero x0, where every partial derivative vanishes
 mod p, is refined to h(y) = b(x0 + p y) / p^c, c the p-adic valuation of
 the content, and h is treated the same way.  The tree gives every nu_t
 exactly and proves the level from which the partial sums stop changing.
+A separable b keeps its nodes split into one part per variable and groups
+its singular zeros by the node they give, so a diagonal form in many
+variables costs a few nodes, not one per zero.
 The complex B(q) path exists as a floating-point cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import product as iproduct
-from math import gcd, inf, isqrt, prod
+from functools import partial, reduce
+from math import gcd, inf, isqrt
 
 import numpy as np
 
@@ -78,6 +80,16 @@ def _convolve_mod(h, g, q):
     return out
 
 
+def _sum_histogram(rows, q, size):
+    """Histogram mod q of a sum of independent terms, from each term's
+    length-q histogram; ``size``, the number of tuples counted, decides
+    whether int64 holds the counts exactly."""
+    hist = rows[0] if size < _INT64_SAFE else rows[0].astype(object)
+    for row in rows[1:]:
+        hist = _convolve_mod(hist, row, q)
+    return hist
+
+
 def unit_residues(q):
     """Array of residues coprime to q; by convention U_1 = {0}."""
     q = int(q)
@@ -104,20 +116,18 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
     if not b.is_integral():
         raise ValueError("histogram needs integer coefficients")
     parts, const = _separable_parts(b)
-    # the separable path makes n - 1 exact convolutions of about q^2 steps each
-    if parts is not None and (b.n - 1) * q * q > budget:
+    # the separable path evaluates n parts on q residues and makes n - 1
+    # exact convolutions of about q^2 steps each
+    if parts is not None and _grid_cost(True, b.n, q, units) > budget:
         raise BudgetExceeded(
             f"{b.n - 1} convolutions mod {q} exceed enumeration budget {budget}")
+    if q > budget:      # checked before the q residues are allocated
+        raise BudgetExceeded(f"modulus {q} exceeds enumeration budget {budget}")
     domain = unit_residues(q) if units else np.arange(q, dtype=np.int64)
     if parts is not None:
-        exact64 = len(domain) ** b.n < _INT64_SAFE
-        hist = None
-        for part in parts:
-            g = np.bincount(part.eval_int(domain[:, None], q), minlength=q)
-            if not exact64:
-                g = g.astype(object)
-            hist = g if hist is None else _convolve_mod(hist, g, q)
-        return np.roll(hist, const % q)
+        return np.roll(_sum_histogram(
+            [np.bincount(part.eval_int(domain[:, None], q), minlength=q)
+             for part in parts], q, len(domain) ** b.n), const % q)
     if len(domain) ** b.n > budget:
         raise BudgetExceeded(
             f"domain size {len(domain)}^{b.n} exceeds enumeration budget {budget}")
@@ -168,40 +178,49 @@ def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
 # unit solution counts and mu(p): the Hensel tree
 # ---------------------------------------------------------------------------
 
-def _grid_cost(g, p, units):
-    """What finding the zeros of g mod p costs: histogram convolution when g
-    is separable, the whole grid U_p^n (``units``) or (Z/p)^n otherwise."""
-    n = g.n
-    if _separable_parts(g)[0]:
+def _grid_cost(separable, n, p, units):
+    """What the values mod p of a polynomial in n variables cost: histogram
+    convolution when it is separable, the whole grid U_p^n (``units``) or
+    (Z/p)^n otherwise."""
+    if separable:
         return (n - 1) * p * p + n * p
     return (p - 1 if units else p) ** n
 
 
-def _zeros_mod_p(g, p, units, budget, child):
-    """(count, singular, cost) for the zeros of g mod p: their number, the
-    (k, n) array of those where every partial derivative vanishes, and the
-    cost, checked before any allocation.  ``singular`` is None when its
-    nodes, at ``child`` each, do not fit the budget.
+def _valuation(v, p):
+    """The p-adic valuation of the integer v, infinite for v = 0."""
+    c = 0
+    while v and v % p == 0:
+        v //= p
+        c += 1
+    return c if v else inf
+
+
+def _divided(n, terms, p):
+    """(h, c): the polynomial with ``terms`` divided by p^c, c the p-adic
+    valuation of its content (infinite when every term is zero)."""
+    c = _valuation(reduce(gcd, terms.values(), 0), p)
+    return Polynomial(n, {a: v // p ** c for a, v in terms.items()}
+                      if c < inf else {}), c
+
+
+def _children(g, p, units, budget, child):
+    """(zeros, children, cost) for the zeros of g mod p.
+
+    ``children`` maps each node (h, c) that a singular zero x0 (every
+    partial derivative zero mod p) refines to, h(y) = g(x0 + p y) / p^c, to
+    the number of singular zeros that give it.  It is None when those
+    nodes, at ``child`` each, do not fit the budget.  ``cost`` is checked
+    before any allocation.
     """
     n = g.n
-    parts, _ = _separable_parts(g)
-    cost = _grid_cost(g, p, units)
+    cost = _grid_cost(False, n, p, units)
     if cost > budget:
         raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
     domain = unit_residues(p) if units else np.arange(p, dtype=np.int64)
-    count, axes = None, [domain] * n
-    if parts:
-        # a singular zero has each coordinate where its own derivative
-        # vanishes; the histogram counts every zero
-        count = int(value_histogram(g, p, units, budget)[0])
-        axes = [domain[part.gradient()[0].eval_int(domain[:, None], p) == 0]
-                for part in parts]
-        cost += prod(map(len, axes))
-        if cost > budget:
-            raise BudgetExceeded(f"singular zeros mod {p} over budget {budget}")
     zeros, singular, grads = 0, [np.empty((0, n), np.int64)], g.gradient()
     room = (budget - cost) // child
-    for block in grid_blocks(axes):
+    for block in grid_blocks([domain] * n):
         block = block[g.eval_int(block, p) == 0]
         zeros += len(block)
         for d in grads:
@@ -209,10 +228,73 @@ def _zeros_mod_p(g, p, units, budget, child):
         room -= len(block)
         if room >= 0:
             singular.append(block)
-        elif parts:
-            break
-    return (zeros if count is None else count), \
-        (np.concatenate(singular) if room >= 0 else None), cost
+    if room < 0:
+        return zeros, None, cost
+    children = {}
+    for h in _refine(g, np.concatenate(singular), p):
+        children[h] = children.get(h, 0) + 1
+    return zeros, children, cost
+
+
+def _separable_children(g, p, units, budget, child, memo):
+    """``_children`` of a separable node g = (parts, const), the polynomial
+    const + parts[0](x_1) + parts[1](x_2) + ...
+
+    Its zeros are counted by convolving the parts' value histograms.  A
+    singular zero x0 takes each coordinate where its part's derivative
+    vanishes, and its node is the sum of the shifts part(a + p y) - part(a)
+    plus the constant g(x0), divided by the content.  A node's counts do
+    not depend on the order of its variables, so the zeros are grouped one
+    variable at a time by the sorted shifts they use and their constant,
+    never listed one by one.  ``memo``, one per tree, keeps each part's
+    histogram and shifts under (part, units), numbers the shifts, and keeps
+    shift i divided by p^c under (i, c).
+    """
+    parts, const = g
+    n, y = len(parts), Polynomial.variable(1, 1)
+    cost = _grid_cost(True, n, p, units)
+    if cost > budget:
+        raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
+    domain = unit_residues(p) if units else np.arange(p, dtype=np.int64)
+    rows, menus = [], []
+    for part in parts:
+        if (part, units) not in memo:
+            x, menu = domain[:, None], []
+            for a in domain[part.gradient()[0].eval_int(x, p) == 0].tolist():
+                v = part.evaluate((a,))
+                shift = part.compose([y * p + a], 1) - v
+                menu.append((memo.setdefault(shift, len(memo)), v, shift,
+                             _valuation(reduce(gcd, shift.terms.values(), 0), p)))
+            memo[part, units] = \
+                np.bincount(part.eval_int(x, p), minlength=p), menu
+        row, menu = memo[part, units]
+        rows.append(row)
+        menus.append(menu)
+    zeros = int(_sum_histogram(rows, p, len(domain) ** n)[-const % p])
+    states = {((), const): 1} if zeros else {}  # (sorted shift ids, constant)
+    for menu in menus:
+        if cost + len(states) * len(menu) * (n + child) > budget:
+            return zeros, None, cost
+        new = {}
+        for (ids, c0), k in states.items():
+            for i, v, _, _ in menu:
+                key = (tuple(sorted(ids + (i,))), c0 + v)
+                new[key] = new.get(key, 0) + k
+        states = new
+        cost += len(states) * n
+    shifts = {i: (s, vs) for menu in menus for i, _, s, vs in menu}
+    children = {}
+    for (ids, c0), k in states.items():
+        if c0 % p == 0:
+            c = min([_valuation(c0, p)] + [shifts[i][1] for i in ids])
+            q = p ** c if c < inf else 1
+            for i in ids:
+                if (i, c) not in memo:
+                    memo[i, c] = Polynomial(1, {e: v // q for e, v in
+                                                shifts[i][0].terms.items()})
+            h = (tuple(memo[i, c] for i in ids), c0 // q), c
+            children[h] = children.get(h, 0) + k
+    return zeros, children, cost
 
 
 def _refine(g, singular, p):
@@ -226,13 +308,7 @@ def _refine(g, singular, p):
         coeffs.setdefault(e[n:], {})[e[:n]] = c
     values = [(a, Polynomial(n, t).eval_int(singular)) for a, t in coeffs.items()]
     for k in range(len(singular)):
-        terms = {a: int(v[k]) for a, v in values}
-        content, c = reduce(gcd, terms.values(), 0), 0
-        while content and content % p == 0:
-            content //= p
-            c += 1
-        yield Polynomial(n, {a: v // p ** c for a, v in terms.items()}), \
-            c if content else inf
+        yield _divided(n, {a: int(v[k]) for a, v in values}, p)
 
 
 def _hensel_tree(b, p, t_max, budget):
@@ -241,47 +317,62 @@ def _hensel_tree(b, p, t_max, budget):
     A node (g, m) at level L adds m times its zeros' counts to nu_t, t > L.
     The root is (b, 1) at 0 on U_p^n, the others run over (Z/p)^n.  Nodes
     are expanded level by level against one budget, which may cut ``nus``
-    short of t_max; a node's grid is charged when the node is made.  The
-    partial sums are constant from ``closing``, the largest L + 1 of a node
-    without singular zeros, or None after a cut or a node at level t_max or
-    deeper.  ``depth`` counts refined generations.
+    short of t_max; a node's grid is charged when the node is made.  A
+    separable b cut short takes its remaining levels from its histograms
+    mod p^t while they fit the budget.  The partial sums are constant from
+    ``closing``, the largest L + 1 of a node without singular zeros, or
+    None after a cut or a node at level t_max or deeper.  ``depth`` counts
+    refined generations.
     """
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
-    n, nus, child = b.n, [0] * t_max, _grid_cost(b, p, False)
-    levels = [[(b, 1, 0)]] + [[] for _ in range(t_max - 1)]  # (g, m, gen)
+    n, nus, (parts, const) = b.n, [0] * t_max, _separable_parts(b)
+    child = _grid_cost(bool(parts), n, p, False)
+    if parts:
+        root, expand = (tuple(parts), const), \
+            partial(_separable_children, memo={})
+    else:
+        root, expand = b, _children
+    levels = [[(root, 1, 0)]] + [[] for _ in range(t_max - 1)]  # (g, m, gen)
     horizon, closing, depth, spent = t_max, 1, 0, 0   # nus exact to horizon
     for L, nodes in enumerate(levels):
         for g, m, gen in nodes if L < horizon else ():
             paid = child if L else 0
             try:
-                zeros, singular, cost = _zeros_mod_p(
+                zeros, children, cost = expand(
                     g, p, L == 0, budget - spent + paid, child)
             except BudgetExceeded:
-                horizon = L
+                horizon, closing = L, None
                 break
             spent += cost - paid
-            if singular is None:    # every zero is one at level L + 1
+            if children is None:    # every zero is one at level L + 1
                 nus[L] += m * zeros
-                horizon, closing, depth = L + 1, None, max(depth, gen + 1)
+                horizon, closing = L + 1, None
                 continue
             # a nonsingular zero lifts in p^(n-1) ways per level
             for t in range(L + 1, t_max + 1):
-                nus[t - 1] += m * (zeros - len(singular)) * \
+                nus[t - 1] += m * (zeros - sum(children.values())) * \
                     p ** ((n - 1) * (t - L - 1))
-            if not len(singular):
+            if not children:
                 closing = closing and L + 1     # nodes come in level order
                 continue
-            spent += len(singular) * child
+            spent += len(children) * child
             depth = max(depth, gen + 1)
             # a singular one is a zero mod p^c; h counts it beyond that
-            for h, c in _refine(g, singular, p):
+            for (h, c), k in children.items():
                 for t in range(L + 1, min(L + c, t_max) + 1):
-                    nus[t - 1] += m * p ** (n * (t - L - 1))
+                    nus[t - 1] += m * k * p ** (n * (t - L - 1))
                 if L + c < t_max:
-                    levels[L + c].append((h, m * p ** (n * (c - 1)), gen + 1))
+                    levels[L + c].append((h, m * k * p ** (n * (c - 1)), gen + 1))
                 else:
                     closing = None
+    while horizon < t_max and parts:
+        try:
+            nus[horizon] = int(value_histogram(b, p ** (horizon + 1),
+                                               budget=budget)[0])
+        except BudgetExceeded:
+            break
+        horizon += 1
     return nus[:horizon], closing if horizon == t_max else None, depth
 
 
@@ -318,23 +409,47 @@ def padic_nonsingular_witness(b, p, tries=4000, seed=0):
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    modulus, gmod = (8, 4) if p == 2 else (p, p)
-    domain = [int(u) for u in unit_residues(modulus)]
-    grads, n = b.gradient(), b.n
-    if len(domain) ** n <= 200_000:
-        points = iproduct(domain, repeat=n)
-    else:
-        # randomized tails with a scan over the leading coordinate
-        rng = np.random.default_rng((seed, p))
-        tails = ([domain[k] for k in rng.integers(0, len(domain), size=n - 1)]
-                 for _ in range(tries))
-        points = ((x0, *tail) for tail in tails for x0 in domain)
-    for x in points:
-        if b.evaluate_mod(x, modulus) == 0:
+    grads = b.gradient()
+    if p == 2:
+        modulus, domain = 8, [1, 3, 5, 7]
+
+        def good(x):
+            if b.evaluate_mod(x, 8) != 0:
+                return None
             for i, g in enumerate(grads):
-                if g.evaluate_mod(x, gmod):
-                    return HenselWitness(p=p, point=x, modulus=modulus,
-                                         unit_gradient_index=i + 1)
+                if g.evaluate_mod(x, 4) % 2 == 1 or g.evaluate_mod(x, 4) == 2:
+                    return i
+            return None
+    else:
+        modulus, domain = p, [int(u) for u in unit_residues(p)]
+
+        def good(x):
+            if b.evaluate_mod(x, p) != 0:
+                return None
+            for i, g in enumerate(grads):
+                if g.evaluate_mod(x, p) != 0:
+                    return i
+            return None
+
+    n = b.n
+    if len(domain) ** n <= 200_000:
+        from itertools import product as iproduct
+        for x in iproduct(domain, repeat=n):
+            i = good(x)
+            if i is not None:
+                return HenselWitness(p=p, point=x, modulus=modulus,
+                                     unit_gradient_index=i + 1)
+        return None
+    # randomized tails with a scan over the leading coordinate
+    rng = np.random.default_rng((seed, p))
+    for _ in range(tries):
+        tail = [domain[k] for k in rng.integers(0, len(domain), size=n - 1)]
+        for x0 in domain:
+            x = (x0, *tail)
+            i = good(x)
+            if i is not None:
+                return HenselWitness(p=p, point=x, modulus=modulus,
+                                     unit_gradient_index=i + 1)
     return None
 
 
@@ -373,7 +488,7 @@ def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
                if len(nus) < t_max else
                None if closing else "no stabilization within t_max")
     mu = partials[-1] if partials else Fraction(0)
-    method = "nonsingular" if nus and not depth else f"hensel_tree({depth})"
+    method = "nonsingular" if closing == 1 else f"hensel_tree({depth})"
     return LocalFactor(p=p, partial_sums=partials, mu_p=mu,
                        stabilized_at=closing, nu_values=nus,
                        warning=warning, method=method)

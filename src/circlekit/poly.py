@@ -305,33 +305,11 @@ class Polynomial:
     def substitute(self, smap):
         """Apply a SubstitutionMap; see its docstring for the well-formedness rule."""
         smap.validate(self.n)
-        # per-variable replacement polynomials, memoized powers
-        repl = {}
+        repl = [Polynomial.variable(self.n, i) for i in range(1, self.n + 1)]
         for i, a in smap.assignments.items():
-            if isinstance(a, LinearForm):
-                repl[i] = a.to_polynomial(self.n)
-            else:
-                repl[i] = Polynomial.constant(self.n, a)
-        powers = {i: {0: Polynomial.constant(self.n, 1)} for i in repl}
-        out = Polynomial.zero(self.n)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(self.n, c)
-            for i, k in enumerate(e, start=1):
-                if not k:
-                    continue
-                if i in repl:
-                    cache = powers[i]
-                    m = max(cache)
-                    while m < k:
-                        cache[m + 1] = cache[m] * repl[i]
-                        m += 1
-                    term = term * cache[k]
-                else:
-                    mono = [0] * self.n
-                    mono[i - 1] = k
-                    term = term * Polynomial(self.n, {tuple(mono): 1})
-            out = out + term
-        return out
+            repl[i - 1] = (a.to_polynomial(self.n) if isinstance(a, LinearForm)
+                           else Polynomial.constant(self.n, a))
+        return self.compose(repl, self.n)
 
     def compose_linear(self, rows, n_new):
         """Substitute x_i by the linear form with coefficients ``rows[i-1]`` in

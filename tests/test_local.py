@@ -15,7 +15,7 @@ from sympy import totient
 from circlekit.local import (B_of_q, BudgetExceeded, mu_p, nu_count,
                              padic_nonsingular_witness, singular_series,
                              unit_exp_sum, unit_residues, value_histogram)
-from circlekit.poly import parse_polynomial
+from circlekit.poly import Polynomial, parse_polynomial
 
 
 def brute_histogram(b, q, units):
@@ -48,6 +48,17 @@ POLYS = [
 # 3, 6, 6, 3/2, 3/2, 3/2, so two equal ones do not make a limit
 SINGULAR_AT_3 = ("n=3\n1 3 0 0\n-4 2 1 0\n5 1 2 0\n-2 0 3 0\n27 1 0 1\n"
                  "-54 0 1 1\n")
+# 1 x1^3 + 2 x2^3 + 4 x3^3 + 5 x4^3: no two parts alike, so at p = 3 a
+# budget of 300 fits neither its singular zeros nor histograms mod 27
+DISTINCT_CUBES = "n=4\n1 3 0 0 0\n2 0 3 0 0\n4 0 0 3 0\n5 0 0 0 3\n"
+
+
+def cubes(n):
+    """x1^3 + ... + xn^3: at p = 3 every unit zero is singular."""
+    return Polynomial(n, {tuple(3 if j == i else 0 for j in range(n)): 1
+                          for i in range(n)})
+
+
 SINGULAR = [
     SINGULAR_AT_3,
     "n=3\n1 3 0 0\n1 0 3 0\n1 0 0 3\n-3 0 0 0\n",  # every zero mod 3 singular
@@ -85,6 +96,8 @@ class TestHistograms:
         b = parse_polynomial("n=2\n1 1 1\n")       # not separable
         with pytest.raises(BudgetExceeded):
             value_histogram(b, 97, budget=100)
+        with pytest.raises(BudgetExceeded):     # before any allocation
+            value_histogram(b, 10 ** 16 + 61, budget=100)
         separable = parse_polynomial("n=2\n1 1 0\n1 0 1\n")
         with pytest.raises(BudgetExceeded):
             value_histogram(separable, 10 ** 4, units=False, budget=100)
@@ -138,6 +151,17 @@ class TestUnitSolutionCounts:
         b = parse_polynomial(text)
         assert nu_count(b, p, t).nu == self.brute_nu(b, p, t)
 
+    def test_many_singular_zeros_of_a_diagonal_form(self):
+        # 1,398,102 singular unit zeros mod 3, grouped by the node they give
+        b = cubes(22)
+        assert nu_count(b, 3, 2).nu == value_histogram(b, 9)[0]
+
+    def test_histograms_beyond_a_cut_tree(self):
+        b = parse_polynomial(DISTINCT_CUBES)
+        assert nu_count(b, 3, 2, budget=300).nu == self.brute_nu(b, 3, 2)
+        with pytest.raises(BudgetExceeded):
+            nu_count(b, 3, 3, budget=300)
+
     def test_lifting_path_agrees(self):
         # force the fallback by starving the histogram budget
         b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")   # x1 x2 = 1
@@ -190,6 +214,19 @@ class TestLocalFactors:
     def test_method_hensel_tree(self):
         f = mu_p(parse_polynomial(SINGULAR_AT_3), 3, t_max=6)
         assert f.method == "hensel_tree(2)"
+
+    def test_method_when_the_budget_stops_the_root(self):
+        f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3, budget=300)
+        assert f.method == "hensel_tree(0)" and len(f.nu_values) == 2
+        assert f.stabilized_at is None and "budget" in f.warning
+
+    def test_diagonal_form_closes(self):
+        b = cubes(22)
+        f = mu_p(b, 3, t_max=4)
+        assert f.nu_values == [value_histogram(b, 3 ** t)[0]
+                               for t in range(1, 5)]
+        assert f.stabilized_at == 3 and f.warning is None
+        assert f.method == "hensel_tree(1)"
 
     def test_prime_checked_and_budget_before_allocation(self):
         b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")
