@@ -9,7 +9,9 @@ integer.  Every count sums exact integer products of those and divides once
 by 2^(53 n): the correctly rounded true sum in any order, so all strategies
 agree bit for bit.  b is split into additive groups of variables, each group
 gets an exact weighted value histogram, the groups are convolved, and the
-last group is matched against the target.
+last group is matched against the target.  A b that is not separable but
+has a variable x_j of degree one, b = A x_j + B, is walked over the other
+variables only, with x_j solved for.
 """
 from __future__ import annotations
 
@@ -56,6 +58,7 @@ class CountResult:
     value: float
     solution_count: int
     strategy: str               # "direct" | "mitm"
+    method: str                 # "separable", "linear(x_j)" or "grid"
 
 
 def _support(table, N):
@@ -69,10 +72,11 @@ def _support(table, N):
     return ks, np.array([[int(w), 1] for w in scaled.tolist()], object)
 
 
-def _result(N, total, n, strategy):
+def _result(N, total, n, strategy, method):
     """Round an exact [weight, count] sum over n coordinates once."""
     return CountResult(N=N, value=int(total[0]) / 2 ** (53 * n),
-                       solution_count=int(total[1]), strategy=strategy)
+                       solution_count=int(total[1]), strategy=strategy,
+                       method=method)
 
 
 def _histogram(g, ks, W, keep=None):
@@ -89,7 +93,7 @@ def _histogram(g, ks, W, keep=None):
     return np.concatenate(values), np.concatenate(wc)
 
 
-def _reduce(groups, table, N, strategy):
+def _reduce(groups, table, N, strategy, method):
     """Exact M_b(N) for b = the sum of the groups, polynomials in consecutive
     blocks of variables; the cost bound is checked before any work."""
     if not all(g.is_integral() for g in groups):
@@ -112,7 +116,35 @@ def _reduce(groups, table, N, strategy):
         np.add.at(wc, inv.ravel(), pairs)
     v, w = _histogram(groups[-1], ks, W, keep=-values)
     total = (wc[np.searchsorted(values, -v)] * w).sum(axis=0)
-    return _result(N, total, sum(g.n for g in groups), strategy)
+    return _result(N, total, sum(g.n for g in groups), strategy, method)
+
+
+def _solve_linear(A, B, j, table, N):
+    """Exact M_b(N) for b = A x_j + B, A and B free of x_j, walking only the
+    other variables x'.  Where A(x') != 0, x_j = -B(x') / A(x') counts when
+    it is an integer of positive weight in [2, N]; where A(x') = B(x') = 0,
+    every x_j counts, with the summed weight of the support."""
+    if not (A.is_integral() and B.is_integral()):
+        raise ValueError("need integer coefficients")
+    ks, W = _support(table, N)
+    if len(ks) ** A.n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded("prime-power grid too large")
+    weighted = np.zeros(N + 1, bool)
+    weighted[ks] = True
+    free = W[ks].sum(axis=0)    # [summed weight, |ks|] of a free x_j
+    total = np.zeros(2, object)
+    for block in grid_blocks([ks] * A.n):
+        a, c = A.eval_int(block), B.eval_int(block)
+        total += W[block[(a == 0) & (c == 0)]].prod(axis=1).sum(axis=0) * free
+        hit = a != 0
+        block, a, c = block[hit], a[hit], c[hit]
+        hit = c % a == 0
+        block, x = block[hit], -c[hit] // a[hit]
+        hit = (x >= 2) & (x <= N)
+        block, x = block[hit], x[hit].astype(np.int64)
+        hit = weighted[x]
+        total += (W[block[hit]].prod(axis=1) * W[x[hit]]).sum(axis=0)
+    return _result(N, total, A.n + 1, "direct", f"linear(x_{j})")
 
 
 def _split_poly(b, sizes):
@@ -132,8 +164,16 @@ def _split_poly(b, sizes):
 def count_direct(b, N, table):
     """Exact M_b(N): von-Mangoldt-weighted count of the prime-power points
     of b = 0 in [0, N]^n.  A separable b is reduced one variable at a time;
+    a b of degree one in some x_j has x_j solved for (the first such j);
     any other b is walked whole and only its zeros are weighted."""
-    return _reduce(_split_poly(b, [1] * b.n) or [b], table, N, "direct")
+    groups = _split_poly(b, [1] * b.n)
+    if groups:
+        return _reduce(groups, table, N, "direct", "separable")
+    for j in range(1, b.n + 1):
+        parts = b.linear_in(j)
+        if parts:
+            return _solve_linear(*parts, j, table, N)
+    return _reduce([b], table, N, "direct", "grid")
 
 
 def count_mitm(b, N, table, split=None):
@@ -145,7 +185,7 @@ def count_mitm(b, N, table, split=None):
     groups = _split_poly(b, [split, b.n - split])
     if groups is None:
         raise ValueError(f"polynomial is not additively separable at {split}")
-    return _reduce(groups, table, N, "mitm")
+    return _reduce(groups, table, N, "mitm", "separable")
 
 
 def count_via_histogram(b, N, table):
@@ -162,7 +202,8 @@ def count_via_histogram(b, N, table):
     for pt in product(reversed(ks), repeat=b.n):
         buckets.setdefault(b.evaluate(pt), []).append(pt)
     zeros = np.array(buckets.get(0, []), np.int64).reshape(-1, b.n)
-    return _result(N, W[zeros].prod(axis=1).sum(axis=0), b.n, "direct")
+    return _result(N, W[zeros].prod(axis=1).sum(axis=0), b.n, "direct",
+                   "grid")
 
 
 # ---------------------------------------------------------------------------

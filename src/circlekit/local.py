@@ -26,7 +26,7 @@ from math import gcd, inf, isqrt
 import numpy as np
 
 from .hinv import _is_prime
-from .poly import _INT64_SAFE, Polynomial, grid_blocks
+from .poly import _BLOCK_ROWS, _INT64_SAFE, Polynomial, grid_blocks
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
 
@@ -200,8 +200,63 @@ def _divided(n, terms, p):
     """(h, c): the polynomial with ``terms`` divided by p^c, c the p-adic
     valuation of its content (infinite when every term is zero)."""
     c = _valuation(reduce(gcd, terms.values(), 0), p)
-    return Polynomial(n, {a: v // p ** c for a, v in terms.items()}
-                      if c < inf else {}), c
+    return Polynomial._trusted(n, {a: v // p ** c for a, v in terms.items()}
+                               if c < inf else {}), c
+
+
+def _linear_split(g, p):
+    """(j, A, B) with g = A x_j + B, A and B free of x_j and A not zero mod
+    p, for the first such j; None when there is none."""
+    for j in range(1, g.n + 1):
+        parts = g.linear_in(j)
+        if parts and any(c % p for c in parts[0].terms.values()):
+            return (j, *parts)
+    return None
+
+
+def _zero_candidates(g, p, units, budget):
+    """(cost, zeros, blocks): blocks of points of domain^n, domain U_p
+    (``units``) or Z/p, that hold every zero of g mod p that may be
+    singular, the count of the other zeros, and what the walk costs.
+
+    If g = A x_j + B (``_linear_split``), only x', the other variables, is
+    walked.  Where A(x') is a unit there is one zero, x_j = -B A^-1, and it
+    is nonsingular, as dg/dx_j = A; on U_p^n it counts only when it is a
+    unit, that is when B(x') is.  The rows where A(x') = B(x') = 0 mod p
+    are expanded over x_j, each charged |domain| before any is expanded.
+    Any other g has its whole grid walked.  Each cost is checked before
+    its work.
+    """
+    n, size, split = g.n, (p - 1 if units else p), _linear_split(g, p)
+    cost = size ** (n - 1 if split else n)
+    if cost > budget:
+        raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
+    domain = unit_residues(p) if units else np.arange(p, dtype=np.int64)
+    if not split:
+        return cost, 0, (block[g.eval_int(block, p) == 0]
+                         for block in grid_blocks([domain] * n))
+    j, A, B = split
+    zeros, free = 0, [np.empty((0, n - 1), np.int64)]
+    for block in grid_blocks([domain] * (n - 1)):
+        a, c = A.eval_int(block, p), B.eval_int(block, p)
+        zeros += int(np.count_nonzero((a != 0) & (c != 0) if units
+                                      else a != 0))
+        free.append(block[(a == 0) & (c == 0)])
+        cost += len(free[-1]) * size
+        if cost > budget:
+            raise BudgetExceeded(
+                f"zeros mod {p} cost {cost}, over budget {budget}")
+    return cost, zeros, _expand(np.concatenate(free), j, domain)
+
+
+def _expand(rows, j, axis):
+    """Blocks of every point (x', x_j), x' a row of ``rows`` and x_j on
+    ``axis``, with x_j in column j (1-based)."""
+    step = max(1, _BLOCK_ROWS // len(axis))
+    for s in range(0, len(rows), step):
+        part = rows[s:s + step]
+        yield np.insert(np.repeat(part, len(axis), axis=0), j - 1,
+                        np.tile(axis, len(part)), axis=1)
 
 
 def _children(g, p, units, budget, child):
@@ -213,15 +268,10 @@ def _children(g, p, units, budget, child):
     nodes, at ``child`` each, do not fit the budget.  ``cost`` is checked
     before any allocation.
     """
-    n = g.n
-    cost = _grid_cost(False, n, p, units)
-    if cost > budget:
-        raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
-    domain = unit_residues(p) if units else np.arange(p, dtype=np.int64)
-    zeros, singular, grads = 0, [np.empty((0, n), np.int64)], g.gradient()
+    cost, zeros, candidates = _zero_candidates(g, p, units, budget)
+    singular, grads = [np.empty((0, g.n), np.int64)], g.gradient()
     room = (budget - cost) // child
-    for block in grid_blocks([domain] * n):
-        block = block[g.eval_int(block, p) == 0]
+    for block in candidates:
         zeros += len(block)
         for d in grads:
             block = block[d.eval_int(block, p) == 0]
@@ -306,7 +356,8 @@ def _refine(g, singular, p):
     coeffs = {}     # the coefficient of y^a in g(x0 + p y), a polynomial in x0
     for e, c in G.terms.items():
         coeffs.setdefault(e[n:], {})[e[:n]] = c
-    values = [(a, Polynomial(n, t).eval_int(singular)) for a, t in coeffs.items()]
+    values = [(a, Polynomial._trusted(n, t).eval_int(singular))
+              for a, t in coeffs.items()]
     for k in range(len(singular)):
         yield _divided(n, {a: int(v[k]) for a, v in values}, p)
 

@@ -66,6 +66,20 @@ class Polynomial:
         self.degree = max((sum(e) for e in clean), default=0)
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, n, terms):
+        """A polynomial from ``terms`` whose keys are already distinct valid
+        exponent tuples of length n, as arithmetic builds them: coefficients
+        are still normalized and zeros dropped, but no key is rebuilt or
+        checked."""
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = {e: c if type(c) is int else _norm_coeff(c)
+                      for e, c in terms.items() if c}
+        self.degree = max((sum(e) for e in self.terms), default=0)
+        self._hash = None
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -125,12 +139,12 @@ class Polynomial:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Polynomial(self.n, terms)
+        return Polynomial._trusted(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -144,14 +158,15 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.n)
-            return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._trusted(
+                self.n, {e: c * other for e, c in self.terms.items()})
         self._require_same_ring(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Polynomial(self.n, terms)
+        return Polynomial._trusted(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -174,7 +189,8 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, frozenset((e, Fraction(c)) for e, c in self.terms.items())))
+            # equal ints and Fractions hash alike, so no conversion is needed
+            self._hash = hash((self.n, frozenset(self.terms.items())))
         return self._hash
 
     def __repr__(self):
@@ -222,11 +238,14 @@ class Polynomial:
             raise ValueError(f"points have {pts.shape[1]} columns, expected {self.n}")
         out = np.zeros(pts.shape[0])
         for e, c in self.terms.items():
-            v = np.full(pts.shape[0], float(c))
+            v = None        # the term starts from its first power times c
             for i, k in enumerate(e):
-                if k:
+                if k and v is None:
+                    v = pts[:, i] ** k
+                    v *= float(c)
+                elif k:
                     v *= pts[:, i] ** k
-            out += v
+            out += float(c) if v is None else v
         return out
 
     def eval_int(self, points, q=None):
@@ -267,11 +286,13 @@ class Polynomial:
             powers.append(pw)
         out = np.zeros(len(pts), dtype=dtype)
         for e, c in self.terms.items():
-            v = np.full(len(pts), c if q is None else c % q, dtype=dtype)
+            c = c if q is None else c % q
+            v = None        # the term starts from its first power times c
             for i, k in enumerate(e):
                 if k:
-                    v = reduce(v * powers[i][k])
-            out = reduce(out + v)
+                    v = reduce(powers[i][k] * c if v is None
+                               else v * powers[i][k])
+            out = reduce(out + (c if v is None else v))
         return out
 
     def gradient(self):
@@ -284,7 +305,7 @@ class Polynomial:
                     ne = list(e)
                     ne[i] -= 1
                     terms[tuple(ne)] = terms.get(tuple(ne), 0) + c * e[i]
-            grads.append(Polynomial(self.n, terms))
+            grads.append(Polynomial._trusted(self.n, terms))
         return grads
 
     # -- structural operations --------------------------------------------
@@ -294,13 +315,30 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no top-degree part")
         d = self.degree
-        return Polynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return Polynomial._trusted(
+            self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def restrict_zero(self, i):
         """Set x_i = 0; the ambient variable count is preserved."""
         if not 1 <= i <= self.n:
             raise IndexError(f"variable index {i} out of range 1..{self.n}")
-        return Polynomial(self.n, {e: c for e, c in self.terms.items() if e[i - 1] == 0})
+        return Polynomial._trusted(
+            self.n, {e: c for e, c in self.terms.items() if e[i - 1] == 0})
+
+    def linear_in(self, j):
+        """(A, B) with self = A x_j + B, both polynomials in the other n - 1
+        variables (x_j's position dropped); None when x_j occurs squared or
+        not at all.  j is 1-based."""
+        if not 1 <= j <= self.n:
+            raise IndexError(f"variable index {j} out of range 1..{self.n}")
+        k = j - 1
+        if any(e[k] > 1 for e in self.terms) or \
+                all(e[k] == 0 for e in self.terms):
+            return None
+        parts = ({}, {})
+        for e, c in self.terms.items():
+            parts[1 - e[k]][e[:k] + e[k + 1:]] = c
+        return tuple(Polynomial._trusted(self.n - 1, t) for t in parts)
 
     def substitute(self, smap):
         """Apply a SubstitutionMap; see its docstring for the well-formedness rule."""
@@ -327,9 +365,10 @@ class Polynomial:
         if len(repl) != self.n:
             raise ValueError("need one polynomial per variable")
         out = {}        # summed once at the end, not one polynomial per term
-        powers = [{0: Polynomial.constant(n_new, 1)} for _ in range(self.n)]
+        one = (0,) * n_new
+        powers = [{0: Polynomial._trusted(n_new, {one: 1})} for _ in range(self.n)]
         for e, c in self.terms.items():
-            term = Polynomial.constant(n_new, c)
+            term = Polynomial._trusted(n_new, {one: c})
             for i, k in enumerate(e):
                 if not k:
                     continue
@@ -339,7 +378,7 @@ class Polynomial:
                 term = term * cache[k]
             for f, v in term.terms.items():
                 out[f] = out.get(f, 0) + v
-        return Polynomial(n_new, out)
+        return Polynomial._trusted(n_new, out)
 
     # -- serialization -----------------------------------------------------
 
@@ -469,13 +508,15 @@ def grid_blocks(axes):
         yield tail
         return
     mid, step = axes[j - 1], _BLOCK_ROWS // rows
+    # tiled once: a shorter last slice takes a prefix of it
+    tiled = np.tile(tail, (min(step, len(mid)), 1))
     for head in iproduct(*axes[:j - 1]):
         for s in range(0, len(mid), step):
             part = mid[s:s + step]
             block = np.empty((len(part) * rows, n), dtype=np.int64)
             block[:, :j - 1] = head
             block[:, j - 1] = np.repeat(part, rows)
-            block[:, j:] = np.tile(tail, (len(part), 1))
+            block[:, j:] = tiled[:len(part) * rows]
             yield block
 
 

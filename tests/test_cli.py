@@ -330,6 +330,16 @@ class TestSubcommands:
         assert res["primes_only_value"] == pytest.approx(math.log(3) ** 2)
         assert res["full"]["solution_count"] == 3
 
+    def test_count_reports_its_method(self, poly_file, tmp_path):
+        _, rep = run_json(["count", "--poly", poly_file(LINEAR6), "--N", "5"],
+                          tmp_path)
+        assert rep["result"]["method"] == "separable"
+        pf = poly_file("n=3\n1 1 1 0\n-1 0 0 2\n", "cone.txt")   # x1 x2 - x3^2
+        _, rep = run_json(["count", "--poly", pf, "--N", "50",
+                           "--primes-only"], tmp_path)
+        assert rep["result"]["full"]["method"] == "linear(x_1)"
+        assert rep["result"]["full"]["solution_count"] == 33
+
     def test_regularity_flags_product_form(self, poly_file, tmp_path):
         pf = poly_file("n=2\n1 1 1\n")
         code, rep = run_json(

@@ -166,15 +166,81 @@ class TestExactReduction:
         # (2, 11) and (11, 2)
         b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-13 0 0\n")
         t = mangoldt_table(13)
-        first = t.base == np.arange(14)
-        primes = MangoldtTable(13, np.where(first, t.values, 0.0),
-                               np.where(first, t.base, 0))
+        primes = primes_only(t)
         assert count_direct(b, 13, t).solution_count == 6
         want = float(2 * Fraction(math.log(2)) * Fraction(math.log(11)))
         for r in (count_direct(b, 13, primes), count_mitm(b, 13, primes, 1),
                   count_via_histogram(b, 13, primes)):
             assert (r.value, r.solution_count) == (want, 2)
             assert (r.value, r.solution_count) == brute_force(b, 13, primes)
+
+
+def primes_only(table):
+    """The same table with the higher prime powers weighing 0."""
+    first = table.base == np.arange(table.N + 1)
+    return MangoldtTable(table.N, np.where(first, table.values, 0.0),
+                         np.where(first, table.base, 0))
+
+
+class TestLinearSolve:
+    """A non-separable b = A x_j + B is walked over the other variables with
+    x_j solved for; the count must be the brute-force one, bit for bit."""
+
+    CASES = [
+        # the cone x1 x2 - x3^2
+        ("n=3\n1 1 1 0\n-1 0 0 2\n", 40),
+        # (x2 - x3) x1 + x2 - x3: A = B = 0 on the rows x2 = x3, where
+        # every x1 counts
+        ("n=3\n1 1 1 0\n-1 1 0 1\n1 0 1 0\n-1 0 0 1\n", 30),
+        # 3 x1 - x2 x3: A = 3 divides B only when 3 divides x2 x3
+        ("n=3\n3 1 0 0\n-1 0 1 1\n", 40),
+        # x1 x2 - x3 - 7: A = x2, B = -x3 - 7, mostly not divisible
+        ("n=3\n1 1 1 0\n-1 0 0 1\n-7 0 0 0\n", 60),
+        # 2^60 (x1 x2 - x3^2): values need Python ints (object arrays)
+        ("n=3\n%d 1 1 0\n%d 0 0 2\n" % (2 ** 60, -2 ** 60), 30),
+    ]
+
+    @pytest.mark.parametrize("text,N", CASES)
+    def test_equals_brute_force(self, text, N):
+        b = parse_polynomial(text)
+        t = mangoldt_table(N)
+        want = brute_force(b, N, t)
+        assert want[1] > 0
+        r = count_direct(b, N, t)
+        assert r.method == "linear(x_1)"
+        assert (r.value, r.solution_count) == want
+        assert r.value == count_via_histogram(b, N, t).value
+
+    @pytest.mark.parametrize("text,N", CASES[:2])
+    def test_primes_only_weights(self, text, N):
+        b = parse_polynomial(text)
+        t = primes_only(mangoldt_table(N))
+        r = count_direct(b, N, t)
+        assert r.method == "linear(x_1)"
+        assert (r.value, r.solution_count) == brute_force(b, N, t)
+        assert r.solution_count < count_direct(b, N, mangoldt_table(N)) \
+            .solution_count
+
+    def test_big_coefficients_solve_in_python_ints(self):
+        b = parse_polynomial(self.CASES[4][0])
+        x = np.array([[29, 29]])
+        assert all(g.eval_int(x).dtype == object for g in b.linear_in(1))
+
+    def test_methods(self):
+        t = mangoldt_table(20)
+        separable = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")
+        squares = parse_polynomial("n=2\n1 2 2\n-36 0 0\n")  # x1^2 x2^2 = 36
+        assert count_direct(separable, 20, t).method == "separable"
+        assert count_mitm(separable, 20, t, 1).method == "separable"
+        r = count_direct(squares, 20, t)
+        assert r.method == "grid"
+        assert (r.value, r.solution_count) == brute_force(squares, 20, t)
+
+    def test_budget_charges_the_other_variables(self):
+        # about 1229^4 points x' = (x2..x5): refused before any work
+        b = parse_polynomial("n=5\n1 1 1 0 0 0\n1 0 0 1 1 1\n")
+        with pytest.raises(BudgetExceeded):
+            count_direct(b, 10 ** 4, mangoldt_table(10 ** 4))
 
 
 class TestHistogramCrossCheck:

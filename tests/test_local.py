@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from sympy import totient
 
-from circlekit.local import (B_of_q, BudgetExceeded, mu_p, nu_count,
-                             padic_nonsingular_witness, singular_series,
-                             unit_exp_sum, unit_residues, value_histogram)
+from circlekit import local
+from circlekit.local import (B_of_q, BudgetExceeded, _linear_split, mu_p,
+                             nu_count, padic_nonsingular_witness,
+                             singular_series, unit_exp_sum, unit_residues,
+                             value_histogram)
 from circlekit.poly import Polynomial, parse_polynomial
 
 
@@ -167,6 +169,54 @@ class TestUnitSolutionCounts:
         b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")   # x1 x2 = 1
         got = nu_count(b, 3, 3, budget=100)
         assert got.nu == self.brute_nu(b, 3, 3)
+
+
+class TestLinearVariable:
+    """b = A x_j + B: where A(x') is a unit the zero x_j is solved for, not
+    enumerated; the counts must be those of the histograms."""
+
+    # (x2 - x3) x1 + x2 - x3: A = B = 0 on the rows x2 = x3
+    VANISHING = "n=3\n1 1 1 0\n-1 1 0 1\n1 0 1 0\n-1 0 0 1\n"
+    # x1 x2 + x2 + x3: where x3 = -x2 the solved x1 is 0, not a unit
+    NONUNIT = "n=3\n1 1 1 0\n1 0 1 0\n1 0 0 1\n"
+    CONE = "n=3\n1 1 1 0\n-1 0 0 2\n"
+
+    @pytest.mark.parametrize("text,p", [
+        (SINGULAR_AT_3, 3),         # A = 27 (x1 - 2 x2) = 0 mod 3
+        (SINGULAR_AT_3, 5),         # A vanishes on the rows x1 = 2 x2
+        (VANISHING, 2), (VANISHING, 3), (VANISHING, 5),
+        (NONUNIT, 2), (NONUNIT, 3), (NONUNIT, 5),
+        (CONE, 2), (CONE, 3), (CONE, 5),
+    ])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_matches_histograms(self, text, p, t):
+        b = parse_polynomial(text)
+        assert nu_count(b, p, t).nu == value_histogram(b, p ** t)[0]
+
+    def test_path_taken(self):
+        assert _linear_split(parse_polynomial(SINGULAR_AT_3), 3) is None
+        assert _linear_split(parse_polynomial(SINGULAR_AT_3), 5)[0] == 3
+        assert _linear_split(parse_polynomial(self.CONE), 3)[0] == 1
+
+    def test_unit_constraint_at_the_root(self):
+        # x1 x2 + x2 + x3 mod 5: A = x2 is a unit on every row, and B is
+        # zero on the 4 rows x3 = -x2, whose solved x1 = 0 is no unit
+        b = parse_polynomial(self.NONUNIT)
+        assert nu_count(b, 5, 1).nu == 16 - 4
+
+    def test_zero_rows_charged_before_expansion(self, monkeypatch):
+        # at p = 7 the root walks 6^2 rows x' and 6 of them have
+        # A = B = 0; expanding those costs 6 * 6 more, 72 in all
+        b = parse_polynomial(self.VANISHING)
+        expanded = []
+        real = local._expand
+        monkeypatch.setattr(local, "_expand",
+                            lambda *a: expanded.append(a) or real(*a))
+        with pytest.raises(BudgetExceeded):
+            nu_count(b, 7, 1, budget=71)
+        assert expanded == []
+        assert nu_count(b, 7, 1, budget=72).nu == \
+            value_histogram(b, 7)[0] == 6 * 6 + 6 * 5
 
 
 class TestLocalFactors:

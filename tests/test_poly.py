@@ -157,6 +157,28 @@ class TestStructure:
         assert q == parse_polynomial("n=3\n1 1 0 1\n1 0 1 1\n")
 
 
+    def test_linear_in(self):
+        # x1 x2 - x3^2 + 2 x2 = (x2) x1 + (2 x2 - x3^2); x3 is squared
+        p = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n2 0 1 0\n")
+        A, B = p.linear_in(1)
+        assert A == parse_polynomial("n=2\n1 1 0\n")
+        assert B == parse_polynomial("n=2\n2 1 0\n-1 0 2\n")
+        x = [Polynomial.variable(3, i) for i in (1, 2, 3)]
+        assert A.compose(x[1:], 3) * x[0] + B.compose(x[1:], 3) == p
+        assert p.linear_in(3) is None
+        assert parse_polynomial("n=2\n1 1 0\n").linear_in(2) is None
+        with pytest.raises(IndexError):
+            p.linear_in(4)
+
+    def test_arithmetic_normalizes_coefficients(self):
+        # results are built from trusted keys but still normalized
+        half = parse_polynomial("n=1\n1/2 1\n")
+        assert (half * 2).terms == {(1,): 1}
+        assert isinstance((half + half).terms[(1,)], int)
+        assert (half - half).terms == {}
+        assert hash(half * 2) == hash(Polynomial.variable(1, 1))
+
+
 class TestSerialization:
     @settings(max_examples=50, deadline=None)
     @given(small_polys)
