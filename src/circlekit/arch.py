@@ -12,13 +12,19 @@ direction numbers (read from the table scipy ships, without importing
 scipy), Owen's linear matrix scramble plus a digital shift, and the
 Gray-code order.  A replicate whose size is not a power of two loses the
 balance of the sequence; estimates then carry the flag ``sobol_unbalanced``.
+The replicates are streamed: each is drawn, evaluated and reduced to one row
+of statistics (sausage densities, J(L) per L) before the next is drawn, so
+memory holds one replicate, and the estimators work on the rows.
 
 The eta-integral of I over [-L, L] is done in closed form: integrating
 cos(2 pi eta f(x)) in eta gives the Dirichlet kernel 2L sinc(2L f(x)), so
-J(L) is a plain sample mean and no eta grid is needed.  Both J(L) and the
-sausage density approach their limits with a |v|^{1/2} log|v| type edge when
-the zero set meets the singular locus, so the extrapolation bases carry that
-term alongside the smooth one.
+J(L) is a plain sample mean and no eta grid is needed.  The L ladder is
+built by angle doubling: sin and cos are taken only at the L whose half is
+not on the ladder, and each 2L follows from the double-angle formulas.
+
+Both J(L) and the sausage density approach their limits with a
+|v|^{1/2} log|v| type edge when the zero set meets the singular locus, so
+the extrapolation bases carry that term alongside the smooth one.
 """
 from __future__ import annotations
 
@@ -93,9 +99,6 @@ def _sobol_directions(d):
 
 def _sobol(directions, n, seed):
     """n scrambled Sobol points in [0,1)^d, shape (n, d), as scipy's."""
-    if n > 1 << _SOBOL_BITS:
-        raise ValueError(f"Sobol sampling supports at most 2**{_SOBOL_BITS} "
-                         "points")
     d = len(directions)
     rng = np.random.default_rng(seed)
     powers = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
@@ -131,15 +134,85 @@ def _balance_flags(spec):
 
 
 def _replicate_samples(n, spec):
-    """List of per-replicate sample blocks in [0,1]^n, shape (m, n) each."""
+    """The per-replicate sample blocks in [0,1]^n, shape (m, n) each.
+
+    Limits are checked at the call; each block is drawn only when the
+    iteration reaches it.
+    """
     per = _per_replicate(spec)
+    if per > 1 << _SOBOL_BITS:
+        raise ValueError(f"Sobol sampling supports at most 2**{_SOBOL_BITS} "
+                         "points")
     directions = _sobol_directions(n)
-    return [_sobol(directions, per, spec.seed * 1009 + r)
-            for r in range(_REPLICATES)]
+    return (_sobol(directions, per, spec.seed * 1009 + r)
+            for r in range(_REPLICATES))
 
 
-def _replicate_values(f, spec, scale=1.0):
-    return [f.eval_float(block * scale) for block in _replicate_samples(f.n, spec)]
+def _replicate_rows(f, spec, stats, scale=1.0):
+    """The (8, k) matrix of per-replicate statistics of f's values.
+
+    Each replicate is drawn, evaluated at ``scale`` times its samples and
+    reduced by ``stats`` to one row before the next is drawn.
+    """
+    rows = []
+    for block in _replicate_samples(f.n, spec):
+        block *= scale
+        rows.append(stats(f.eval_float(block)))
+    return np.array(rows)
+
+
+def _mean_se(rows):
+    """Column means and standard errors of a replicate matrix.
+
+    Each column is reduced as a 1-d array, so its mean has the bits of
+    np.mean over that column's replicate values.
+    """
+    cols = rows.T.copy()
+    return cols.mean(axis=1), cols.std(axis=1) / np.sqrt(len(rows))
+
+
+def _densities(v, widths):
+    """(2 w)^{-1} * fraction of values with |v| <= w, for each width w."""
+    a = np.abs(v)
+    return [np.mean(a <= w) / (2 * w) for w in widths]
+
+
+def _J_row(v, Ls):
+    """J(L) = mean(2 L sinc(2 L v)) on one replicate, for each L in ``Ls``.
+
+    sin and cos are called only at the L whose half is not in ``Ls``, at the
+    angle y = pi (2 L v) that np.sinc forms (an exact zero of v gives the
+    kernel's limit 2 L, as np.sinc(0) does).  Each 2^k L is reached by
+    doubling, sin 2a = 2 sin a cos a and cos 2a = 1 - 2 sin^2 a.  Doubling
+    and halving are exact in floating point, so the chains are found for any
+    ladder, and 2L0 sin(2^k y) / y is the term np.sinc gives at L = 2^k L0
+    but for the doubling's rounding.
+    """
+    ladder = set(Ls)
+    J = {}
+    y, s, c, tmp = (np.empty_like(v) for _ in range(4))
+    for L in Ls:
+        if L / 2 in ladder:
+            continue
+        base = 2.0 * L
+        np.multiply(v, base, out=y)
+        y[y == 0] = 1e-20        # np.sinc's stand-in for 0
+        y *= np.pi
+        np.sin(y, out=s)
+        np.cos(y, out=c)
+        while True:
+            np.divide(s, y, out=tmp)
+            tmp *= base
+            J[L] = tmp.mean()
+            if 2 * L not in ladder:
+                break
+            np.multiply(s, s, out=tmp)
+            s *= c
+            s *= 2
+            np.multiply(tmp, -2, out=c)
+            c += 1
+            L = 2 * L
+    return [J[L] for L in Ls]
 
 
 def I_eta(f, eta, spec=QuadratureSpec()):
@@ -149,27 +222,18 @@ def I_eta(f, eta, spec=QuadratureSpec()):
     """
     if not f.is_homogeneous():
         raise ValueError("I(eta) is defined for the top-degree form")
-    means = [np.mean(np.exp(2j * np.pi * eta * v))
-             for v in _replicate_values(f, spec)]
-    means = np.array(means)
+    means = _replicate_rows(
+        f, spec, lambda v: np.mean(np.exp(2j * np.pi * eta * v)))
     value = means.mean()
     se = float(np.sqrt(np.mean(np.abs(means - value) ** 2) / (_REPLICATES - 1)))
     return complex(value), se
-
-
-def _J_ladder(vals_list, Ls):
-    """J(L) per ladder point via the Dirichlet kernel; (means, ses) arrays."""
-    js = np.array([[np.mean(2.0 * L * np.sinc(2.0 * L * v)) for L in Ls]
-                   for v in vals_list])
-    return js.mean(axis=0), js.std(axis=0) / np.sqrt(len(vals_list))
 
 
 def J_of_L(f, L, spec=QuadratureSpec()):
     """J(L): the eta-integral of I over [-L, L]."""
     if L <= 0:
         raise ValueError("L must be positive")
-    vals = _replicate_values(f, spec)
-    js, _ = _J_ladder(vals, [L])
+    js, _ = _mean_se(_replicate_rows(f, spec, lambda v: _J_row(v, [L])))
     return float(js[0])
 
 
@@ -183,22 +247,9 @@ def _weighted_fit(cols, y, ses):
     return coef, float(np.sqrt(max(cov[0, 0], 0.0))), resid
 
 
-def _sausage_from_values(vals_list, eps):
-    """(2 eps)^{-1} * fraction of samples with |f| <= eps, with SE."""
-    dens = np.array([np.mean(np.abs(v) <= eps) / (2 * eps) for v in vals_list])
-    return float(dens.mean()), float(dens.std() / np.sqrt(len(dens)))
-
-
-def _divergence_probe(vals_list, eps):
-    """Deep-epsilon growth test for a non-integrable density.
-
-    A log-divergent density keeps growing as eps shrinks while the
-    sqrt-cusp of an integrable one flattens out, so comparing the density
-    at eps/256 with the one at eps separates the two regimes.
-    """
-    v0, _ = _sausage_from_values(vals_list, eps)
-    vp, _ = _sausage_from_values(vals_list, eps / 256.0)
-    return v0 > 0 and vp > 1.4 * v0
+def _widths(spec):
+    """The sausage ladder, then eps/256 for the divergence probe."""
+    return [spec.eps * s for s in _LADDER] + [spec.eps / 256.0]
 
 
 def sigma_measure(f, spec=QuadratureSpec()):
@@ -208,19 +259,25 @@ def sigma_measure(f, spec=QuadratureSpec()):
     sqrt(eps)*log(eps) edge model.  Sustained growth at very small widths
     flags a divergent density instead.
     """
-    measure = _measure(_replicate_values(f, spec), spec)
+    widths = _widths(spec)
+    measure = _measure(
+        _replicate_rows(f, spec, lambda v: _densities(v, widths)), spec)
     measure.flags += _balance_flags(spec)
     return measure
 
 
-def _measure(vals, spec):
-    """sigma_measure on already evaluated samples."""
-    ladder = np.array([spec.eps * s for s in _LADDER])
-    ests = [_sausage_from_values(vals, e) for e in ladder]
-    values = np.array([v for v, _ in ests])
-    ses = np.array([s for _, s in ests])
+def _measure(rows, spec):
+    """sigma_measure from the replicate densities at ``_widths(spec)``."""
+    ladder = np.array(_widths(spec)[:-1])
+    dens, ses = _mean_se(rows)
+    values, ses = dens[:-1], ses[:-1]
     flags = ()
-    if _divergence_probe(vals, spec.eps):
+    # deep-epsilon growth test for a non-integrable density: a log-divergent
+    # density keeps growing as eps shrinks while the sqrt-cusp of an
+    # integrable one flattens out, so the density at eps/256 is compared
+    # with the one at eps
+    at_eps = values[_LADDER.index(1.0)]
+    if at_eps > 0 and dens[-1] > 1.4 * at_eps:
         flags = ("divergent",)
     if values[-1] == 0.0:
         flags = flags + ("zero_measure",)
@@ -252,13 +309,15 @@ def sigma_infinity(f, spec=QuadratureSpec()):
     """(mu_infinity(f, spec), sigma_measure(f, spec)) from one set of samples."""
     if not f.is_homogeneous():
         raise ValueError("mu(infinity) is defined for the top-degree form")
-    vals = _replicate_values(f, spec)
+    widths = _widths(spec)
+    Ls = np.array([spec.eta_L * s for s in _L_STEPS])
+    rows = _replicate_rows(
+        f, spec, lambda v: _densities(v, widths) + _J_row(v, Ls))
     flags = ()
-    measure = _measure(vals, spec)
+    measure = _measure(rows[:, :len(widths)], spec)
     if measure.diverged:
         flags = ("divergent",)
-    Ls = np.array([spec.eta_L * s for s in _L_STEPS])
-    js, ses = _J_ladder(vals, Ls)
+    js, ses = _mean_se(rows[:, len(widths):])
     coef, se0, resid = _weighted_fit(
         [np.ones_like(Ls), np.log(Ls) / np.sqrt(Ls), 1.0 / np.sqrt(Ls)],
         js, ses)
@@ -295,12 +354,13 @@ def sigma_scaled(b, N, spec=QuadratureSpec()):
         raise ValueError("N must be positive")
     d = b.degree
     eps_rel = spec.eps
-    vals = [b.eval_float(block * N) / N ** d
-            for block in _replicate_samples(b.n, spec)]
-    v, se = _sausage_from_values(vals, eps_rel)
-    # power-law decay in eps means the zero set carries no density in the
-    # limit (e.g. definite forms vanishing only at a corner)
-    v16, _ = _sausage_from_values(vals, eps_rel / 16.0)
+    # the density at eps/16 tells a zero set of no density in the limit
+    # (power-law decay in eps, e.g. definite forms vanishing only at a corner)
+    rows = _replicate_rows(
+        b, spec, lambda v: _densities(v / N ** d, [eps_rel, eps_rel / 16.0]),
+        scale=N)
+    means, ses = _mean_se(rows)
+    v, v16, se = float(means[0]), float(means[1]), float(ses[0])
     if v == 0.0 or v16 <= 0.5 * v:
         return SingularIntegralEstimate(method="measure", value=0.0,
                                         error_estimate=v16,

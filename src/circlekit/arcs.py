@@ -100,7 +100,9 @@ def T_sums(b, alphas, N, table):
     """Von-Mangoldt-weighted exponential sums over [0, N]^n, one per alpha.
 
     sum over x of Lambda(x_1)...Lambda(x_n) e(alpha b(x)), iterating over
-    prime-power coordinates only; b is evaluated once for all alphas.
+    prime-power coordinates only.  b is evaluated once for all alphas, and
+    each grid block is collapsed to its distinct values with their summed
+    weights, so every alpha costs one cos and one sin per distinct value.
     """
     if table.N < N:
         raise ValueError("von Mangoldt table too small")
@@ -109,8 +111,9 @@ def T_sums(b, alphas, N, table):
         raise BudgetExceeded("prime-power grid too large")
     parts = [([], []) for _ in alphas]
     for block in grid_blocks([ks] * b.n):
-        vals = b.eval_float(block.astype(float))
-        w = table.values[block].prod(axis=1)
+        vals, inv = np.unique(b.eval_float(block.astype(float)),
+                              return_inverse=True)
+        w = np.bincount(inv, weights=table.values[block].prod(axis=1))
         for alpha, (re_parts, im_parts) in zip(alphas, parts):
             ph = 2 * np.pi * alpha * vals
             re_parts.append(float(np.dot(w, np.cos(ph))))

@@ -95,13 +95,13 @@ def _histogram(g, ks, W, keep=None):
 
 def _reduce(groups, table, N, strategy, method):
     """Exact M_b(N) for b = the sum of the groups, polynomials in consecutive
-    blocks of variables; the cost bound is checked before any work."""
+    blocks of variables.  The groups' grids are charged to the budget before
+    any work, and each convolution, at its real size, before it is done."""
     if not all(g.is_integral() for g in groups):
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)
-    sizes = [len(ks) ** g.n for g in groups]
-    if sum(sizes) + sum(math.prod(sizes[:j]) for j in range(2, len(sizes))) \
-            > DEFAULT_ENUM_BUDGET:
+    used = sum(len(ks) ** g.n for g in groups)
+    if used > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("prime-power grid too large")
     # histogram of the groups so far: distinct values, summed [weight, count]
     bound = sum(sum(map(abs, g.terms.values())) * N ** g.degree
@@ -110,6 +110,9 @@ def _reduce(groups, table, N, strategy, method):
     wc = np.array([[1, 1]], object)
     for g in groups[:-1]:
         v, w = _histogram(g, ks, W)
+        used += len(values) * len(v)
+        if used > DEFAULT_ENUM_BUDGET:
+            raise BudgetExceeded("value convolution too large")
         values, inv = np.unique(np.add.outer(values, v), return_inverse=True)
         pairs = (wc[:, None] * w).reshape(-1, 2)
         wc = np.zeros((len(values), 2), object)

@@ -6,6 +6,7 @@ independent oracles, and scipy's Sobol engine as the sampling oracle.
 """
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import qmc
 
-from circlekit.arch import (I_eta, J_of_L, QuadratureSpec, _replicate_samples,
-                            _sobol_directions, mu_infinity,
+from circlekit.arch import (_L_STEPS, I_eta, J_of_L, QuadratureSpec, _J_row,
+                            _replicate_samples, _sobol_directions, mu_infinity,
                             real_nonsingular_witness, sigma_infinity,
                             sigma_measure, sigma_scaled)
 from circlekit.poly import parse_polynomial
@@ -35,7 +36,7 @@ class TestSobol:
     def test_bit_identical_to_scipy(self, n, box_points):
         for seed in (0, 7, 123457):
             spec = QuadratureSpec(box_points=box_points, seed=seed)
-            blocks = _replicate_samples(n, spec)
+            blocks = list(_replicate_samples(n, spec))
             assert len(blocks) == 8
             for r, block in enumerate(blocks):
                 eng = qmc.Sobol(d=n, scramble=True, seed=seed * 1009 + r)
@@ -105,6 +106,55 @@ class TestTruncatedIntegral:
     def test_rejects_bad_L(self):
         with pytest.raises(ValueError):
             J_of_L(parse_polynomial("n=1\n1 1\n"), 0.0, SPEC)
+
+
+class TestJLadder:
+    """J(L) by angle doubling against np.sinc at every L of the ladder."""
+
+    FORMS = ["n=3\n1 1 1 0\n-1 0 0 2\n",                  # the cone
+             "n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n"
+             "1 0 0 0 2 0\n1 0 0 0 0 2\n",                   # five squares
+             "n=2\n1 1 0\n-1 0 1\n"]                         # x1 - x2
+
+    @staticmethod
+    def check(v, Ls):
+        for L, got in zip(Ls, _J_row(v, Ls)):
+            kernel = 2.0 * L * np.sinc(2.0 * L * v)
+            want = np.mean(kernel)
+            if L / 2 not in Ls:         # sin and cos called here: same terms
+                assert got == want, L
+            # five squares cancels to about 1e-4 of the kernel's scale, where
+            # np.sinc's own rounding is about 1e-13 of the value
+            assert abs(got - want) <= 1e-13 * np.mean(np.abs(kernel)), L
+
+    @pytest.mark.parametrize("eta_L", [16.0, 10.0, 16.1])
+    @pytest.mark.parametrize("text", FORMS)
+    def test_matches_sinc_per_replicate(self, text, eta_L):
+        f = parse_polynomial(text)
+        spec = QuadratureSpec(box_points=1 << 15, eta_L=eta_L)
+        Ls = [eta_L * s for s in _L_STEPS]
+        for block in _replicate_samples(f.n, spec):
+            self.check(f.eval_float(block), Ls)
+
+    @pytest.mark.parametrize("eta_L", [16.0, 10.0, 16.1])
+    def test_exact_zeros(self, eta_L):
+        Ls = [eta_L * s for s in _L_STEPS]
+        v = np.array([0.0, 0.25, -0.3, 0.0, 1e-9, -1e-300, 0.0, 0.7])
+        self.check(v, Ls)
+        assert _J_row(np.zeros(3), Ls) == [2.0 * L for L in Ls]
+
+
+def test_replicates_are_streamed():
+    # one replicate's samples and values at a time: about 8 MiB at the
+    # default 2^20 points, against 37 MiB with all eight held at once
+    f = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+    tracemalloc.start()
+    try:
+        sigma_infinity(f, QuadratureSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 class TestSausage:

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from circlekit.arcs import (ArcDissection, BudgetExceeded, E_normalized,
-                            RationalFreq, S_sum, T_sum, build_arcs,
+                            RationalFreq, S_sum, T_sum, T_sums, build_arcs,
                             classify_alpha, estimate_gd, z_count)
 from circlekit.count import mangoldt_table
-from circlekit.poly import parse_polynomial, weyl_difference
+from circlekit.poly import _BLOCK_ROWS, parse_polynomial, weyl_difference
 
 
 class TestRationalFreq:
@@ -101,6 +101,34 @@ class TestWeightedSum:
     def test_table_too_small(self):
         with pytest.raises(ValueError):
             T_sum(parse_polynomial("n=1\n1 1\n"), 0.0, 50, mangoldt_table(10))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1 / 3, 0.77])
+    def test_rational_coefficients_match_brute(self, alpha):
+        # x1^2 / 3 + x1 x2 / 2 - 5/7: many coincident values per block
+        b = parse_polynomial("n=2\n1/3 2 0\n1/2 1 1\n-5/7 0 0\n")
+        t = mangoldt_table(30)
+        got = T_sum(b, alpha, 30, t)
+        assert got == pytest.approx(self.brute(b, alpha, 30, t), abs=1e-9)
+
+    def test_grid_of_several_blocks(self):
+        # x1^2 - x2 x3 + 2 x4 over 21^4 = 194,481 rows, two grid blocks
+        b = parse_polynomial("n=4\n1 2 0 0 0\n-1 0 1 1 0\n2 0 0 0 1\n")
+        t = mangoldt_table(43)
+        ks = np.flatnonzero(t.values[:44])
+        assert len(ks) ** 4 > _BLOCK_ROWS
+        pts = np.stack(np.meshgrid(*[ks] * 4, indexing="ij"), -1).reshape(-1, 4)
+        w = t.values[pts].prod(axis=1)
+        vals = b.eval_float(pts.astype(float))
+        alphas = [0.0, 0.05, 0.5, 0.613]
+        for alpha, got in zip(alphas, T_sums(b, alphas, 43, t)):
+            want = np.sum(w * np.exp(2j * np.pi * alpha * vals))
+            assert abs(got - want) <= 1e-12 * w.sum(), alpha
+
+    def test_one_call_equals_one_per_alpha(self):
+        b = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+        t = mangoldt_table(60)
+        alphas = [k / 16 for k in range(16)] + [0.3183, 0.9]
+        assert T_sums(b, alphas, 60, t) == [T_sum(b, a, 60, t) for a in alphas]
 
 
 class TestLatticeSum:

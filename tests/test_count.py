@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from circlekit import count
 from circlekit.arch import QuadratureSpec
 from circlekit.count import (BudgetExceeded, MangoldtTable, count_direct,
                              count_mitm, count_via_histogram, mangoldt_table,
@@ -88,11 +89,29 @@ class TestDirectCount:
         assert count_direct(b, 30, t).value == pytest.approx(expect, rel=1e-12)
 
     def test_budget_checked_before_work(self):
-        # about 1280^5 prime-power tuples: must refuse at once, not walk them
+        # about 18,000 prime powers a variable: the second convolution alone
+        # has 18,000^2 entries, refused before it is formed
         b = parse_polynomial("n=5\n1 1 0 0 0 0\n1 0 1 0 0 0\n1 0 0 1 0 0\n"
                              "1 0 0 0 1 0\n1 0 0 0 0 1\n-5 0 0 0 0 0\n")
         with pytest.raises(BudgetExceeded):
-            count_direct(b, 10 ** 4, mangoldt_table(10 ** 4))
+            count_direct(b, 2 * 10 ** 5, mangoldt_table(2 * 10 ** 5))
+
+    def test_budget_charges_real_convolution_sizes(self, monkeypatch):
+        # five squares at N=30: 16 prime powers a variable, at most 816
+        # distinct sums of three squares, so the convolutions cost about
+        # 15,500, not the 16^2 + 16^3 + 16^4 of the grid products
+        b = parse_polynomial("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n"
+                             "1 0 0 0 2 0\n1 0 0 0 0 2\n-2045 0 0 0 0 0\n")
+        t = mangoldt_table(30)
+        expect = count_mitm(b, 30, t, 2)
+        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 20_000)
+        got = count_direct(b, 30, t)
+        assert (got.value, got.solution_count) == \
+            (expect.value, expect.solution_count)
+        assert got.solution_count == 850
+        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 10_000)
+        with pytest.raises(BudgetExceeded):
+            count_direct(b, 30, t)
 
 
 class TestMitm:
