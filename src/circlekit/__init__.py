@@ -7,9 +7,8 @@ h-invariant tools for rational forms.
 
 __version__ = "0.1.0"
 
-from .poly import (LinearForm, Polynomial, SubstitutionMap, grid_blocks,
-                   load_polynomial, parse_polynomial, weyl_difference,
-                   weyl_difference_poly)
+from .poly import (Polynomial, grid_blocks, load_polynomial,
+                   parse_polynomial, weyl_difference, weyl_difference_poly)
 from .hinv import (Decomposition, QuadraticFormData, build_gm_fm,
                    hilbert_symbol, lemma21_check, linear_count, quadratic_h,
                    verify_decomposition, witt_index)

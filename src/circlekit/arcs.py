@@ -212,10 +212,10 @@ def classify_alpha(alpha, P, d, Delta):
             q = int(qs[hits[0]])
             return q, int(round(q * alpha)), float(dist[hits[0]])
         return "minor"
-    for a, q in _convergents(alpha % 1.0, q_max):
-        dd = abs(q * (alpha % 1.0) - a)
+    for _, q in _convergents(alpha % 1.0, q_max):
+        dd = abs(q * alpha - round(q * alpha))
         if dd <= thresh:
-            return q, a, dd
+            return q, round(q * alpha), dd
     return "minor"
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .arch import QuadratureSpec, sigma_scaled
 from .local import (DEFAULT_ENUM_BUDGET, BudgetExceeded, primes_up_to,
                     singular_series)
-from .poly import _INT64_SAFE, Polynomial, grid_blocks
+from .poly import _BLOCK_ROWS, _INT64_SAFE, grid_blocks
 
 
 @dataclass
@@ -93,33 +93,62 @@ def _histogram(g, ks, W, keep=None):
     return np.concatenate(values), np.concatenate(wc)
 
 
-def _reduce(groups, table, N, strategy, method):
-    """Exact M_b(N) for b = the sum of the groups, polynomials in consecutive
-    blocks of variables.  The groups' grids are charged to the budget before
-    any work, and each convolution, at its real size, before it is done."""
-    if not all(g.is_integral() for g in groups):
+def _reduce(groups, const, table, N, strategy, method):
+    """Exact M_b(N) for b = const + the sum of the groups, polynomials in
+    consecutive blocks of variables.  The groups' grids are charged to the
+    budget before any work, and each convolution, at its real size, before
+    it is done."""
+    if not all(g.is_integral() for g in groups) or not isinstance(const, int):
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)
     used = sum(len(ks) ** g.n for g in groups)
     if used > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("prime-power grid too large")
     # histogram of the groups so far: distinct values, summed [weight, count]
-    bound = sum(sum(map(abs, g.terms.values())) * N ** g.degree
-                for g in groups)
-    values = np.zeros(1, np.int64 if bound < _INT64_SAFE else object)
+    bound = abs(const) + sum(sum(map(abs, g.terms.values())) * N ** g.degree
+                             for g in groups)
+    values = np.full(1, const, np.int64 if bound < _INT64_SAFE else object)
     wc = np.array([[1, 1]], object)
     for g in groups[:-1]:
         v, w = _histogram(g, ks, W)
         used += len(values) * len(v)
         if used > DEFAULT_ENUM_BUDGET:
             raise BudgetExceeded("value convolution too large")
-        values, inv = np.unique(np.add.outer(values, v), return_inverse=True)
-        pairs = (wc[:, None] * w).reshape(-1, 2)
-        wc = np.zeros((len(values), 2), object)
-        np.add.at(wc, inv.ravel(), pairs)
+        values, wc = _convolve(values, wc, v, w)
     v, w = _histogram(groups[-1], ks, W, keep=-values)
     total = (wc[np.searchsorted(values, -v)] * w).sum(axis=0)
     return _result(N, total, sum(g.n for g in groups), strategy, method)
+
+
+def _convolve(values, wc, v, w):
+    """The histogram of the sums of two independent value histograms,
+    (values, wc) and (v, w): distinct sorted sums, each with the summed
+    products of its pairs' [weight, count].  Pairs are formed in row slices
+    of about ``_BLOCK_ROWS``, so memory holds one slice and the distinct
+    sums, never every pair; the sums are exact, so any slicing gives the
+    same histogram."""
+    step = max(1, _BLOCK_ROWS // max(len(v), 1))
+    # at least one slice, so an empty histogram gives an empty one
+    rows = [slice(s, s + step) for s in range(0, max(len(values), 1), step)]
+    out = _distinct(np.concatenate(
+        [_distinct(np.add.outer(values[r], v)) for r in rows]))
+    acc = np.zeros((len(out), 2), object)
+    for r in rows:
+        sums = np.add.outer(values[r], v).ravel()
+        order = np.argsort(sums)    # sorted keys are found in cache
+        idx = np.empty_like(order)
+        idx[order] = np.searchsorted(out, sums[order])
+        np.add.at(acc, idx, (wc[r, None] * w).reshape(-1, 2))
+    return out, acc
+
+
+def _distinct(a):
+    """The distinct entries of a, sorted.  One sort: on 2^17 int64 sums it
+    takes 1-2 ms where np.unique, which hashes them, takes about 30 ms."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _solve_linear(A, B, j, table, N):
@@ -150,33 +179,19 @@ def _solve_linear(A, B, j, table, N):
     return _result(N, total, A.n + 1, "direct", f"linear(x_{j})")
 
 
-def _split_poly(b, sizes):
-    """b as polynomials in consecutive blocks of ``sizes`` variables, the
-    constant in the first; None if a term mixes two blocks."""
-    cuts = np.cumsum([0, *sizes]).tolist()
-    blocks = [{} for _ in sizes]
-    for e, c in b.terms.items():
-        hit = [i for i in range(len(sizes)) if any(e[cuts[i]:cuts[i + 1]])]
-        if len(hit) > 1:
-            return None
-        i = hit[0] if hit else 0
-        blocks[i][e[cuts[i]:cuts[i + 1]]] = c
-    return [Polynomial(m, t) for m, t in zip(sizes, blocks)]
-
-
 def count_direct(b, N, table):
     """Exact M_b(N): von-Mangoldt-weighted count of the prime-power points
     of b = 0 in [0, N]^n.  A separable b is reduced one variable at a time;
     a b of degree one in some x_j has x_j solved for (the first such j);
     any other b is walked whole and only its zeros are weighted."""
-    groups = _split_poly(b, [1] * b.n)
-    if groups:
-        return _reduce(groups, table, N, "direct", "separable")
+    split = b.additive_split([1] * b.n)
+    if split and b.n:       # with no variable there is no group to reduce
+        return _reduce(*split, table, N, "direct", "separable")
     for j in range(1, b.n + 1):
         parts = b.linear_in(j)
         if parts:
             return _solve_linear(*parts, j, table, N)
-    return _reduce([b], table, N, "direct", "grid")
+    return _reduce([b], 0, table, N, "direct", "grid")
 
 
 def count_mitm(b, N, table, split=None):
@@ -185,10 +200,10 @@ def count_mitm(b, N, table, split=None):
     split = b.n // 2 if split is None else split
     if not 1 <= split < b.n:
         raise ValueError("split must leave variables on both sides")
-    groups = _split_poly(b, [split, b.n - split])
+    groups = b.additive_split([split, b.n - split])
     if groups is None:
         raise ValueError(f"polynomial is not additively separable at {split}")
-    return _reduce(groups, table, N, "mitm", "separable")
+    return _reduce(*groups, table, N, "mitm", "separable")
 
 
 def count_via_histogram(b, N, table):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, prod
 
-from .poly import LinearForm, Polynomial, SubstitutionMap
+from .poly import Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -467,35 +467,30 @@ def lemma21_check(f):
 def build_gm_fm(f, dec, M):
     """Split f along the first M echelonized linear factors of a decomposition.
 
-    The leading M pairs must have U_i = x_i + l_i with l_i supported on
-    variables M+1..n.  Returns (g_M, f_M) with f = g_M + f_M, where f_M is f
-    with x_i replaced by -l_i, and checks that g_M vanishes identically under
-    the same substitution.
+    The leading M pairs must have U_i = x_i + l_i with l_i a linear form
+    supported on variables M+1..n.  f_M is f composed with x_i -> -l_i for
+    i <= M and every other variable kept (``Polynomial.compose``), so each
+    l_i is free of the variables it replaces.  Returns (g_M, f_M) with
+    f = g_M + f_M, and checks that g_M vanishes identically under the same
+    composition.
     """
     if not f.is_homogeneous() or f.is_zero():
         raise ValueError("f must be a nonzero form")
     if not 1 <= M <= len(dec.pairs):
         raise ValueError("M out of range for the decomposition")
     n = f.n
-    ells = []
+    repl = [Polynomial.variable(n, i) for i in range(1, n + 1)]
     for i in range(1, M + 1):
-        u = dec.pairs[i - 1][0]
-        ell = u - Polynomial.variable(n, i)
-        if ell.degree > 1 or not all(e == 0 or sum(e) == 1 for e in ell.terms):
+        ell = dec.pairs[i - 1][0] - repl[i - 1]
+        if any(sum(e) != 1 for e in ell.terms):
             raise ValueError(f"U_{i} is not of the form x_{i} + linear")
-        coeffs = [Fraction(0)] * n
-        for e, c in ell.terms.items():
-            j = e.index(1)
-            coeffs[j] = Fraction(c)
-        lf = LinearForm(coeffs)
-        if any(j <= M for j in lf.support_vars()):
+        if any(j <= M for j in ell.support_vars()):
             raise ValueError(
                 f"l_{i} must be supported on variables {M + 1}..{n}")
-        ells.append(lf)
-    smap = SubstitutionMap({i + 1: -ells[i] for i in range(M)})
-    f_M = f.substitute(smap)
+        repl[i - 1] = -ell
+    f_M = f.compose(repl, n)
     g_M = f - f_M
-    if not g_M.substitute(smap).is_zero():
+    if not g_M.compose(repl, n).is_zero():
         raise AssertionError("g_M does not vanish under the echelon substitution")
     return g_M, f_M
 

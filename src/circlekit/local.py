@@ -51,26 +51,6 @@ def primes_up_to(N):
 # residue histograms
 # ---------------------------------------------------------------------------
 
-def _separable_parts(b):
-    """Split b into univariate polynomials, one per variable, plus a constant.
-
-    Returns (parts, const) where parts[i] is the sum of the terms in x_{i+1}
-    alone, as a Polynomial in one variable, or (None, None) if some term
-    mixes two or more variables.
-    """
-    parts = [{} for _ in range(b.n)]
-    const = 0
-    for e, c in b.terms.items():
-        nz = [i for i, k in enumerate(e) if k]
-        if len(nz) == 0:
-            const += c
-        elif len(nz) == 1:
-            parts[nz[0]][(e[nz[0]],)] = c
-        else:
-            return None, None
-    return [Polynomial(1, t) for t in parts], const
-
-
 def _convolve_mod(h, g, q):
     """Exact circular convolution of two length-q count vectors (int64, or
     object arrays of Python ints)."""
@@ -115,7 +95,7 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
         raise ValueError("q must be >= 1")
     if not b.is_integral():
         raise ValueError("histogram needs integer coefficients")
-    parts, const = _separable_parts(b)
+    parts, const = b.additive_split([1] * b.n) or (None, None)
     # the separable path evaluates n parts on q residues and makes n - 1
     # exact convolutions of about q^2 steps each
     if parts is not None and _grid_cost(True, b.n, q, units) > budget:
@@ -377,7 +357,8 @@ def _hensel_tree(b, p, t_max, budget):
     """
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
-    n, nus, (parts, const) = b.n, [0] * t_max, _separable_parts(b)
+    n, nus = b.n, [0] * t_max
+    parts, const = b.additive_split([1] * n) or (None, None)
     child = _grid_cost(bool(parts), n, p, False)
     if parts:
         root, expand = (tuple(parts), const), \
@@ -455,53 +436,43 @@ def padic_nonsingular_witness(b, p, tries=4000, seed=0):
 
     A library diagnostic (``mu_p`` does not use it): a hit shows mu(p) > 0
     by Hensel lifting.  For p = 2 the search runs mod 8 and asks for a
-    partial derivative of 2-adic valuation <= 1, the standard sufficient
-    condition at the even prime.  None (no witness found) is not an error.
+    partial derivative of 2-adic valuation <= 1 (nonzero mod 4), the
+    standard sufficient condition at the even prime.  A small grid of units
+    is walked whole, in lexicographic order; a larger one in ``tries``
+    random tails, each with a scan over the leading coordinate.  Points are
+    evaluated a block at a time, and the first hit in that order is
+    returned.  None (no witness found) is not an error.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    grads = b.gradient()
-    if p == 2:
-        modulus, domain = 8, [1, 3, 5, 7]
+    modulus, gmod = (8, 4) if p == 2 else (p, p)
+    domain = np.array([1, 3, 5, 7]) if p == 2 else unit_residues(p)
+    n, grads = b.n, b.gradient()
+    blocks = (grid_blocks([domain] * n) if len(domain) ** n <= 200_000
+              else _random_tails(domain, n, tries, seed, p))
+    for block in blocks:
+        block = block[b.eval_int(block, modulus) == 0]
+        unit = np.array([g.eval_int(block, gmod) != 0 for g in grads],
+                        dtype=bool).reshape(n, len(block))
+        hits = np.flatnonzero(unit.any(axis=0))
+        if len(hits):
+            k = hits[0]
+            return HenselWitness(p=p, point=tuple(block[k].tolist()),
+                                 modulus=modulus,
+                                 unit_gradient_index=int(unit[:, k].argmax()) + 1)
+    return None
 
-        def good(x):
-            if b.evaluate_mod(x, 8) != 0:
-                return None
-            for i, g in enumerate(grads):
-                if g.evaluate_mod(x, 4) % 2 == 1 or g.evaluate_mod(x, 4) == 2:
-                    return i
-            return None
-    else:
-        modulus, domain = p, [int(u) for u in unit_residues(p)]
 
-        def good(x):
-            if b.evaluate_mod(x, p) != 0:
-                return None
-            for i, g in enumerate(grads):
-                if g.evaluate_mod(x, p) != 0:
-                    return i
-            return None
-
-    n = b.n
-    if len(domain) ** n <= 200_000:
-        from itertools import product as iproduct
-        for x in iproduct(domain, repeat=n):
-            i = good(x)
-            if i is not None:
-                return HenselWitness(p=p, point=x, modulus=modulus,
-                                     unit_gradient_index=i + 1)
-        return None
-    # randomized tails with a scan over the leading coordinate
+def _random_tails(domain, n, tries, seed, p):
+    """``tries`` blocks of |domain| points: each x_1 of the domain before
+    one random tail in domain^(n-1), one draw per block from a generator
+    seeded with (seed, p)."""
     rng = np.random.default_rng((seed, p))
     for _ in range(tries):
-        tail = [domain[k] for k in rng.integers(0, len(domain), size=n - 1)]
-        for x0 in domain:
-            x = (x0, *tail)
-            i = good(x)
-            if i is not None:
-                return HenselWitness(p=p, point=x, modulus=modulus,
-                                     unit_gradient_index=i + 1)
-    return None
+        block = np.empty((len(domain), n), dtype=np.int64)
+        block[:, 0] = domain
+        block[:, 1:] = domain[rng.integers(0, len(domain), size=n - 1)]
+        yield block
 
 
 @dataclass

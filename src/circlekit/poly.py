@@ -8,17 +8,16 @@ polynomial, so everything here is safe to call from concurrent workers.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from math import gcd
+from itertools import accumulate, product as iproduct
 
 import numpy as np
 
-Coeff = "int | Fraction"
 _INT64_SAFE = 2 ** 62
 # rows per block of grid_blocks: about 1 MB of int64 per coordinate
 _BLOCK_ROWS = 1 << 17
+# rows per slice of a batch evaluation: its power table stays in cache
+_EVAL_ROWS = 1 << 13
 
 
 def _norm_coeff(c):
@@ -220,14 +219,9 @@ class Polynomial:
             raise ValueError(f"point length {len(point)} != {self.n} variables")
         if not self.is_integral():
             raise ValueError("modular evaluation needs integer coefficients")
-        total = 0
-        for e, c in self.terms.items():
-            v = c % q
-            for x, k in zip(point, e):
-                if k:
-                    v = (v * pow(int(x) % q, k, q)) % q
-            total = (total + v) % q
-        return total
+        # Python ints, so no product of residues can overflow whatever q is
+        cols = np.array([[int(x) % q] for x in point], dtype=object)
+        return int(self._eval_columns(cols.reshape(self.n, 1), q)[0])
 
     def eval_float(self, points):
         """Vectorized float evaluation; ``points`` has shape (m, n)."""
@@ -236,17 +230,7 @@ class Polynomial:
             pts = pts[None, :]
         if pts.shape[1] != self.n:
             raise ValueError(f"points have {pts.shape[1]} columns, expected {self.n}")
-        out = np.zeros(pts.shape[0])
-        for e, c in self.terms.items():
-            v = None        # the term starts from its first power times c
-            for i, k in enumerate(e):
-                if k and v is None:
-                    v = pts[:, i] ** k
-                    v *= float(c)
-                elif k:
-                    v *= pts[:, i] ** k
-            out += float(c) if v is None else v
-        return out
+        return self._eval_columns(pts.T)
 
     def eval_int(self, points, q=None):
         """Exact batch evaluation on an integer array of shape (m, n).
@@ -271,28 +255,44 @@ class Polynomial:
                 raise ValueError(f"modulus {q} needs 1 <= q and q^2 < 2^63")
             dtype = np.int64
         cols = np.ascontiguousarray(pts.T, dtype=dtype)
-        if q is not None:
-            cols %= q
+        # not in place: for one row or one column, cols is the caller's array
+        return self._eval_columns(cols if q is None else cols % q, q)
 
-        def reduce(v):
-            return v if q is None else v % q
+    def _eval_columns(self, cols, q=None):
+        """The batch evaluator behind eval_float, eval_int and evaluate_mod.
 
-        # powers[i][k] = x_i^k, built once per variable and shared by all terms
-        powers = []
-        for i in range(self.n):
-            pw = [None, cols[i]]
-            for _ in range(2, max((e[i] for e in self.terms), default=0) + 1):
-                pw.append(reduce(pw[-1] * cols[i]))
-            powers.append(pw)
-        out = np.zeros(len(pts), dtype=dtype)
-        for e, c in self.terms.items():
-            c = c if q is None else c % q
-            v = None        # the term starts from its first power times c
-            for i, k in enumerate(e):
-                if k:
-                    v = reduce(powers[i][k] * c if v is None
-                               else v * powers[i][k])
-            out = reduce(out + (c if v is None else v))
+        ``cols`` has shape (n, m), row i the x_i of m points (float, int64
+        or Python ints); the values come back reduced into [0, q) when q is
+        given.  The points go in slices of ``_EVAL_ROWS``, which stay in
+        cache.  Per slice one power table is built per variable, ``col ** k``
+        (by repeated products mod q), then each term is its coefficient
+        times its powers in variable order, and the terms are summed in dict
+        order.
+        """
+        terms = [(e, float(c) if cols.dtype == float else c % q if q else c)
+                 for e, c in self.terms.items()]
+        top = [max((e[i] for e in self.terms), default=0) for i in range(self.n)]
+        out = np.zeros(cols.shape[1], dtype=cols.dtype)
+        for s in range(0, len(out), _EVAL_ROWS):
+            part, powers = out[s:s + _EVAL_ROWS], []
+            for col, k_max in zip(cols[:, s:s + _EVAL_ROWS], top):
+                pw = [None, col]
+                for k in range(2, k_max + 1):
+                    pw.append(col ** k if q is None else pw[-1] * col % q)
+                powers.append(pw)
+            for e, c in terms:
+                v = None        # the term starts from its first power times c
+                for i, k in enumerate(e):
+                    if k:
+                        if v is None:
+                            v = powers[i][k] * c
+                        else:
+                            v *= powers[i][k]
+                        if q:
+                            v %= q
+                part += c if v is None else v
+                if q:
+                    part %= q
         return out
 
     def gradient(self):
@@ -340,14 +340,24 @@ class Polynomial:
             parts[1 - e[k]][e[:k] + e[k + 1:]] = c
         return tuple(Polynomial._trusted(self.n - 1, t) for t in parts)
 
-    def substitute(self, smap):
-        """Apply a SubstitutionMap; see its docstring for the well-formedness rule."""
-        smap.validate(self.n)
-        repl = [Polynomial.variable(self.n, i) for i in range(1, self.n + 1)]
-        for i, a in smap.assignments.items():
-            repl[i - 1] = (a.to_polynomial(self.n) if isinstance(a, LinearForm)
-                           else Polynomial.constant(self.n, a))
-        return self.compose(repl, self.n)
+    def additive_split(self, sizes):
+        """(parts, const) with self = const + parts[0] + parts[1] + ...,
+        parts[i] free of constant terms and a polynomial in the i-th of the
+        consecutive blocks of ``sizes`` variables (in its own ring of
+        sizes[i] variables); None when a term mixes two blocks."""
+        if sum(sizes) != self.n:
+            raise ValueError(f"block sizes {sizes} do not add up to {self.n}")
+        cuts = [0, *accumulate(sizes)]
+        parts, const = [{} for _ in sizes], 0
+        for e, c in self.terms.items():
+            hit = [i for i in range(len(sizes)) if any(e[cuts[i]:cuts[i + 1]])]
+            if len(hit) > 1:
+                return None
+            if hit:
+                parts[hit[0]][e[cuts[hit[0]]:cuts[hit[0] + 1]]] = c
+            else:
+                const = c
+        return [Polynomial._trusted(m, t) for m, t in zip(sizes, parts)], const
 
     def compose_linear(self, rows, n_new):
         """Substitute x_i by the linear form with coefficients ``rows[i-1]`` in
@@ -429,61 +439,6 @@ def parse_polynomial(text):
 def load_polynomial(path):
     with open(path) as fh:
         return parse_polynomial(fh.read())
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A linear form sum(c_i * x_i) with rational coefficients, no constant."""
-
-    coefficients: tuple
-
-    def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients",
-                           tuple(_norm_coeff(Fraction(c)) for c in coefficients))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coefficients)
-
-    def support_vars(self):
-        return {i + 1 for i, c in enumerate(self.coefficients) if c}
-
-    def to_polynomial(self, n):
-        if len(self.coefficients) != n:
-            raise ValueError("coefficient count mismatch")
-        terms = {}
-        for i, c in enumerate(self.coefficients):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return Polynomial(n, terms)
-
-    def __neg__(self):
-        return LinearForm(tuple(-c for c in self.coefficients))
-
-
-@dataclass(frozen=True)
-class SubstitutionMap:
-    """Partial map variable index -> LinearForm or rational constant.
-
-    Well-formed when every assigned LinearForm references only *unassigned*
-    variables, so the whole substitution can be applied in one pass.
-    """
-
-    assignments: dict
-
-    def validate(self, n):
-        assigned = set(self.assignments)
-        for i, a in self.assignments.items():
-            if not 1 <= i <= n:
-                raise ValueError(f"assigned variable {i} out of range 1..{n}")
-            if isinstance(a, LinearForm):
-                bad = a.support_vars() & assigned
-                if bad:
-                    raise ValueError(
-                        f"assignment for x_{i} references assigned variables {sorted(bad)}")
-            elif not isinstance(a, (int, Fraction)):
-                raise TypeError("assignments must be LinearForm or int/Fraction")
 
 
 def grid_blocks(axes):

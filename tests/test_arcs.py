@@ -196,6 +196,40 @@ class TestClassification:
             q, a, dist = out
             assert q <= 50 ** 1.2 and dist <= 50 ** (1.2 - 2) + 1e-12
 
+    def test_convergent_branch_matches_scan(self):
+        # q_max = P^Delta above 10^6 takes the continued-fraction branch;
+        # d = 1 and Delta < 1/2 put the threshold below 1/q_max, so both
+        # hits and "minor" occur.  The oracle is the scan over every q.
+        def scan(alpha, P, d, Delta):
+            qs = np.arange(1, int(P ** Delta) + 1)
+            dist = np.abs(qs * alpha - np.round(qs * alpha))
+            hits = np.flatnonzero(dist <= P ** (Delta - d))
+            if not len(hits):
+                return "minor"
+            q = int(qs[hits[0]])
+            return q, round(q * alpha), float(dist[hits[0]])
+
+        rng = np.random.default_rng(8)
+        P, Delta = 1e13, 0.465           # q_max = 1,148,153
+        assert int(P ** Delta) > 10 ** 6
+        alphas = list(rng.uniform(-3, 3, 12))
+        for _ in range(12):             # near a/q, q up to 10^6
+            q = int(rng.integers(1, 10 ** 6))
+            a = int(rng.integers(-3 * q, 3 * q))
+            alphas.append(a / q + float(rng.normal()) * 1e-14)
+        outcomes = set()
+        for alpha in alphas:
+            got = classify_alpha(float(alpha), P, 1, Delta)
+            assert got == scan(float(alpha), P, 1, Delta), alpha
+            outcomes.add(got == "minor")
+        assert outcomes == {True, False}
+
+    def test_a_is_round_q_alpha_outside_unit_interval(self):
+        # 1.25 = 5/4: both branches give q = 4 and a = 5, not 1
+        assert classify_alpha(1.25, 100, 2, 0.5)[:2] == (4, 5)
+        assert classify_alpha(1.25, 1e13, 1, 0.465)[:2] == (4, 5)
+        assert classify_alpha(-0.75, 1e13, 1, 0.465)[:2] == (4, -3)
+
     def test_agrees_with_arc_membership(self):
         # Delta chosen so that the classification threshold dominates the
         # arc radius times the largest denominator

@@ -250,6 +250,29 @@ class TestConfigFile:
         assert rep["config"]["split"] == 1
         assert rep["result"]["solution_count"] == 3
 
+    @pytest.mark.parametrize("value, on", [("yes", True), ("true", True),
+                                           ("1", True), ("no", False)])
+    def test_switch_value(self, poly_file, tmp_path, value, on):
+        pf = poly_file(LINEAR6)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"primes_only = {value}\n")
+        code, rep = run_json(
+            ["count", "--poly", pf, "--N", "5", "--config", str(cfg)],
+            tmp_path)
+        assert code == 0
+        assert rep["config"]["primes_only"] is on
+        assert ("primes_only_value" in rep["result"]) is on
+
+    def test_ground_truth_switch(self, poly_file, tmp_path):
+        pf = poly_file(LINEAR6)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("ground_truth = true\n")
+        _, rep = run_json(
+            ["predict", "--poly", pf, "--N", "5", "--prime-bound", "5",
+             "--box-points", "1024", "--config", str(cfg)], tmp_path)
+        assert rep["config"]["ground_truth"] is True
+        assert rep["result"]["ground_truth"]["solution_count"] == 3
+
     @pytest.mark.parametrize("line", ["split = one", "strategy = fast"])
     def test_bad_value_is_usage_error(self, poly_file, tmp_path, line):
         pf = poly_file(LINEAR6)

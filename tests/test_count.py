@@ -3,6 +3,7 @@ counts, the histogram cross-check, growth diagnostics, and prediction
 assembly.
 """
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,7 @@ from circlekit.arch import QuadratureSpec
 from circlekit.count import (BudgetExceeded, MangoldtTable, count_direct,
                              count_mitm, count_via_histogram, mangoldt_table,
                              predict, regularity_exponent)
-from circlekit.poly import parse_polynomial
+from circlekit.poly import Polynomial, parse_polynomial
 
 
 def brute_force(b, N, table):
@@ -96,6 +97,37 @@ class TestDirectCount:
         with pytest.raises(BudgetExceeded):
             count_direct(b, 2 * 10 ** 5, mangoldt_table(2 * 10 ** 5))
 
+    def test_grid_budget_checked_before_any_evaluation(self, monkeypatch):
+        # x1^2 x2^2 - x3^2 is neither separable nor of degree one in any
+        # variable, so its whole grid is charged before anything is evaluated
+        b = parse_polynomial("n=3\n1 2 2 0\n-1 0 0 2\n")
+        t = mangoldt_table(30)          # 16 prime powers: 4096 grid points
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated before the budget check")
+
+        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 4000)
+        monkeypatch.setattr(Polynomial, "eval_int", refuse)
+        with pytest.raises(BudgetExceeded):
+            count_direct(b, 30, t)
+
+    def test_convolution_memory_is_one_slice(self):
+        # five squares - 12005 at N=150: the fourth convolution pairs 348,912
+        # entries, about 30 MiB of Python-int weight pairs if formed at once
+        b = parse_polynomial("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n"
+                             "1 0 0 0 2 0\n1 0 0 0 0 2\n-12005 0 0 0 0 0\n")
+        t = mangoldt_table(150)
+        expect = count_mitm(b, 150, t, 2)
+        tracemalloc.start()
+        try:
+            got = count_direct(b, 150, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.value, got.solution_count) == \
+            (expect.value, expect.solution_count)
+        assert peak < 20 * 2 ** 20
+
     def test_budget_charges_real_convolution_sizes(self, monkeypatch):
         # five squares at N=30: 16 prime powers a variable, at most 816
         # distinct sums of three squares, so the convolutions cost about
@@ -168,6 +200,14 @@ class TestExactReduction:
         for r in (count_direct(b, N, t), count_mitm(b, N, t, split),
                   count_via_histogram(b, N, t)):
             assert (r.value, r.solution_count) == want
+
+    def test_empty_support(self):
+        # below N = 2 there is no prime power, so every histogram is empty
+        b = parse_polynomial("n=3\n1 2 0 0\n-2 0 1 0\n3 0 0 1\n")
+        for N in (0, 1):
+            t = mangoldt_table(N)
+            for r in (count_direct(b, N, t), count_mitm(b, N, t, 1)):
+                assert (r.value, r.solution_count) == (0.0, 0)
 
     def test_int64_sums_do_not_wrap(self):
         # 2^57 (x1 + ... + x5) has no zeros in prime powers; in int64 the

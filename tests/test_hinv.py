@@ -20,7 +20,7 @@ from circlekit.hinv import (Decomposition, _factorint, _is_prime,
                             is_local_square, lemma21_check, linear_count,
                             quadratic_h, squarefree_part,
                             verify_decomposition, witt_index)
-from circlekit.poly import LinearForm, Polynomial, parse_polynomial
+from circlekit.poly import Polynomial, parse_polynomial
 
 
 def has_isotropic_vector(diag, H):

@@ -320,6 +320,58 @@ class TestWitnesses:
         g = b.gradient()[w.unit_gradient_index - 1]
         assert g.evaluate(w.point) % 5 != 0
 
+    @pytest.mark.parametrize("p, n", [(2, 3), (2, 9), (3, 4), (3, 18),
+                                      (7, 3), (7, 7)])
+    def test_witness_matches_pointwise_search(self, p, n):
+        # the point-by-point search the batched one replaced: the grid of
+        # units in lexicographic order while it has at most 200,000 points
+        # (4^9, 2^18 and 6^7 do not), else random tails, one draw each,
+        # with a scan over x_1; b = 0 mod 8 and a gradient entry nonzero
+        # mod 4 at p = 2, b = 0 and a gradient entry nonzero mod p otherwise
+        def pointwise(b, p, tries):
+            modulus, gmod = (8, 4) if p == 2 else (p, p)
+            domain = [1, 3, 5, 7] if p == 2 else list(range(1, p))
+            grads = b.gradient()
+
+            def good(x):
+                if b.evaluate(x) % modulus:
+                    return None
+                return next((i + 1 for i, g in enumerate(grads)
+                             if g.evaluate(x) % gmod), None)
+
+            if len(domain) ** b.n <= 200_000:
+                points = product(domain, repeat=b.n)
+            else:
+                rng = np.random.default_rng((0, p))
+                points = ((x0, *tail) for _ in range(tries)
+                          for tail in [[domain[k] for k in rng.integers(
+                              0, len(domain), size=b.n - 1)]]
+                          for x0 in domain)
+            for x in points:
+                i = good(x)
+                if i is not None:
+                    return x, i
+            return None
+
+        rng = np.random.default_rng(100 * p + n)
+        found = 0
+        for _ in range(12):
+            terms = {}
+            for _ in range(4):
+                e = np.bincount(rng.integers(0, n, int(rng.integers(1, 4))),
+                                minlength=n)
+                terms[tuple(e.tolist())] = int(rng.integers(-9, 10))
+            terms[(0,) * n] = int(rng.integers(-30, 31))
+            b = Polynomial(n, terms)
+            w = padic_nonsingular_witness(b, p, tries=40)
+            want = pointwise(b, p, 40)
+            assert (w and (w.point, w.unit_gradient_index)) == want
+            if w:
+                found += 1
+                assert w.modulus == (8 if p == 2 else p)
+                assert all(type(x) is int for x in w.point)
+        assert found >= 4
+
     def test_no_witness_for_obstructed(self):
         b = parse_polynomial("n=1\n1 1\n")      # units never solve x = 0
         assert padic_nonsingular_witness(b, 2) is None

@@ -11,9 +11,9 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from circlekit.poly import (_BLOCK_ROWS, LinearForm, Polynomial,
-                            SubstitutionMap, grid_blocks, parse_polynomial,
-                            weyl_difference, weyl_difference_poly)
+from circlekit.poly import (_BLOCK_ROWS, Polynomial, grid_blocks,
+                            parse_polynomial, weyl_difference,
+                            weyl_difference_poly)
 
 
 def sympy_expr(p, symbols):
@@ -107,6 +107,56 @@ class TestEvaluation:
         pts = np.array([[1.0, 2.0], [0.5, -1.0]])
         np.testing.assert_allclose(p.eval_float(pts), [3 - 2 + 5, 0.75 + 1 + 5])
 
+    def test_eval_float_bit_identical_to_term_loop(self):
+        # the reference is the plain per-term loop on whole columns: x_i^k
+        # times c, times the other powers in variable order, the terms
+        # summed in dict order; the sliced kernel must give the same bits
+        def term_loop(p, pts):
+            out = np.zeros(pts.shape[0])
+            for e, c in p.terms.items():
+                v = None
+                for i, k in enumerate(e):
+                    if k and v is None:
+                        v = pts[:, i] ** k
+                        v *= float(c)
+                    elif k:
+                        v *= pts[:, i] ** k
+                out += float(c) if v is None else v
+            return out
+
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            n = int(rng.integers(1, 6))
+            terms = {}
+            for _ in range(int(rng.integers(1, 9))):
+                e = np.bincount(rng.integers(0, n, int(rng.integers(0, 6))),
+                                minlength=n)
+                c = int(rng.integers(-20, 21))
+                terms[tuple(e.tolist())] = c if trial % 3 else \
+                    Fraction(c, int(rng.integers(1, 14)))
+            p = Polynomial(n, terms)
+            assert p.degree <= 5
+            m = (1, 7, 3000, 3 * (1 << 13) + 5)[trial % 4]
+            pts = rng.normal(size=(m, n)) * (0.1, 1.0, 3.0)[trial % 3]
+            assert p.eval_float(pts).tobytes() == term_loop(p, pts).tobytes()
+
+    def test_eval_int_leaves_points_unchanged(self):
+        # one row or one column: the transposed points are the caller's
+        # array, which reducing the coordinates mod q must not overwrite
+        for text, pts in (("n=2\n1 2 0\n3 1 1\n", [[9, -4]]),
+                          ("n=1\n1 2\n", [[9], [-4]])):
+            p, x = parse_polynomial(text), np.array(pts)
+            want = [p.evaluate(pt) % 5 for pt in pts]
+            assert p.eval_int(x, 5).tolist() == want
+            assert x.tolist() == pts
+
+    def test_evaluate_mod_takes_any_modulus(self):
+        # wider than eval_int's q^2 < 2^63, and q = 1
+        p = parse_polynomial("n=2\n7 3 0\n-5 1 2\n12 0 0\n")
+        for q in (1, 2 ** 40 + 15, 10 ** 30 + 57):
+            for pt in ((3, -8), (10 ** 12, 7), (0, 0)):
+                assert p.evaluate_mod(pt, q) == p.evaluate(pt) % q
+
     def test_grid_blocks_cover_product_in_order(self):
         axes = [[5, -1, 2], range(-2, 300), range(500)]
         blocks = list(grid_blocks(axes))
@@ -140,15 +190,9 @@ class TestStructure:
     def test_substitute_linear(self):
         # x1 -> x2 + x3 in x1^2: (x2+x3)^2
         p = parse_polynomial("n=3\n1 2 0 0\n")
-        smap = SubstitutionMap({1: LinearForm([0, 1, 1])})
-        assert p.substitute(smap) == parse_polynomial(
+        x = [Polynomial.variable(3, i) for i in (1, 2, 3)]
+        assert p.compose([x[1] + x[2], x[1], x[2]], 3) == parse_polynomial(
             "n=3\n1 0 2 0\n2 0 1 1\n1 0 0 2\n")
-
-    def test_substitute_rejects_cyclic(self):
-        p = parse_polynomial("n=2\n1 1 0\n")
-        smap = SubstitutionMap({1: LinearForm([1, 1]), 2: LinearForm([0, 1])})
-        with pytest.raises(ValueError):
-            p.substitute(smap)
 
     def test_compose_linear_matches_substitution(self):
         p = parse_polynomial("n=2\n1 1 1\n")     # x1 x2
@@ -156,6 +200,27 @@ class TestStructure:
         q = p.compose_linear([[1, 1, 0], [0, 0, 1]], 3)
         assert q == parse_polynomial("n=3\n1 1 0 1\n1 0 1 1\n")
 
+
+    def test_additive_split(self):
+        # 3 + x1^2 - x1 + x2 x3 + x3^4 over blocks (1, 2)
+        p = parse_polynomial("n=3\n3 0 0 0\n1 2 0 0\n-1 1 0 0\n"
+                             "1 0 1 1\n1 0 0 4\n")
+        parts, const = p.additive_split([1, 2])
+        assert const == 3
+        assert parts == [parse_polynomial("n=1\n1 2\n-1 1\n"),
+                         parse_polynomial("n=2\n1 1 1\n1 0 4\n")]
+        x = [Polynomial.variable(3, i) for i in (1, 2, 3)]
+        assert parts[0].compose(x[:1], 3) + parts[1].compose(x[1:], 3) \
+            + const == p
+        # one variable a block: x2 x3 mixes two of them
+        assert p.additive_split([1, 1, 1]) is None
+        # a variable that does not occur gets the zero polynomial
+        q = parse_polynomial("n=3\n2 0 0 3\n-7 0 0 0\n")
+        assert q.additive_split([1, 1, 1]) == (
+            [Polynomial.zero(1), Polynomial.zero(1),
+             parse_polynomial("n=1\n2 3\n")], -7)
+        with pytest.raises(ValueError):
+            p.additive_split([1, 1])
 
     def test_linear_in(self):
         # x1 x2 - x3^2 + 2 x2 = (x2) x1 + (2 x2 - x3^2); x3 is squared
