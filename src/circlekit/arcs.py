@@ -3,7 +3,9 @@
 Major/minor arc geometry on the torus, von-Mangoldt-weighted and plain
 exponential sums, normalized full-residue sums, rational classification of
 frequencies, and the degeneracy diagnostics z_R / fitted g_d built on the
-multilinear differencing operator.
+multilinear differencing operator.  The arc geometry is pure Python; the
+functions that need numpy import it when called, so a dissection alone
+never loads it.
 """
 from __future__ import annotations
 
@@ -12,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
-from .local import DEFAULT_ENUM_BUDGET, BudgetExceeded
-from .poly import grid_blocks, weyl_difference
+from .poly import (DEFAULT_ENUM_BUDGET, BudgetExceeded, grid_blocks,
+                   weyl_difference)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,7 @@ def T_sums(b, alphas, N, table):
     each grid block is collapsed to its distinct values with their summed
     weights, so every alpha costs one cos and one sin per distinct value.
     """
+    import numpy as np
     if table.N < N:
         raise ValueError("von Mangoldt table too small")
     ks = np.flatnonzero(table.values[:N + 1])
@@ -131,6 +132,7 @@ def S_sum(psi, alpha, box, P):
 
     box is a list of (lo, hi) with hi - lo <= 1 in each coordinate.
     """
+    import numpy as np
     if len(box) != psi.n:
         raise ValueError("box dimension mismatch")
     ranges = []
@@ -154,6 +156,7 @@ def E_normalized(psi, q, m):
     Unlike the unit-restricted sums of the local module, x ranges over all
     of (Z/q)^n.
     """
+    import numpy as np
     if q < 1:
         raise ValueError("q must be positive")
     if math.gcd(m, q) != 1:
@@ -200,6 +203,7 @@ def classify_alpha(alpha, P, d, Delta):
     directly; otherwise continued-fraction convergents suffice, since best
     approximations are convergents.
     """
+    import numpy as np
     if Delta <= 0:
         raise ValueError("Delta must be positive")
     q_max = int(P ** Delta)
@@ -234,6 +238,7 @@ class WeylReport:
 
 
 def _grid(n, R):
+    import numpy as np
     axes = [np.arange(-R, R + 1, dtype=np.int64)] * n
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
@@ -246,6 +251,7 @@ def z_count(f, d, R):
     for d >= 3 the last tuple slot is handled by batched linear algebra over
     the grid.
     """
+    import numpy as np
     if not f.is_homogeneous() or f.degree != d:
         raise ValueError("need a form of degree d")
     n = f.n
@@ -273,6 +279,7 @@ def estimate_gd(f, d, R_list):
     fitted_gd = n(d-1) - slope of log z_R in log R; gamma_d and gamma'_d are
     the derived minor-arc exponents (infinite when g_d = 0).
     """
+    import numpy as np
     if len(R_list) < 3:
         raise ValueError("need at least 3 values of R")
     R_list = sorted(R_list)

@@ -8,30 +8,21 @@ field.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .arch import QuadratureSpec, sigma_infinity
-from .arcs import build_arcs, classify_alpha, estimate_gd, T_sums, z_count
-from .count import (MangoldtTable, count_direct, count_mitm, mangoldt_table,
-                    predict, regularity_exponent)
-from .hinv import Decomposition, build_gm_fm, quadratic_h
-from .local import BudgetExceeded, mu_p, singular_series
-from .poly import load_polynomial, parse_polynomial
 
 _FLAG_EXIT = 1
 _USAGE_EXIT = 2
 
 
 def _jsonable(obj):
+    # imported here and in _emit, so --version and --help load none of them
+    from dataclasses import asdict, is_dataclass
+    from fractions import Fraction
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(asdict(obj))
     if isinstance(obj, dict):
@@ -42,25 +33,23 @@ def _jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
+    if type(obj).__module__ == "numpy":     # an array or a scalar
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return str(obj)
 
 
-def _load_poly(args):
+def _load_poly(path):
+    from .poly import load_polynomial
     try:
-        return load_polynomial(args.poly)
+        return load_polynomial(path)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: cannot read polynomial: {exc}") from None
 
 
 def _emit(args, command, poly, config, result, t0, flags=()):
+    import json
     config = {k: v for k, v in config.items()
               if k not in ("func", "output")}
     report = {
@@ -82,11 +71,13 @@ def _emit(args, command, poly, config, result, t0, flags=()):
 
 
 def _spec_from(args):
+    from .arch import QuadratureSpec
     return QuadratureSpec(box_points=args.box_points, eta_L=args.eta_L,
                           eps=args.eps, seed=args.seed)
 
 
 # -- subcommand handlers ----------------------------------------------------
+# each imports the modules it runs, so a job loads nothing else
 
 def _warning_flags(factors):
     """The report flag of each local-factor warning."""
@@ -95,7 +86,8 @@ def _warning_flags(factors):
 
 
 def _cmd_predict(args, t0):
-    b = _load_poly(args)
+    from .count import predict
+    b = _load_poly(args.poly)
     rep = predict(b, args.N, prime_bound=args.prime_bound, t_max=args.tmax,
                   spec=_spec_from(args), ground_truth=args.ground_truth,
                   strategy=args.strategy, split=args.split)
@@ -104,7 +96,9 @@ def _cmd_predict(args, t0):
 
 
 def _cmd_count(args, t0):
-    b = _load_poly(args)
+    import numpy as np
+    from .count import MangoldtTable, count_direct, count_mitm, mangoldt_table
+    b = _load_poly(args.poly)
     count = (partial(count_mitm, split=args.split)
              if args.strategy == "mitm" else count_direct)
     table = mangoldt_table(args.N)
@@ -123,14 +117,16 @@ def _cmd_count(args, t0):
 
 
 def _cmd_local(args, t0):
-    b = _load_poly(args)
+    from .local import mu_p
+    b = _load_poly(args.poly)
     factor = mu_p(b, args.p, t_max=args.tmax)
     return _emit(args, "local", b, vars(args), factor, t0,
                  _warning_flags([factor]))
 
 
 def _cmd_series(args, t0):
-    b = _load_poly(args)
+    from .local import singular_series
+    b = _load_poly(args.poly)
     series, factors = singular_series(b, args.prime_bound, t_max=args.tmax)
     return _emit(args, "series", b, vars(args),
                  {"series": series, "factors": factors}, t0,
@@ -138,7 +134,8 @@ def _cmd_series(args, t0):
 
 
 def _cmd_sigma_inf(args, t0):
-    b = _load_poly(args)
+    from .arch import sigma_infinity
+    b = _load_poly(args.poly)
     form = b.top_degree_part()
     mu, meas = sigma_infinity(form, _spec_from(args))
     return _emit(args, "sigma-inf", b, vars(args),
@@ -147,6 +144,7 @@ def _cmd_sigma_inf(args, t0):
 
 
 def _cmd_arcs(args, t0):
+    from .arcs import build_arcs
     dis = build_arcs(args.N, args.C, args.d)
     result = {"N": dis.N, "C": dis.C, "d": dis.d,
               "radius": dis.radius(),
@@ -156,7 +154,9 @@ def _cmd_arcs(args, t0):
 
 
 def _cmd_weyl_scan(args, t0):
-    b = _load_poly(args)
+    from .arcs import T_sums, classify_alpha
+    from .count import mangoldt_table
+    b = _load_poly(args.poly)
     table = mangoldt_table(args.N)
     alphas = [k / args.points for k in range(args.points)]
     rows = ["alpha,re_T,im_T,abs_T,classification"]
@@ -173,7 +173,8 @@ def _cmd_weyl_scan(args, t0):
 
 
 def _cmd_zcount(args, t0):
-    b = _load_poly(args)
+    from .arcs import estimate_gd, z_count
+    b = _load_poly(args.poly)
     form = b.top_degree_part()
     Rs = sorted(args.R)
     if len(Rs) >= 3:
@@ -185,7 +186,8 @@ def _cmd_zcount(args, t0):
 
 
 def _cmd_hinv(args, t0):
-    b = _load_poly(args)
+    from .hinv import quadratic_h
+    b = _load_poly(args.poly)
     data = quadratic_h(b.top_degree_part())
     return _emit(args, "hinv", b, vars(args), data, t0)
 
@@ -193,6 +195,8 @@ def _cmd_hinv(args, t0):
 def _parse_decomposition(path, target):
     """Decomposition file: polynomial blocks separated by lines of dashes,
     in the order U_1, V_1, U_2, V_2, ..."""
+    from .hinv import Decomposition
+    from .poly import parse_polynomial
     blocks = [blk.strip() for blk in Path(path).read_text().split("---")
               if blk.strip()]
     if len(blocks) % 2:
@@ -203,7 +207,8 @@ def _parse_decomposition(path, target):
 
 
 def _cmd_gm_split(args, t0):
-    b = _load_poly(args)
+    from .hinv import build_gm_fm
+    b = _load_poly(args.poly)
     dec = _parse_decomposition(args.dec, b.top_degree_part())
     try:
         g_M, f_M = build_gm_fm(dec.target, dec, args.M)
@@ -214,7 +219,8 @@ def _cmd_gm_split(args, t0):
 
 
 def _cmd_regularity(args, t0):
-    system = [load_polynomial(p) for p in args.poly]
+    from .count import regularity_exponent
+    system = [_load_poly(path) for path in args.poly]
     rep = regularity_exponent(system, args.N_list)
     flags = () if rep.regular else ("not_regular",)
     return _emit(args, "regularity", system[0], vars(args), rep, t0, flags)
@@ -350,7 +356,8 @@ def main(argv=None):
     t0 = time.monotonic()
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(argv)      # --version, --help and usage errors exit
+    from .poly import BudgetExceeded    # every subcommand loads poly
     try:
         if getattr(args, "config", None):
             args = ap.parse_args(argv[:1] + _config_argv(args) + argv[1:])

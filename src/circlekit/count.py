@@ -21,10 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from .arch import QuadratureSpec, sigma_scaled
-from .local import (DEFAULT_ENUM_BUDGET, BudgetExceeded, primes_up_to,
-                    singular_series)
-from .poly import _BLOCK_ROWS, _INT64_SAFE, grid_blocks
+from .local import primes_up_to, singular_series
+from .poly import (_BLOCK_ROWS, _INT64_SAFE, DEFAULT_ENUM_BUDGET,
+                   BudgetExceeded, grid_blocks)
 
 
 @dataclass
@@ -287,10 +286,13 @@ class PredictionReport:
     factors: list = field(default_factory=list, repr=False)   # LocalFactor
 
 
-def predict(b, N, prime_bound=100, t_max=6, spec=QuadratureSpec(),
+def predict(b, N, prime_bound=100, t_max=6, spec=None,
             ground_truth=False, strategy="direct", split=None):
     """Main-term prediction  product(mu_p) * sigma * N^{n-d}  for M_b(N),
-    optionally checked against the exact count."""
+    optionally checked against the exact count; ``spec`` defaults to
+    ``QuadratureSpec()``."""
+    from .arch import QuadratureSpec, sigma_scaled
+    spec = QuadratureSpec() if spec is None else spec
     series, factors = singular_series(b, prime_bound, t_max=t_max)
     sigma = sigma_scaled(b, N, spec)
     main = max(series.product, 0.0) * max(sigma.value, 0.0) \

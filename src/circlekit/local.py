@@ -25,14 +25,8 @@ from math import gcd, inf, isqrt
 
 import numpy as np
 
-from .hinv import _is_prime
-from .poly import _BLOCK_ROWS, _INT64_SAFE, Polynomial, grid_blocks
-
-DEFAULT_ENUM_BUDGET = 10 ** 8
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when an exact enumeration would exceed the configured budget."""
+from .poly import (_BLOCK_ROWS, _INT64_SAFE, DEFAULT_ENUM_BUDGET,
+                   BudgetExceeded, Polynomial, grid_blocks)
 
 
 def primes_up_to(N):
@@ -245,8 +239,8 @@ def _children(g, p, units, budget, child):
     ``children`` maps each node (h, c) that a singular zero x0 (every
     partial derivative zero mod p) refines to, h(y) = g(x0 + p y) / p^c, to
     the number of singular zeros that give it.  It is None when those
-    nodes, at ``child`` each, do not fit the budget.  ``cost`` is checked
-    before any allocation.
+    zeros, at ``child`` each, the least a child's walk costs, do not fit
+    the budget.  ``cost`` is checked before any allocation.
     """
     cost, zeros, candidates = _zero_candidates(g, p, units, budget)
     singular, grads = [np.empty((0, g.n), np.int64)], g.gradient()
@@ -348,28 +342,35 @@ def _hensel_tree(b, p, t_max, budget):
     A node (g, m) at level L adds m times its zeros' counts to nu_t, t > L.
     The root is (b, 1) at 0 on U_p^n, the others run over (Z/p)^n.  Nodes
     are expanded level by level against one budget, which may cut ``nus``
-    short of t_max; a node's grid is charged when the node is made.  A
-    separable b cut short takes its remaining levels from its histograms
+    short of t_max; a node is charged what its zero walk costs when it is
+    made (``_zero_candidates``: p^(n-1) rows for a node with a
+    ``_linear_split``, p^n otherwise), and only if it is to be expanded.
+    A separable b cut short takes its remaining levels from its histograms
     mod p^t while they fit the budget.  The partial sums are constant from
     ``closing``, the largest L + 1 of a node without singular zeros, or
     None after a cut or a node at level t_max or deeper.  ``depth`` counts
     refined generations.
     """
+    from .hinv import _is_prime
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
     n, nus = b.n, [0] * t_max
     parts, const = b.additive_split([1] * n) or (None, None)
-    child = _grid_cost(bool(parts), n, p, False)
     if parts:
         root, expand = (tuple(parts), const), \
             partial(_separable_children, memo={})
+        child = _grid_cost(True, n, p, False)
     else:
-        root, expand = b, _children
-    levels = [[(root, 1, 0)]] + [[] for _ in range(t_max - 1)]  # (g, m, gen)
+        root, expand, child = b, _children, p ** (n - 1)
+
+    def walk(h):        # what the zero walk of the child h costs
+        return child if parts else p ** (n - 1 if _linear_split(h, p) else n)
+
+    # nodes (g, m, gen, paid), paid what g was charged when it was made
+    levels = [[(root, 1, 0, 0)]] + [[] for _ in range(t_max - 1)]
     horizon, closing, depth, spent = t_max, 1, 0, 0   # nus exact to horizon
     for L, nodes in enumerate(levels):
-        for g, m, gen in nodes if L < horizon else ():
-            paid = child if L else 0
+        for g, m, gen, paid in nodes if L < horizon else ():
             try:
                 zeros, children, cost = expand(
                     g, p, L == 0, budget - spent + paid, child)
@@ -377,10 +378,13 @@ def _hensel_tree(b, p, t_max, budget):
                 horizon, closing = L, None
                 break
             spent += cost - paid
-            if children is None:    # every zero is one at level L + 1
-                nus[L] += m * zeros
+            charges = {} if children is None else \
+                {h: walk(h[0]) for h in children if L + h[1] < t_max}
+            if children is None or spent + sum(charges.values()) > budget:
+                nus[L] += m * zeros     # every zero is one at level L + 1
                 horizon, closing = L + 1, None
                 continue
+            spent += sum(charges.values())
             # a nonsingular zero lifts in p^(n-1) ways per level
             for t in range(L + 1, t_max + 1):
                 nus[t - 1] += m * (zeros - sum(children.values())) * \
@@ -388,14 +392,14 @@ def _hensel_tree(b, p, t_max, budget):
             if not children:
                 closing = closing and L + 1     # nodes come in level order
                 continue
-            spent += len(children) * child
             depth = max(depth, gen + 1)
             # a singular one is a zero mod p^c; h counts it beyond that
             for (h, c), k in children.items():
                 for t in range(L + 1, min(L + c, t_max) + 1):
                     nus[t - 1] += m * k * p ** (n * (t - L - 1))
                 if L + c < t_max:
-                    levels[L + c].append((h, m * k * p ** (n * (c - 1)), gen + 1))
+                    levels[L + c].append((h, m * k * p ** (n * (c - 1)),
+                                          gen + 1, charges[h, c]))
                 else:
                     closing = None
     while horizon < t_max and parts:
@@ -421,58 +425,6 @@ def nu_count(b, p, t, budget=DEFAULT_ENUM_BUDGET):
     if len(nus) < t:
         raise BudgetExceeded(f"enumeration budget hit at level t={len(nus) + 1}")
     return UnitSolutionCount(p=p, t=t, nu=nus[-1])
-
-
-@dataclass
-class HenselWitness:
-    p: int
-    point: tuple
-    modulus: int
-    unit_gradient_index: int
-
-
-def padic_nonsingular_witness(b, p, tries=4000, seed=0):
-    """Search for a unit solution mod p with a unit partial derivative.
-
-    A library diagnostic (``mu_p`` does not use it): a hit shows mu(p) > 0
-    by Hensel lifting.  For p = 2 the search runs mod 8 and asks for a
-    partial derivative of 2-adic valuation <= 1 (nonzero mod 4), the
-    standard sufficient condition at the even prime.  A small grid of units
-    is walked whole, in lexicographic order; a larger one in ``tries``
-    random tails, each with a scan over the leading coordinate.  Points are
-    evaluated a block at a time, and the first hit in that order is
-    returned.  None (no witness found) is not an error.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    modulus, gmod = (8, 4) if p == 2 else (p, p)
-    domain = np.array([1, 3, 5, 7]) if p == 2 else unit_residues(p)
-    n, grads = b.n, b.gradient()
-    blocks = (grid_blocks([domain] * n) if len(domain) ** n <= 200_000
-              else _random_tails(domain, n, tries, seed, p))
-    for block in blocks:
-        block = block[b.eval_int(block, modulus) == 0]
-        unit = np.array([g.eval_int(block, gmod) != 0 for g in grads],
-                        dtype=bool).reshape(n, len(block))
-        hits = np.flatnonzero(unit.any(axis=0))
-        if len(hits):
-            k = hits[0]
-            return HenselWitness(p=p, point=tuple(block[k].tolist()),
-                                 modulus=modulus,
-                                 unit_gradient_index=int(unit[:, k].argmax()) + 1)
-    return None
-
-
-def _random_tails(domain, n, tries, seed, p):
-    """``tries`` blocks of |domain| points: each x_1 of the domain before
-    one random tail in domain^(n-1), one draw per block from a generator
-    seeded with (seed, p)."""
-    rng = np.random.default_rng((seed, p))
-    for _ in range(tries):
-        block = np.empty((len(domain), n), dtype=np.int64)
-        block[:, 0] = domain
-        block[:, 1:] = domain[rng.integers(0, len(domain), size=n - 1)]
-        yield block
 
 
 @dataclass

@@ -4,6 +4,9 @@ Variables are indexed 1..n.  Terms are stored as a map from exponent tuples
 (0-based positions, length n) to nonzero exact coefficients (int or Fraction).
 All values are immutable after construction; every operation returns a new
 polynomial, so everything here is safe to call from concurrent workers.
+Only batch evaluation and ``grid_blocks`` import numpy, when first called,
+so a command that parses or composes polynomials never loads it.  The
+enumeration budget and its exception, shared by every module, live here.
 """
 from __future__ import annotations
 
@@ -11,13 +14,17 @@ import hashlib
 from fractions import Fraction
 from itertools import accumulate, product as iproduct
 
-import numpy as np
-
 _INT64_SAFE = 2 ** 62
+# the most points or convolution steps an exact enumeration may cost
+DEFAULT_ENUM_BUDGET = 10 ** 8
 # rows per block of grid_blocks: about 1 MB of int64 per coordinate
 _BLOCK_ROWS = 1 << 17
 # rows per slice of a batch evaluation: its power table stays in cache
 _EVAL_ROWS = 1 << 13
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when an exact enumeration would exceed the configured budget."""
 
 
 def _norm_coeff(c):
@@ -219,12 +226,14 @@ class Polynomial:
             raise ValueError(f"point length {len(point)} != {self.n} variables")
         if not self.is_integral():
             raise ValueError("modular evaluation needs integer coefficients")
+        import numpy as np
         # Python ints, so no product of residues can overflow whatever q is
         cols = np.array([[int(x) % q] for x in point], dtype=object)
         return int(self._eval_columns(cols.reshape(self.n, 1), q)[0])
 
     def eval_float(self, points):
         """Vectorized float evaluation; ``points`` has shape (m, n)."""
+        import numpy as np
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
@@ -242,6 +251,7 @@ class Polynomial:
         """
         if not self.is_integral():
             raise ValueError("integer evaluation needs integer coefficients")
+        import numpy as np
         pts = np.asarray(points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
@@ -269,6 +279,7 @@ class Polynomial:
         times its powers in variable order, and the terms are summed in dict
         order.
         """
+        import numpy as np
         terms = [(e, float(c) if cols.dtype == float else c % q if q else c)
                  for e, c in self.terms.items()]
         top = [max((e[i] for e in self.terms), default=0) for i in range(self.n)]
@@ -448,6 +459,7 @@ def grid_blocks(axes):
     rows.  The trailing axes that fit are vectorised whole, the next axis
     in slices, and the leading ones are fixed per block.
     """
+    import numpy as np
     axes = [np.asarray(a, dtype=np.int64).reshape(-1) for a in axes]
     if any(len(a) == 0 for a in axes):
         return

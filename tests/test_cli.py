@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from circlekit import cli
+from circlekit import cli, local
 from circlekit.cli import main
 from circlekit.local import LocalFactor
 from circlekit.poly import parse_polynomial
@@ -97,6 +97,12 @@ class TestExitCodes:
                      "--N", "5"])
         assert code == 2
 
+    def test_usage_exit_on_missing_regularity_poly(self, poly_file, tmp_path):
+        code = main(["regularity", "--poly", poly_file(LINEAR6),
+                     "--poly", str(tmp_path / "nope.txt"),
+                     "--N-list", "2", "--N-list", "3", "--N-list", "4"])
+        assert code == 2
+
     def test_usage_exit_on_composite_p(self, poly_file):
         pf = poly_file(LINEAR6)
         assert main(["local", "--poly", pf, "--p", "6"]) == 2
@@ -125,7 +131,7 @@ class TestWarningFlags:
             return LocalFactor(p=p, partial_sums=[], mu_p=Fraction(0),
                                stabilized_at=None,
                                warning="enumeration budget hit at level t=1")
-        monkeypatch.setattr(cli, "mu_p", over_budget)
+        monkeypatch.setattr(local, "mu_p", over_budget)
         pf = poly_file(LINEAR6)
         code, rep = run_json(["local", "--poly", pf, "--p", "3"], tmp_path)
         assert code == 1
@@ -208,6 +214,99 @@ def test_cli_import_skips_heavy_modules(poly_file, tmp_path):
                          capture_output=True, text=True, timeout=120,
                          check=True)
     assert out.stdout.strip() == "[] [0, 0, 0] []"
+
+
+def _loaded_after(code, tmp_path):
+    """The circlekit modules, and numpy if loaded, in sys.modules after
+    ``code`` runs in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    seen = tmp_path / "modules.json"
+    code += (f"\nimport json, sys\nopen({str(seen)!r}, 'w').write(json.dumps("
+             "[m for m in sys.modules if m == 'numpy' "
+             "or m.startswith('circlekit')]))")
+    subprocess.run([sys.executable, "-c", code], capture_output=True,
+                   env=dict(os.environ, PYTHONPATH=src), timeout=120,
+                   check=True)
+    return set(json.loads(seen.read_text()))
+
+
+# what each job imports: numpy only where it computes with arrays, and
+# no module of another subcommand
+_BASE = {"circlekit", "circlekit.cli"}
+_IMPORTS = {
+    "--version": set(),
+    "--help": set(),
+    "frobnicate": set(),
+    "hinv": {"hinv", "poly"},
+    "gm-split": {"hinv", "poly"},
+    "arcs": {"arcs", "poly"},
+    "local": {"local", "hinv", "poly", "numpy"},
+    "series": {"local", "hinv", "poly", "numpy"},
+    "sigma-inf": {"arch", "poly", "numpy"},
+    "count": {"count", "local", "poly", "numpy"},
+    "regularity": {"count", "local", "poly", "numpy"},
+    "weyl-scan": {"arcs", "count", "local", "poly", "numpy"},
+    "zcount": {"arcs", "poly", "numpy"},
+    "predict": {"count", "local", "hinv", "arch", "poly", "numpy"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_IMPORTS))
+def test_each_command_imports_only_what_it_runs(command, poly_file,
+                                                 tmp_path):
+    sq, lin = poly_file(SQUARES3, "sq.txt"), poly_file(LINEAR6, "lin.txt")
+    hyp = poly_file("n=4\n1 1 1 0 0\n1 0 0 1 1\n", "hyp.txt")
+    dec = poly_file("n=4\n1 1 0 0 0\n---\nn=4\n1 0 1 0 0\n---\n"
+                    "n=4\n1 0 0 1 0\n---\nn=4\n1 0 0 0 1\n", "dec.txt")
+    args = {
+        "hinv": ["--poly", sq],
+        "gm-split": ["--poly", hyp, "--dec", dec, "--M", "1"],
+        "arcs": ["--N", "100", "--d", "2"],
+        "local": ["--poly", lin, "--p", "7"],
+        "series": ["--poly", lin, "--prime-bound", "10"],
+        "sigma-inf": ["--poly", sq, "--box-points", "1024"],
+        "count": ["--poly", lin, "--N", "20"],
+        "regularity": ["--poly", lin, "--N-list", "2", "--N-list", "3",
+                       "--N-list", "4"],
+        "weyl-scan": ["--poly", lin, "--N", "20", "--points", "4"],
+        "zcount": ["--poly", sq, "--R", "1"],
+        "predict": ["--poly", lin, "--N", "20", "--prime-bound", "10",
+                    "--box-points", "1024"],
+    }.get(command)
+    argv = [command] + (args + ["--output", str(tmp_path / "out")]
+                        if args else [])
+    code = (f"from circlekit.cli import main\ntry:\n    main({argv!r})\n"
+            "except SystemExit:\n    pass")
+    want = _BASE | {m if m == "numpy" else f"circlekit.{m}"
+                    for m in _IMPORTS[command]}
+    assert _loaded_after(code, tmp_path) == want
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    assert _loaded_after("import circlekit", tmp_path) == {"circlekit"}
+
+
+def test_former_exports_resolve():
+    import circlekit
+    for name in (
+            "Polynomial grid_blocks load_polynomial parse_polynomial "
+            "weyl_difference weyl_difference_poly Decomposition "
+            "QuadraticFormData build_gm_fm hilbert_symbol lemma21_check "
+            "linear_count quadratic_h verify_decomposition witt_index B_of_q "
+            "LocalFactor SeriesEstimate mu_p nu_count singular_series "
+            "unit_exp_sum value_histogram QuadratureSpec "
+            "SingularIntegralEstimate I_eta J_of_L mu_infinity "
+            "real_nonsingular_witness sigma_infinity sigma_measure "
+            "sigma_scaled ArcDissection RationalFreq WeylReport E_normalized "
+            "S_sum T_sum T_sums build_arcs classify_alpha estimate_gd "
+            "z_count CountResult MangoldtTable PredictionReport "
+            "RegularityReport count_direct count_mitm count_via_histogram "
+            "mangoldt_table predict regularity_exponent").split():
+        value = getattr(circlekit, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(circlekit)
+    with pytest.raises(AttributeError):
+        circlekit.padic_nonsingular_witness
 
 
 class TestConfigFile:

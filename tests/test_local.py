@@ -14,9 +14,8 @@ from sympy import totient
 
 from circlekit import local
 from circlekit.local import (B_of_q, BudgetExceeded, _linear_split, mu_p,
-                             nu_count, padic_nonsingular_witness,
-                             singular_series, unit_exp_sum, unit_residues,
-                             value_histogram)
+                             nu_count, singular_series, unit_exp_sum,
+                             unit_residues, value_histogram)
 from circlekit.poly import Polynomial, parse_polynomial
 
 
@@ -164,6 +163,18 @@ class TestUnitSolutionCounts:
         with pytest.raises(BudgetExceeded):
             nu_count(b, 3, 3, budget=300)
 
+    def test_linear_children_charged_their_walk(self):
+        # 3 (x1 x2 + x3) at p = 3: the 8 unit zeros mod 3 are all singular,
+        # and the 4 with x1 x2 + x3 = 0 mod 3 refine to nodes linear in
+        # y3 that walk 3^2 rows, the other 4 to nodes that walk 3^3: 8 +
+        # 4 * 9 + 4 * 27 = 152 in all, where 8 + 8 * 27 = 224 used to be
+        # charged and a budget of 200 cut the tree after level 1
+        b = parse_polynomial("n=3\n3 1 1 0\n3 0 0 1\n")
+        f = mu_p(b, 3, t_max=3, budget=200)
+        assert f.warning is None and f.method == "hensel_tree(1)"
+        assert f.nu_values == [self.brute_nu(b, 3, t) for t in (1, 2, 3)]
+        assert mu_p(b, 3, t_max=3, budget=151).warning is not None
+
     def test_lifting_path_agrees(self):
         # force the fallback by starving the histogram budget
         b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")   # x1 x2 = 1
@@ -309,69 +320,3 @@ class TestLocalFactors:
         b = parse_polynomial("n=1\n1 1\n")
         est, _ = singular_series(b, 10)
         assert est.product == 0.0
-
-
-class TestWitnesses:
-    def test_witness_found(self):
-        b = parse_polynomial("n=2\n1 2 0\n1 0 2\n-5 0 0\n")
-        w = padic_nonsingular_witness(b, 5)
-        assert w is not None
-        assert b.evaluate(w.point) % w.modulus == 0
-        g = b.gradient()[w.unit_gradient_index - 1]
-        assert g.evaluate(w.point) % 5 != 0
-
-    @pytest.mark.parametrize("p, n", [(2, 3), (2, 9), (3, 4), (3, 18),
-                                      (7, 3), (7, 7)])
-    def test_witness_matches_pointwise_search(self, p, n):
-        # the point-by-point search the batched one replaced: the grid of
-        # units in lexicographic order while it has at most 200,000 points
-        # (4^9, 2^18 and 6^7 do not), else random tails, one draw each,
-        # with a scan over x_1; b = 0 mod 8 and a gradient entry nonzero
-        # mod 4 at p = 2, b = 0 and a gradient entry nonzero mod p otherwise
-        def pointwise(b, p, tries):
-            modulus, gmod = (8, 4) if p == 2 else (p, p)
-            domain = [1, 3, 5, 7] if p == 2 else list(range(1, p))
-            grads = b.gradient()
-
-            def good(x):
-                if b.evaluate(x) % modulus:
-                    return None
-                return next((i + 1 for i, g in enumerate(grads)
-                             if g.evaluate(x) % gmod), None)
-
-            if len(domain) ** b.n <= 200_000:
-                points = product(domain, repeat=b.n)
-            else:
-                rng = np.random.default_rng((0, p))
-                points = ((x0, *tail) for _ in range(tries)
-                          for tail in [[domain[k] for k in rng.integers(
-                              0, len(domain), size=b.n - 1)]]
-                          for x0 in domain)
-            for x in points:
-                i = good(x)
-                if i is not None:
-                    return x, i
-            return None
-
-        rng = np.random.default_rng(100 * p + n)
-        found = 0
-        for _ in range(12):
-            terms = {}
-            for _ in range(4):
-                e = np.bincount(rng.integers(0, n, int(rng.integers(1, 4))),
-                                minlength=n)
-                terms[tuple(e.tolist())] = int(rng.integers(-9, 10))
-            terms[(0,) * n] = int(rng.integers(-30, 31))
-            b = Polynomial(n, terms)
-            w = padic_nonsingular_witness(b, p, tries=40)
-            want = pointwise(b, p, 40)
-            assert (w and (w.point, w.unit_gradient_index)) == want
-            if w:
-                found += 1
-                assert w.modulus == (8 if p == 2 else p)
-                assert all(type(x) is int for x in w.point)
-        assert found >= 4
-
-    def test_no_witness_for_obstructed(self):
-        b = parse_polynomial("n=1\n1 1\n")      # units never solve x = 0
-        assert padic_nonsingular_witness(b, 2) is None
