@@ -8,8 +8,11 @@ field.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from dataclasses import asdict, is_dataclass
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -20,9 +23,6 @@ _USAGE_EXIT = 2
 
 
 def _jsonable(obj):
-    # imported here and in _emit, so --version and --help load none of them
-    from dataclasses import asdict, is_dataclass
-    from fractions import Fraction
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(asdict(obj))
     if isinstance(obj, dict):
@@ -49,7 +49,6 @@ def _load_poly(path):
 
 
 def _emit(args, command, poly, config, result, t0, flags=()):
-    import json
     config = {k: v for k, v in config.items()
               if k not in ("func", "output")}
     report = {

@@ -21,9 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from .local import primes_up_to, singular_series
 from .poly import (_BLOCK_ROWS, _INT64_SAFE, DEFAULT_ENUM_BUDGET,
                    BudgetExceeded, grid_blocks)
+from .primes import primes_up_to
 
 
 @dataclass
@@ -292,6 +292,7 @@ def predict(b, N, prime_bound=100, t_max=6, spec=None,
     optionally checked against the exact count; ``spec`` defaults to
     ``QuadratureSpec()``."""
     from .arch import QuadratureSpec, sigma_scaled
+    from .local import singular_series
     spec = QuadratureSpec() if spec is None else spec
     series, factors = singular_series(b, prime_bound, t_max=t_max)
     sigma = sigma_scaled(b, N, spec)

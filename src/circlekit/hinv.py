@@ -8,20 +8,16 @@ splitting constructions.
 For degree >= 3 only upper-bound certification through verified decompositions
 is offered; no exact algorithm is claimed.
 
-Square classes need the prime factors of integers: trial division by the
-primes up to 37, perfect powers, then Pollard's rho, with a primality test
-that is deterministic below 2^64 and Baillie-PSW above.  Rho takes about
-sqrt(p) steps, p the second-largest prime factor, so an integer with two
-prime factors above about 10^16 takes minutes.
+Square classes factor integers with ``primes._factorint``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
-from math import gcd, isqrt, prod
+from math import prod
 
 from .poly import Polynomial
+from .primes import _factorint
 
 
 # ---------------------------------------------------------------------------
@@ -77,147 +73,6 @@ def linear_count(dec):
     if not ok:
         raise ValueError(f"invalid decomposition: {diag.get('reason')}")
     return sum(1 for u, v in dec.pairs if min(u.degree, v.degree) == 1)
-
-
-# ---------------------------------------------------------------------------
-# integer factorisation
-# ---------------------------------------------------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _strong_probable_prime(n, a):
-    """One Miller-Rabin round for odd n > a."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _jacobi(a, n):
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a, t = a % n, 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n):
-    """Strong Lucas test with Selfridge's parameters, for odd n > 37 with
-    no prime factor up to 37."""
-    if isqrt(n) ** 2 == n:
-        return False
-    D = 5                       # first of 5, -7, 9, -11, ... with (D/n) = -1
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return False
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4            # P = 1
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    U, V, Qk = 1, 1, Q          # U_k, V_k, Q^k for k = 1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V = U + V, D * U + V
-            U, V = (U + n * (U % 2)) // 2 % n, (V + n * (V % 2)) // 2 % n
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def _is_prime(n):
-    """Primality of an integer: deterministic below 2^64 (Miller-Rabin to
-    the twelve bases 2..37), Baillie-PSW above (no counterexample known)."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n < 1 << 64:
-        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
-
-
-def _perfect_power(n):
-    """(r, k) with n = r^k and k > 1 prime, or None."""
-    for k in range(2, n.bit_length() + 1):
-        if not _is_prime(k):
-            continue
-        r = 1 << -(-n.bit_length() // k)        # Newton from above: floor root
-        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-            r = y
-        if r ** k == n:
-            return r, k
-    return None
-
-
-def _rho(n):
-    """A proper factor of the odd composite n that is not a perfect power
-    (Pollard's rho with Brent's cycle search)."""
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            for k in range(0, r, 128):
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                if g != 1:
-                    break
-            r *= 2
-        if g == n:              # the batch overshot: retrace it step by step
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _factorint(n):
-    """Prime factorisation {p: e} of an integer n >= 1: trial division by
-    2..37, then perfect powers and Pollard's rho on what is left."""
-    out = {}
-    for p in _MR_BASES:
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-    stack = [(n, 1)] if n > 1 else []
-    while stack:
-        m, e = stack.pop()
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + e
-        elif power := _perfect_power(m):
-            stack.append((power[0], e * power[1]))
-        else:
-            d = _rho(m)
-            stack += [(d, e), (m // d, e)]
-    return out
 
 
 # ---------------------------------------------------------------------------

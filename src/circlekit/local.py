@@ -21,24 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from math import gcd, inf, isqrt
+from math import gcd, inf
 
 import numpy as np
 
 from .poly import (_BLOCK_ROWS, _INT64_SAFE, DEFAULT_ENUM_BUDGET,
                    BudgetExceeded, Polynomial, grid_blocks)
-
-
-def primes_up_to(N):
-    """The primes p <= N, by the sieve of Eratosthenes."""
-    if N < 2:
-        return []
-    sieve = np.ones(N + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(N) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.flatnonzero(sieve).tolist()
+from .primes import _is_prime, primes_up_to
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +340,6 @@ def _hensel_tree(b, p, t_max, budget):
     None after a cut or a node at level t_max or deeper.  ``depth`` counts
     refined generations.
     """
-    from .hinv import _is_prime
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
     n, nus = b.n, [0] * t_max

@@ -236,18 +236,18 @@ _BASE = {"circlekit", "circlekit.cli"}
 _IMPORTS = {
     "--version": set(),
     "--help": set(),
-    "frobnicate": set(),
-    "hinv": {"hinv", "poly"},
-    "gm-split": {"hinv", "poly"},
+    "frobnicate": set(),        # an unknown command: a usage error
+    "hinv": {"hinv", "primes", "poly"},
+    "gm-split": {"hinv", "primes", "poly"},
     "arcs": {"arcs", "poly"},
-    "local": {"local", "hinv", "poly", "numpy"},
-    "series": {"local", "hinv", "poly", "numpy"},
+    "local": {"local", "primes", "poly", "numpy"},
+    "series": {"local", "primes", "poly", "numpy"},
     "sigma-inf": {"arch", "poly", "numpy"},
-    "count": {"count", "local", "poly", "numpy"},
-    "regularity": {"count", "local", "poly", "numpy"},
-    "weyl-scan": {"arcs", "count", "local", "poly", "numpy"},
+    "count": {"count", "primes", "poly", "numpy"},
+    "regularity": {"count", "primes", "poly", "numpy"},
+    "weyl-scan": {"arcs", "count", "primes", "poly", "numpy"},
     "zcount": {"arcs", "poly", "numpy"},
-    "predict": {"count", "local", "hinv", "arch", "poly", "numpy"},
+    "predict": {"count", "local", "primes", "arch", "poly", "numpy"},
 }
 
 

@@ -14,13 +14,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from circlekit.hinv import (Decomposition, _factorint, _is_prime,
-                            _strong_lucas_probable_prime, a_d_lower,
-                            build_gm_fm, gram_matrix, hilbert_symbol,
-                            is_local_square, lemma21_check, linear_count,
-                            quadratic_h, squarefree_part,
-                            verify_decomposition, witt_index)
+from circlekit.hinv import (Decomposition, a_d_lower, build_gm_fm,
+                            gram_matrix, hilbert_symbol, is_local_square,
+                            lemma21_check, linear_count, quadratic_h,
+                            squarefree_part, verify_decomposition, witt_index)
 from circlekit.poly import Polynomial, parse_polynomial
+from circlekit.primes import (_factorint, _is_prime,
+                              _strong_lucas_probable_prime)
 
 
 def has_isotropic_vector(diag, H):
