@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "poly": "Polynomial grid_blocks load_polynomial parse_polynomial "
-            "weyl_difference weyl_difference_poly",
+            "residue_histogram weyl_difference weyl_difference_poly",
     "hinv": "Decomposition QuadraticFormData build_gm_fm hilbert_symbol "
             "lemma21_check linear_count quadratic_h verify_decomposition "
             "witt_index",
@@ -23,8 +23,8 @@ _EXPORTS = {
     "arch": "QuadratureSpec SingularIntegralEstimate I_eta J_of_L "
             "mu_infinity real_nonsingular_witness sigma_infinity "
             "sigma_measure sigma_scaled",
-    "arcs": "ArcDissection RationalFreq WeylReport E_normalized S_sum T_sum "
-            "T_sums build_arcs classify_alpha estimate_gd z_count",
+    "arcs": "ArcDissection RationalFreq WeylReport E_normalized S_sum T_scan "
+            "T_sum T_sums build_arcs classify_alpha estimate_gd z_count",
     "count": "CountResult MangoldtTable PredictionReport RegularityReport "
              "count_direct count_mitm count_via_histogram mangoldt_table "
              "predict regularity_exponent",

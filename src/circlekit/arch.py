@@ -174,7 +174,7 @@ def _mean_se(rows):
 def _densities(v, widths):
     """(2 w)^{-1} * fraction of values with |v| <= w, for each width w."""
     a = np.abs(v)
-    return [np.mean(a <= w) / (2 * w) for w in widths]
+    return [np.count_nonzero(a <= w) / len(a) / (2 * w) for w in widths]
 
 
 def _J_row(v, Ls):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .poly import (DEFAULT_ENUM_BUDGET, BudgetExceeded, grid_blocks,
-                   weyl_difference)
+                   residue_histogram, weyl_difference)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,32 @@ def T_sum(b, alpha, N, table):
     return T_sums(b, [alpha], N, table)[0]
 
 
+def T_scan(b, P, N, table, budget=DEFAULT_ENUM_BUDGET):
+    """T(k/P) for k = 0, ..., P - 1: the sum over r of H(r) e(k r / q).
+
+    With D the common denominator of b and q = D P, H is the
+    ``residue_histogram`` of D b mod q, each residue weighted by the exact
+    Lambda(x) 2^53 of its prime powers x <= N, divided once by 2^(53 n);
+    one inverse FFT gives every T(k/P).  q and the histogram's cost, never
+    above the |ks|^n of ``T_sums``, are checked before any work.
+    """
+    import numpy as np
+    from .count import _support
+    if P < 1:
+        raise ValueError("need at least one point")
+    D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
+    q = D * P
+    if q > budget:
+        raise BudgetExceeded(f"modulus {q} exceeds enumeration budget {budget}")
+    ks, W = _support(table, N)
+    weight = np.zeros(q, object)
+    np.add.at(weight, np.array(ks, np.int64) % q, W[ks, 0])
+    hist = residue_histogram(b * D, q, weight, budget)
+    scale = 2 ** (53 * b.n)
+    return np.fft.ifft([int(h) / scale for h in hist],
+                       norm="forward")[:P].tolist()
+
+
 def S_sum(psi, alpha, box, P):
     """Plain exponential sum over the dilated box P*box intersected with Z^n.
 
@@ -157,20 +183,14 @@ def E_normalized(psi, q, m):
     of (Z/q)^n.
     """
     import numpy as np
+    from .local import value_histogram
     if q < 1:
         raise ValueError("q must be positive")
     if math.gcd(m, q) != 1:
         raise ValueError("need gcd(m, q) = 1")
-    if not psi.is_integral():
-        raise ValueError("need integer coefficients")
-    n = psi.n
-    if q ** n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("residue grid too large")
-    total = 0j
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    for block in grid_blocks([range(q)] * n):
-        total += roots[(m % q) * psi.eval_int(block, q) % q].sum()
-    return total / q ** n
+    hist = value_histogram(psi, q, units=False)
+    roots = np.exp(2j * np.pi * (m * np.arange(q) % q) / q)
+    return complex(np.dot(np.asarray(hist, dtype=float), roots)) / q ** psi.n
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +277,11 @@ def z_count(f, d, R):
     n = f.n
     if d < 2:
         raise ValueError("degeneracy count needs d >= 2")
-    if (2 * R + 1) ** (n * (d - 2 if d > 2 else 0) + n) > DEFAULT_ENUM_BUDGET:
+    if (2 * R + 1) ** (n * (d - 1)) > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("tuple grid too large")
     basis = np.eye(n, dtype=np.int64)
     Y = _grid(n, R).astype(float)               # candidate last vectors
-    if d == 2:
-        M = np.array([[weyl_difference(f, d, [basis[j], basis[i]])
-                       for j in range(n)] for i in range(n)], dtype=float)
-        return int(np.sum(np.all(np.abs(Y @ M.T) < 0.5, axis=1)))
-    count = 0
+    count = 0       # for d = 2 the only head is the empty tuple
     for head in product(_grid(n, R), repeat=d - 2):
         A = np.array([[weyl_difference(f, d, list(head) + [basis[j], basis[i]])
                        for j in range(n)] for i in range(n)], dtype=float)

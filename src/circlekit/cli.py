@@ -153,13 +153,13 @@ def _cmd_arcs(args, t0):
 
 
 def _cmd_weyl_scan(args, t0):
-    from .arcs import T_sums, classify_alpha
+    from .arcs import T_scan, classify_alpha
     from .count import mangoldt_table
     b = _load_poly(args.poly)
     table = mangoldt_table(args.N)
-    alphas = [k / args.points for k in range(args.points)]
     rows = ["alpha,re_T,im_T,abs_T,classification"]
-    for a, v in zip(alphas, T_sums(b, alphas, args.N, table)):
+    for k, v in enumerate(T_scan(b, args.points, args.N, table)):
+        a = k / args.points
         cls = classify_alpha(a, args.N, b.degree, args.Delta)
         tag = "minor" if cls == "minor" else f"{cls[1]}/{cls[0]}"
         rows.append(f"{a},{v.real!r},{v.imag!r},{abs(v)!r},{tag}")

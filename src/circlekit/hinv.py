@@ -339,7 +339,7 @@ def build_gm_fm(f, dec, M):
         ell = dec.pairs[i - 1][0] - repl[i - 1]
         if any(sum(e) != 1 for e in ell.terms):
             raise ValueError(f"U_{i} is not of the form x_{i} + linear")
-        if any(j <= M for j in ell.support_vars()):
+        if any(any(e[:M]) for e in ell.terms):
             raise ValueError(
                 f"l_{i} must be supported on variables {M + 1}..{n}")
         repl[i - 1] = -ell

@@ -25,8 +25,8 @@ from math import gcd, inf
 
 import numpy as np
 
-from .poly import (_BLOCK_ROWS, _INT64_SAFE, DEFAULT_ENUM_BUDGET,
-                   BudgetExceeded, Polynomial, grid_blocks)
+from .poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, BudgetExceeded,
+                   Polynomial, _convolve_mod, grid_blocks, residue_histogram)
 from .primes import _is_prime, primes_up_to
 
 
@@ -34,70 +34,26 @@ from .primes import _is_prime, primes_up_to
 # residue histograms
 # ---------------------------------------------------------------------------
 
-def _convolve_mod(h, g, q):
-    """Exact circular convolution of two length-q count vectors (int64, or
-    object arrays of Python ints)."""
-    full = np.convolve(h, g)
-    out = full[:q].copy()
-    out[: len(full) - q] += full[q:]
-    return out
-
-
-def _sum_histogram(rows, q, size):
-    """Histogram mod q of a sum of independent terms, from each term's
-    length-q histogram; ``size``, the number of tuples counted, decides
-    whether int64 holds the counts exactly."""
-    hist = rows[0] if size < _INT64_SAFE else rows[0].astype(object)
-    for row in rows[1:]:
-        hist = _convolve_mod(hist, row, q)
-    return hist
-
-
 def unit_residues(q):
     """Array of residues coprime to q; by convention U_1 = {0}."""
     q = int(q)
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q == 1:
-        return np.array([0], dtype=np.int64)
     r = np.arange(q, dtype=np.int64)
-    return r[np.gcd(r, q) == 1]
+    return r[np.gcd(r, q) == 1]     # gcd(0, 1) = 1
 
 
 def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
-    """Counts of b(x) mod q over x in U_q^n (or all of (Z/q)^n).
-
-    Additively separable polynomials go through exact per-variable histogram
-    convolution; anything else is enumerated directly.  Either path raises
-    BudgetExceeded before any work when its cost exceeds the budget.
-    Entries are exact integers (int64, or an object array of Python ints
-    when counts could overflow 64 bits).
-    """
+    """Counts of b(x) mod q over x in U_q^n (or all of (Z/q)^n), exact:
+    the ``residue_histogram`` of weight 1 on those residues."""
     q = int(q)
     if q < 1:
         raise ValueError("q must be >= 1")
-    if not b.is_integral():
-        raise ValueError("histogram needs integer coefficients")
-    parts, const = b.additive_split([1] * b.n) or (None, None)
-    # the separable path evaluates n parts on q residues and makes n - 1
-    # exact convolutions of about q^2 steps each
-    if parts is not None and _grid_cost(True, b.n, q, units) > budget:
-        raise BudgetExceeded(
-            f"{b.n - 1} convolutions mod {q} exceed enumeration budget {budget}")
     if q > budget:      # checked before the q residues are allocated
         raise BudgetExceeded(f"modulus {q} exceeds enumeration budget {budget}")
-    domain = unit_residues(q) if units else np.arange(q, dtype=np.int64)
-    if parts is not None:
-        return np.roll(_sum_histogram(
-            [np.bincount(part.eval_int(domain[:, None], q), minlength=q)
-             for part in parts], q, len(domain) ** b.n), const % q)
-    if len(domain) ** b.n > budget:
-        raise BudgetExceeded(
-            f"domain size {len(domain)}^{b.n} exceeds enumeration budget {budget}")
-    hist = np.zeros(q, dtype=np.int64)
-    for block in grid_blocks([domain] * b.n):
-        hist += np.bincount(b.eval_int(block, q), minlength=q)
-    return hist
+    weight = np.zeros(q, dtype=np.int64)
+    weight[unit_residues(q) if units else slice(None)] = 1
+    return residue_histogram(b, q, weight, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +62,12 @@ def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
 
 def unit_exp_sum(b, m, q, budget=DEFAULT_ENUM_BUDGET):
     """S~_{m,q} = sum over k in U_q^n of e(b(k) m / q), gcd(m, q) = 1."""
-    q = int(q)
-    if q == 1:
-        return complex(1.0)
-    m = int(m) % q
+    q, m = int(q), int(m) % int(q)
     if gcd(m, q) != 1:
         raise ValueError(f"m={m} is not a unit mod {q}")
     hist = value_histogram(b, q, units=True, budget=budget)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    idx = (m * np.arange(q)) % q
-    return complex(np.dot(np.asarray(hist, dtype=float), roots[idx]))
+    roots = np.exp(2j * np.pi * (m * np.arange(q) % q) / q)
+    return complex(np.dot(np.asarray(hist, dtype=float), roots))
 
 
 def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
@@ -123,31 +75,24 @@ def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
 
     Mathematically real; the imaginary part is reported for cross-checks.
     """
-    q = int(q)
-    if q == 1:
-        return complex(1.0)
-    hist = value_histogram(b, q, units=True, budget=budget)
-    weights = np.asarray(hist, dtype=float)
-    units = unit_residues(q)
+    q, units = int(q), unit_residues(q)
     u = np.zeros(q)
     u[units] = 1.0
-    # sum over units m of e(m r / q), all r at once, via an inverse DFT
-    ram = np.fft.ifft(u) * q
-    phin = len(units) ** b.n
-    return complex(np.dot(weights, ram) / phin)
+    # sum over units m of e(m r / q), all r at once, by an unscaled DFT
+    ramanujan = np.fft.ifft(u, norm="forward")
+    hist = value_histogram(b, q, units=True, budget=budget)
+    return complex(np.dot(np.asarray(hist, dtype=float), ramanujan)
+                   / len(units) ** b.n)
 
 
 # ---------------------------------------------------------------------------
 # unit solution counts and mu(p): the Hensel tree
 # ---------------------------------------------------------------------------
 
-def _grid_cost(separable, n, p, units):
-    """What the values mod p of a polynomial in n variables cost: histogram
-    convolution when it is separable, the whole grid U_p^n (``units``) or
-    (Z/p)^n otherwise."""
-    if separable:
-        return (n - 1) * p * p + n * p
-    return (p - 1 if units else p) ** n
+def _convolution_cost(n, p):
+    """What the values mod p of a separable polynomial in n variables cost
+    by histogram convolution."""
+    return (n - 1) * p * p + n * p
 
 
 def _valuation(v, p):
@@ -177,6 +122,17 @@ def _linear_split(g, p):
     return None
 
 
+def _walk_cost(g, p, units):
+    """(cost, split): what ``_zero_candidates`` walks for g, nothing for a
+    nonzero constant mod p, and g's ``_linear_split``."""
+    one = (0,) * g.n
+    if g.terms.get(one, 0) % p and \
+            all(c % p == 0 for e, c in g.terms.items() if e != one):
+        return 0, None
+    split = _linear_split(g, p)
+    return (p - 1 if units else p) ** (g.n - 1 if split else g.n), split
+
+
 def _zero_candidates(g, p, units, budget):
     """(cost, zeros, blocks): blocks of points of domain^n, domain U_p
     (``units``) or Z/p, that hold every zero of g mod p that may be
@@ -187,13 +143,15 @@ def _zero_candidates(g, p, units, budget):
     is nonsingular, as dg/dx_j = A; on U_p^n it counts only when it is a
     unit, that is when B(x') is.  The rows where A(x') = B(x') = 0 mod p
     are expanded over x_j, each charged |domain| before any is expanded.
-    Any other g has its whole grid walked.  Each cost is checked before
-    its work.
+    Any other g has its whole grid walked, unless it is a nonzero constant
+    mod p.  Each cost is checked before its work.
     """
-    n, size, split = g.n, (p - 1 if units else p), _linear_split(g, p)
-    cost = size ** (n - 1 if split else n)
+    cost, split = _walk_cost(g, p, units)
     if cost > budget:
         raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
+    if cost == 0:       # a nonzero constant mod p
+        return 0, 0, ()
+    n, size = g.n, (p - 1 if units else p)
     domain = unit_residues(p) if units else np.arange(p, dtype=np.int64)
     if not split:
         return cost, 0, (block[g.eval_int(block, p) == 0]
@@ -265,7 +223,7 @@ def _separable_children(g, p, units, budget, child, memo):
     """
     parts, const = g
     n, y = len(parts), Polynomial.variable(1, 1)
-    cost = _grid_cost(True, n, p, units)
+    cost = _convolution_cost(n, p)
     if cost > budget:
         raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
     domain = unit_residues(p) if units else np.arange(p, dtype=np.int64)
@@ -283,7 +241,7 @@ def _separable_children(g, p, units, budget, child, memo):
         row, menu = memo[part, units]
         rows.append(row)
         menus.append(menu)
-    zeros = int(_sum_histogram(rows, p, len(domain) ** n)[-const % p])
+    zeros = int(_convolve_mod(rows, p, len(domain) ** n)[-const % p])
     states = {((), const): 1} if zeros else {}  # (sorted shift ids, constant)
     for menu in menus:
         if cost + len(states) * len(menu) * (n + child) > budget:
@@ -332,13 +290,13 @@ def _hensel_tree(b, p, t_max, budget):
     The root is (b, 1) at 0 on U_p^n, the others run over (Z/p)^n.  Nodes
     are expanded level by level against one budget, which may cut ``nus``
     short of t_max; a node is charged what its zero walk costs when it is
-    made (``_zero_candidates``: p^(n-1) rows for a node with a
-    ``_linear_split``, p^n otherwise), and only if it is to be expanded.
-    A separable b cut short takes its remaining levels from its histograms
-    mod p^t while they fit the budget.  The partial sums are constant from
-    ``closing``, the largest L + 1 of a node without singular zeros, or
-    None after a cut or a node at level t_max or deeper.  ``depth`` counts
-    refined generations.
+    made (``_walk_cost``: p^(n-1) rows for a node with a ``_linear_split``,
+    none for a nonzero constant mod p, p^n otherwise), and only if it is to
+    be expanded.  A separable b cut short takes its remaining levels from
+    its histograms mod p^t while they fit the budget.  The partial sums are
+    constant from ``closing``, the largest L + 1 of a node without singular
+    zeros, or None after a cut or a node at level t_max or deeper.
+    ``depth`` counts refined generations.
     """
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
@@ -347,12 +305,12 @@ def _hensel_tree(b, p, t_max, budget):
     if parts:
         root, expand = (tuple(parts), const), \
             partial(_separable_children, memo={})
-        child = _grid_cost(True, n, p, False)
+        child = _convolution_cost(n, p)
     else:
         root, expand, child = b, _children, p ** (n - 1)
 
     def walk(h):        # what the zero walk of the child h costs
-        return child if parts else p ** (n - 1 if _linear_split(h, p) else n)
+        return child if parts else _walk_cost(h, p, False)[0]
 
     # nodes (g, m, gen, paid), paid what g was charged when it was made
     levels = [[(root, 1, 0, 0)]] + [[] for _ in range(t_max - 1)]

@@ -4,9 +4,9 @@ Variables are indexed 1..n.  Terms are stored as a map from exponent tuples
 (0-based positions, length n) to nonzero exact coefficients (int or Fraction).
 All values are immutable after construction; every operation returns a new
 polynomial, so everything here is safe to call from concurrent workers.
-Only batch evaluation and ``grid_blocks`` import numpy, when first called,
-so a command that parses or composes polynomials never loads it.  The
-enumeration budget and its exception, shared by every module, live here.
+Only batch evaluation, ``grid_blocks`` and ``residue_histogram`` import
+numpy, when first called, so a command that parses or composes polynomials
+never loads it.  The enumeration budget and its exception live here.
 """
 from __future__ import annotations
 
@@ -114,19 +114,7 @@ class Polynomial:
         return all(isinstance(c, int) for c in self.terms.values())
 
     def is_homogeneous(self):
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        return len(degs) == 1
-
-    def support_vars(self):
-        """Set of 1-based variable indices that actually occur."""
-        out = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    out.add(i + 1)
-        return out
+        return len({sum(e) for e in self.terms}) <= 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -487,6 +475,55 @@ def grid_blocks(axes):
             yield block
 
 
+# -- weighted residue histograms --------------------------------------------
+
+def _convolve_mod(rows, q, size):
+    """The histogram mod q of a sum of independent terms from the terms'
+    histograms, exact: int64 while ``size``, the total weight, is below
+    2^62, Python ints otherwise."""
+    import numpy as np
+    hist = rows[0] if size < _INT64_SAFE else rows[0].astype(object)
+    for row in rows[1:]:
+        full = np.convolve(hist, row)
+        hist = full[:q].copy()
+        hist[:len(full) - q] += full[q:]
+    return hist
+
+
+def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
+    """Entry r: the sum of weight[a_1] ... weight[a_n] over a in (Z/q)^n
+    with b(a) = r mod q; b integral, ``weight`` q exact integers >= 0.
+
+    With m weights nonzero, a separable b convolves its variables'
+    histograms, (n - 1) q^2 + n m steps, when that is cheaper than walking
+    the m^n tuples of nonzero weight; any other b walks them.  The cost is
+    checked against the budget before any work.  Entries are exact: int64
+    while (sum of the weights)^n is below 2^62, Python ints otherwise.
+    """
+    import numpy as np
+    if not b.is_integral():
+        raise ValueError("histogram needs integer coefficients")
+    n, support = b.n, np.flatnonzero(weight)
+    split = b.additive_split([1] * n) if n else None
+    walk = len(support) ** n
+    steps = (n - 1) * q * q + n * len(support) if split else walk
+    if min(walk, steps) > budget:
+        raise BudgetExceeded(f"histogram mod {q} costs {min(walk, steps)}, "
+                             f"over budget {budget}")
+    size = int(np.sum(weight)) ** n
+    w = np.asarray(weight, np.int64 if size < _INT64_SAFE else object)
+    if steps < walk:
+        parts, const = split
+        rows = [np.zeros(q, w.dtype) for _ in parts]
+        for part, row in zip(parts, rows):
+            np.add.at(row, part.eval_int(support[:, None], q), w[support])
+        return np.roll(_convolve_mod(rows, q, size), const % q)
+    hist = np.zeros(q, w.dtype)
+    for block in grid_blocks([support] * n):
+        np.add.at(hist, b.eval_int(block, q), w[block].prod(axis=1))
+    return hist
+
+
 # -- Weyl differencing ------------------------------------------------------
 
 def weyl_difference(G, d, args):
@@ -506,13 +543,8 @@ def weyl_difference(G, d, args):
             raise ValueError("argument vector length mismatch")
     total = 0
     for ts in iproduct((0, 1), repeat=d):
-        point = [0] * G.n
-        for t, a in zip(ts, args):
-            if t:
-                for i, x in enumerate(a):
-                    point[i] += x
-        sign = 1 if (d - sum(ts)) % 2 == 0 else -1
-        total += sign * G.evaluate(point)
+        point = [sum(a[i] for t, a in zip(ts, args) if t) for i in range(G.n)]
+        total += (-1) ** (d - sum(ts)) * G.evaluate(point)
     return total
 
 
@@ -524,17 +556,11 @@ def weyl_difference_poly(G, d):
     d = int(d)
     if d < 1:
         raise ValueError("d must be >= 1")
-    n = G.n
-    n_new = n * d
+    n, n_new = G.n, G.n * d
     out = Polynomial.zero(n_new)
     for ts in iproduct((0, 1), repeat=d):
-        rows = []
-        for i in range(n):
-            row = [0] * n_new
-            for k, t in enumerate(ts):
-                if t:
-                    row[k * n + i] = 1
-            rows.append(row)
-        sign = 1 if (d - sum(ts)) % 2 == 0 else -1
-        out = out + sign * G.compose_linear(rows, n_new)
+        # x_i becomes the sum of the i-th variables of the blocks in ts
+        rows = [[ts[j // n] if j % n == i else 0 for j in range(n_new)]
+                for i in range(n)]
+        out = out + (-1) ** (d - sum(ts)) * G.compose_linear(rows, n_new)
     return out

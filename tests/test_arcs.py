@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from circlekit.arcs import (ArcDissection, BudgetExceeded, E_normalized,
-                            RationalFreq, S_sum, T_sum, T_sums, build_arcs,
-                            classify_alpha, estimate_gd, z_count)
+                            RationalFreq, S_sum, T_scan, T_sum, T_sums,
+                            build_arcs, classify_alpha, estimate_gd, z_count)
 from circlekit.count import mangoldt_table
-from circlekit.poly import _BLOCK_ROWS, parse_polynomial, weyl_difference
+from circlekit.poly import (_BLOCK_ROWS, Polynomial, parse_polynomial,
+                            weyl_difference)
 
 
 class TestRationalFreq:
@@ -129,6 +130,89 @@ class TestWeightedSum:
         t = mangoldt_table(60)
         alphas = [k / 16 for k in range(16)] + [0.3183, 0.9]
         assert T_sums(b, alphas, 60, t) == [T_sum(b, a, 60, t) for a in alphas]
+
+
+FIVE_SQUARES = ("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n1 0 0 0 2 0\n"
+                "1 0 0 0 0 2\n-12005 0 0 0 0 0\n")
+CONE = "n=3\n1 1 1 0\n-1 0 0 2\n"
+RATIONAL = "n=2\n1/3 2 0\n1/2 1 1\n-5/7 0 0\n"     # x1^2/3 + x1 x2/2 - 5/7
+
+
+def exact_phase_scan(b, P, N, table):
+    """T(k/P) for k < P by an fsum over the whole prime-power grid, each
+    phase 2 pi ((k b(x)) mod P) / P reduced exactly before rounding.  The
+    grid's float weights are summed per class of D b(x) mod D P (D the
+    common denominator of b) with fsum, and each class enters with its
+    exactly reduced phase."""
+    D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
+    q = D * P
+    ks = np.flatnonzero(table.values[:N + 1])
+    pts = np.stack(np.meshgrid(*[ks] * b.n, indexing="ij"), -1)
+    pts = pts.reshape(-1, b.n)
+    r = (b * D).eval_int(pts) % q
+    w = table.values[pts].prod(axis=1)
+    order = np.argsort(r, kind="stable")
+    r, w = r[order], w[order]
+    starts = np.flatnonzero(np.diff(r, prepend=-1))
+    S = {int(r[s]): math.fsum(part.tolist())
+         for s, part in zip(starts, np.split(w, starts[1:]))}
+    out = []
+    for k in range(P):
+        phase = {v: 2 * math.pi * (k * v % q) / q for v in S}
+        out.append(complex(math.fsum(S[v] * math.cos(phase[v]) for v in S),
+                           math.fsum(S[v] * math.sin(phase[v]) for v in S)))
+    return out
+
+
+class TestScan:
+    """T_scan: every T(k/P) from one exact residue histogram and one FFT."""
+
+    @pytest.mark.parametrize("text,N,P", [
+        (FIVE_SQUARES, 40, 32),
+        (CONE, 200, 16),
+        (RATIONAL, 30, 12),
+        (CONE, 10, 64),             # more points than the grid is wide
+    ])
+    def test_matches_exact_phase_reference(self, text, N, P):
+        b, t = parse_polynomial(text), mangoldt_table(N)
+        want = exact_phase_scan(b, P, N, t)
+        got = T_scan(b, P, N, t)
+        assert len(got) == P
+        err = max(abs(g - w) for g, w in zip(got, want))
+        assert err <= 1e-15 * want[0].real
+
+    @pytest.mark.parametrize("text,N,P", [(CONE, 60, 16), (RATIONAL, 30, 12),
+                                          ("n=2\n1 2 0\n-1 0 1\n", 40, 10)])
+    def test_agrees_with_T_sum(self, text, N, P):
+        b, t = parse_polynomial(text), mangoldt_table(N)
+        got = T_scan(b, P, N, t)
+        for k in range(P):
+            assert abs(got[k] - T_sum(b, k / P, N, t)) <= 1e-9 * got[0].real
+
+    @pytest.mark.parametrize("text", [CONE, FIVE_SQUARES])
+    def test_budget_checked_before_any_evaluation(self, text, monkeypatch):
+        # the cone walks 12^3 = 1,728 folded tuples mod 16; five squares
+        # convolves mod 32 in 4 * 32^2 + 5 * m steps
+        b, t = parse_polynomial(text), mangoldt_table(200)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the budget check")
+
+        monkeypatch.setattr(Polynomial, "eval_int", fail)
+        monkeypatch.setattr(Polynomial, "eval_float", fail)
+        with pytest.raises(BudgetExceeded):
+            T_scan(b, 16 if text == CONE else 32, 200, t, budget=1000)
+
+    def test_zero_frequency_is_psi_to_the_n(self):
+        t = mangoldt_table(200)
+        psi = math.fsum(t.values)
+        got = T_scan(parse_polynomial(CONE), 16, 200, t)[0]
+        assert got.real == pytest.approx(psi ** 3, rel=1e-14)
+        assert got.imag == 0.0
+
+    def test_needs_a_point(self):
+        with pytest.raises(ValueError):
+            T_scan(parse_polynomial(CONE), 0, 10, mangoldt_table(10))
 
 
 class TestLatticeSum:

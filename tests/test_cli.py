@@ -418,6 +418,15 @@ class TestSubcommands:
         assert float(first[0]) == 0.0
         assert first[4] == "0/1"
 
+    def test_weyl_scan_without_points_is_usage_error(self, poly_file,
+                                                     tmp_path, capsys):
+        pf = poly_file("n=1\n1 1\n")
+        out = tmp_path / "scan.csv"
+        assert main(["weyl-scan", "--poly", pf, "--N", "10", "--points", "0",
+                     "--output", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zcount_growth_fit(self, poly_file, tmp_path):
         pf = poly_file("n=2\n1 2 0\n")
         code, rep = run_json(

@@ -166,14 +166,16 @@ class TestUnitSolutionCounts:
     def test_linear_children_charged_their_walk(self):
         # 3 (x1 x2 + x3) at p = 3: the 8 unit zeros mod 3 are all singular,
         # and the 4 with x1 x2 + x3 = 0 mod 3 refine to nodes linear in
-        # y3 that walk 3^2 rows, the other 4 to nodes that walk 3^3: 8 +
-        # 4 * 9 + 4 * 27 = 152 in all, where 8 + 8 * 27 = 224 used to be
-        # charged and a budget of 200 cut the tree after level 1
+        # y3 that walk 3^2 rows, the other 4 to nodes that are nonzero
+        # constants mod 3, with no zero to walk for.  The root walks 2^3
+        # points and must leave room for 8 children at the least walk, 3^2,
+        # before it refines them: 8 + 8 * 9 = 80, of which 8 + 4 * 9 = 44
+        # is spent.  Walking the constant nodes' 3^3 points each took 152.
         b = parse_polynomial("n=3\n3 1 1 0\n3 0 0 1\n")
-        f = mu_p(b, 3, t_max=3, budget=200)
+        f = mu_p(b, 3, t_max=3, budget=80)
         assert f.warning is None and f.method == "hensel_tree(1)"
         assert f.nu_values == [self.brute_nu(b, 3, t) for t in (1, 2, 3)]
-        assert mu_p(b, 3, t_max=3, budget=151).warning is not None
+        assert mu_p(b, 3, t_max=3, budget=79).warning is not None
 
     def test_lifting_path_agrees(self):
         # force the fallback by starving the histogram budget

@@ -3,6 +3,7 @@
 Arithmetic is cross-checked against sympy as an independent oracle; the
 symbolic differencing identities are checked monomial by monomial.
 """
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from circlekit.poly import (_BLOCK_ROWS, Polynomial, grid_blocks,
-                            parse_polynomial, weyl_difference,
-                            weyl_difference_poly)
+from circlekit.poly import (_BLOCK_ROWS, BudgetExceeded, Polynomial,
+                            grid_blocks, parse_polynomial, residue_histogram,
+                            weyl_difference, weyl_difference_poly)
 
 
 def sympy_expr(p, symbols):
@@ -264,6 +265,48 @@ class TestSerialization:
             parse_polynomial("1 1\n")            # missing header
         with pytest.raises(ValueError):
             parse_polynomial("n=2\n1 1\n")       # wrong arity
+
+
+class TestResidueHistogram:
+    """Exact weighted histograms mod q against a Python brute force."""
+
+    @staticmethod
+    def brute(b, q, weight):
+        hist = [0] * q
+        for a in itertools.product(range(q), repeat=b.n):
+            hist[b.evaluate(a) % q] += math.prod(weight[x] for x in a)
+        return hist
+
+    @pytest.mark.parametrize("text,q", [
+        ("n=2\n1 2 0\n3 0 1\n-1 0 0\n", 7),      # separable; walks 5^2
+        # x1^2 + x2^2 + x3^2 + x4^3 + 2 x5 mod 4: convolves, 79 < 3^5 steps
+        ("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n1 0 0 0 3 0\n"
+         "2 0 0 0 0 1\n", 4),
+        ("n=3\n1 1 1 0\n1 0 0 1\n", 6),           # x1 x2 + x3: walks
+    ])
+    @pytest.mark.parametrize("big", [False, True])
+    def test_matches_brute_force(self, text, q, big):
+        b = parse_polynomial(text)
+        # every third residue weighs nothing; big weights overflow int64
+        weight = [0 if r % 3 == 1 else (2 ** 61 if big else 1) + r
+                  for r in range(q)]
+        got = residue_histogram(b, q, np.array(weight, dtype=object))
+        assert got.dtype == (object if big else np.int64)
+        assert got.tolist() == self.brute(b, q, weight)
+
+    def test_budget_before_any_evaluation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the budget check")
+
+        monkeypatch.setattr(Polynomial, "eval_int", fail)
+        b = parse_polynomial("n=3\n1 1 1 0\n1 0 0 1\n")
+        with pytest.raises(BudgetExceeded):     # 10^3 tuples
+            residue_histogram(b, 10, np.ones(10, np.int64), budget=999)
+
+    def test_needs_integer_coefficients(self):
+        with pytest.raises(ValueError):
+            residue_histogram(parse_polynomial("n=1\n1/2 1\n"), 4,
+                              np.ones(4, np.int64))
 
 
 class TestDifferencing:
