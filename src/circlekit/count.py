@@ -61,14 +61,18 @@ class CountResult:
 
 
 def _support(table, N):
-    """Points 2..N of positive weight, and exact [Lambda(k) 2^53, 1] per k."""
+    """Points 2..N of positive weight, and exact [Lambda(k) 2^53, 1] at
+    each of them; the rows of the other k <= N are never read."""
     if table.N < N:
         raise ValueError("von Mangoldt table too small")
     scaled = table.values[:N + 1] * 2.0 ** 53   # integral: weights 0 or >= 1/2
     if np.any(scaled % 1):
         raise ValueError("weights must be 0 or at least 1/2")
-    ks = [k for k in range(2, N + 1) if scaled[k] > 0]
-    return ks, np.array([[int(w), 1] for w in scaled.tolist()], object)
+    ks = (np.flatnonzero(scaled[2:] > 0) + 2).tolist()
+    W = np.zeros((N + 1, 2), object)
+    W[ks, 0] = [int(w) for w in scaled[ks].tolist()]
+    W[ks, 1] = 1
+    return ks, W
 
 
 def _result(N, total, n, strategy, method):

@@ -11,22 +11,23 @@ p = 2 too).  A singular zero x0, where every partial derivative vanishes
 mod p, is refined to h(y) = b(x0 + p y) / p^c, c the p-adic valuation of
 the content, and h is treated the same way.  The tree gives every nu_t
 exactly and proves the level from which the partial sums stop changing.
-A separable b keeps its nodes split into one part per variable and groups
-its singular zeros by the node they give, so a diagonal form in many
-variables costs a few nodes, not one per zero.
+A separable b with a monomial part a x_i^d takes no tree: Hensel's
+valuation lemma in x_i fixes every level from 2 v_p(a d) + 1 on, and
+histograms mod p^t give the levels before, so a diagonal form in many
+variables costs a few histograms, not one node per singular zero.
 The complex B(q) path exists as a floating-point cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from math import gcd, inf
 
 import numpy as np
 
 from .poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, BudgetExceeded,
-                   Polynomial, _convolve_mod, grid_blocks, residue_histogram)
+                   Polynomial, grid_blocks, residue_histogram)
 from .primes import _is_prime, primes_up_to
 
 
@@ -88,12 +89,6 @@ def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
 # ---------------------------------------------------------------------------
 # unit solution counts and mu(p): the Hensel tree
 # ---------------------------------------------------------------------------
-
-def _convolution_cost(n, p):
-    """What the values mod p of a separable polynomial in n variables cost
-    by histogram convolution."""
-    return (n - 1) * p * p + n * p
-
 
 def _valuation(v, p):
     """The p-adic valuation of the integer v, infinite for v = 0."""
@@ -180,18 +175,18 @@ def _expand(rows, j, axis):
                         np.tile(axis, len(part)), axis=1)
 
 
-def _children(g, p, units, budget, child):
+def _children(g, p, units, budget):
     """(zeros, children, cost) for the zeros of g mod p.
 
     ``children`` maps each node (h, c) that a singular zero x0 (every
     partial derivative zero mod p) refines to, h(y) = g(x0 + p y) / p^c, to
     the number of singular zeros that give it.  It is None when those
-    zeros, at ``child`` each, the least a child's walk costs, do not fit
-    the budget.  ``cost`` is checked before any allocation.
+    zeros, at p^(n-1) each, the least a child's walk costs, do not fit the
+    budget.  ``cost`` is checked before any allocation.
     """
     cost, zeros, candidates = _zero_candidates(g, p, units, budget)
     singular, grads = [np.empty((0, g.n), np.int64)], g.gradient()
-    room = (budget - cost) // child
+    room = (budget - cost) // p ** (g.n - 1)
     for block in candidates:
         zeros += len(block)
         for d in grads:
@@ -204,67 +199,6 @@ def _children(g, p, units, budget, child):
     children = {}
     for h in _refine(g, np.concatenate(singular), p):
         children[h] = children.get(h, 0) + 1
-    return zeros, children, cost
-
-
-def _separable_children(g, p, units, budget, child, memo):
-    """``_children`` of a separable node g = (parts, const), the polynomial
-    const + parts[0](x_1) + parts[1](x_2) + ...
-
-    Its zeros are counted by convolving the parts' value histograms.  A
-    singular zero x0 takes each coordinate where its part's derivative
-    vanishes, and its node is the sum of the shifts part(a + p y) - part(a)
-    plus the constant g(x0), divided by the content.  A node's counts do
-    not depend on the order of its variables, so the zeros are grouped one
-    variable at a time by the sorted shifts they use and their constant,
-    never listed one by one.  ``memo``, one per tree, keeps each part's
-    histogram and shifts under (part, units), numbers the shifts, and keeps
-    shift i divided by p^c under (i, c).
-    """
-    parts, const = g
-    n, y = len(parts), Polynomial.variable(1, 1)
-    cost = _convolution_cost(n, p)
-    if cost > budget:
-        raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
-    domain = unit_residues(p) if units else np.arange(p, dtype=np.int64)
-    rows, menus = [], []
-    for part in parts:
-        if (part, units) not in memo:
-            x, menu = domain[:, None], []
-            for a in domain[part.gradient()[0].eval_int(x, p) == 0].tolist():
-                v = part.evaluate((a,))
-                shift = part.compose([y * p + a], 1) - v
-                menu.append((memo.setdefault(shift, len(memo)), v, shift,
-                             _valuation(reduce(gcd, shift.terms.values(), 0), p)))
-            memo[part, units] = \
-                np.bincount(part.eval_int(x, p), minlength=p), menu
-        row, menu = memo[part, units]
-        rows.append(row)
-        menus.append(menu)
-    zeros = int(_convolve_mod(rows, p, len(domain) ** n)[-const % p])
-    states = {((), const): 1} if zeros else {}  # (sorted shift ids, constant)
-    for menu in menus:
-        if cost + len(states) * len(menu) * (n + child) > budget:
-            return zeros, None, cost
-        new = {}
-        for (ids, c0), k in states.items():
-            for i, v, _, _ in menu:
-                key = (tuple(sorted(ids + (i,))), c0 + v)
-                new[key] = new.get(key, 0) + k
-        states = new
-        cost += len(states) * n
-    shifts = {i: (s, vs) for menu in menus for i, _, s, vs in menu}
-    children = {}
-    for (ids, c0), k in states.items():
-        if c0 % p == 0:
-            c = min([_valuation(c0, p)] + [shifts[i][1] for i in ids])
-            q = p ** c if c < inf else 1
-            for i in ids:
-                if (i, c) not in memo:
-                    memo[i, c] = Polynomial(1, {e: v // q for e, v in
-                                                shifts[i][0].terms.items()})
-            h = (tuple(memo[i, c] for i in ids), c0 // q), c
-            children[h] = children.get(h, 0) + k
     return zeros, children, cost
 
 
@@ -283,8 +217,42 @@ def _refine(g, singular, p):
         yield _divided(n, {a: int(v[k]) for a, v in values}, p)
 
 
+def _hensel_valuation(b, p, t_max, budget):
+    """(nus, closing, method) for a separable b = c + f_1(x_1) + ... with a
+    monomial part a x_i^d, None for any other b.
+
+    With tau the least v_p(a d) over those parts, db/dx_i has valuation
+    tau at every unit x, so Hensel's valuation lemma in x_i gives
+    nu_(t+1) = p^(n-1) nu_t for every t >= T = 2 tau + 1.  Levels t <= T,
+    past t_max if T is, are read from histograms mod p^t, each checked
+    against the budget; later levels, and every level after a zero, follow
+    from the ones before.  ``closing`` is the least s from which the levels
+    grow by p^(n-1), or None if it exceeds t_max or a cut leaves a level
+    up to T unknown.  ``nus`` stops at a cut or at t_max.
+    """
+    split = b.additive_split([1] * b.n)
+    taus = [_valuation(a * e[0], p) for part in (split[0] if split else ())
+            if len(part.terms) == 1 for e, a in part.terms.items()]
+    if not taus:
+        return None
+    n, tau = b.n, min(taus)
+    T, method, nus = 2 * tau + 1, f"hensel_valuation({tau})", []
+    for t in range(1, max(T, t_max) + 1):
+        if t > T or nus and nus[-1] == 0:
+            nus.append(nus[-1] * p ** (n - 1))
+            continue
+        try:
+            nus.append(int(value_histogram(b, p ** t, budget=budget)[0]))
+        except BudgetExceeded:
+            return nus[:t_max], None, method
+    s = T
+    while s > 1 and nus[s - 1] == nus[s - 2] * p ** (n - 1):
+        s -= 1
+    return nus[:t_max], s if s <= t_max else None, method
+
+
 def _hensel_tree(b, p, t_max, budget):
-    """(nus, closing, depth): nu_1, nu_2, ... of b at p, exact.
+    """(nus, closing, method): nu_1, nu_2, ... of b at p, exact.
 
     A node (g, m) at level L adds m times its zeros' counts to nu_t, t > L.
     The root is (b, 1) at 0 on U_p^n, the others run over (Z/p)^n.  Nodes
@@ -292,40 +260,27 @@ def _hensel_tree(b, p, t_max, budget):
     short of t_max; a node is charged what its zero walk costs when it is
     made (``_walk_cost``: p^(n-1) rows for a node with a ``_linear_split``,
     none for a nonzero constant mod p, p^n otherwise), and only if it is to
-    be expanded.  A separable b cut short takes its remaining levels from
-    its histograms mod p^t while they fit the budget.  The partial sums are
-    constant from ``closing``, the largest L + 1 of a node without singular
-    zeros, or None after a cut or a node at level t_max or deeper.
-    ``depth`` counts refined generations.
+    be expanded.  The partial sums are constant from ``closing``, the
+    largest L + 1 of a node without singular zeros, or None after a cut or
+    a node at level t_max or deeper.  ``method`` is hensel_tree(d), d the
+    number of refined generations.
     """
-    if not _is_prime(p) or t_max < 1:
-        raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
     n, nus = b.n, [0] * t_max
-    parts, const = b.additive_split([1] * n) or (None, None)
-    if parts:
-        root, expand = (tuple(parts), const), \
-            partial(_separable_children, memo={})
-        child = _convolution_cost(n, p)
-    else:
-        root, expand, child = b, _children, p ** (n - 1)
-
-    def walk(h):        # what the zero walk of the child h costs
-        return child if parts else _walk_cost(h, p, False)[0]
-
     # nodes (g, m, gen, paid), paid what g was charged when it was made
-    levels = [[(root, 1, 0, 0)]] + [[] for _ in range(t_max - 1)]
+    levels = [[(b, 1, 0, 0)]] + [[] for _ in range(t_max - 1)]
     horizon, closing, depth, spent = t_max, 1, 0, 0   # nus exact to horizon
     for L, nodes in enumerate(levels):
         for g, m, gen, paid in nodes if L < horizon else ():
             try:
-                zeros, children, cost = expand(
-                    g, p, L == 0, budget - spent + paid, child)
+                zeros, children, cost = _children(g, p, L == 0,
+                                                  budget - spent + paid)
             except BudgetExceeded:
                 horizon, closing = L, None
                 break
             spent += cost - paid
             charges = {} if children is None else \
-                {h: walk(h[0]) for h in children if L + h[1] < t_max}
+                {h: _walk_cost(h[0], p, False)[0] for h in children
+                 if L + h[1] < t_max}
             if children is None or spent + sum(charges.values()) > budget:
                 nus[L] += m * zeros     # every zero is one at level L + 1
                 horizon, closing = L + 1, None
@@ -348,14 +303,17 @@ def _hensel_tree(b, p, t_max, budget):
                                           gen + 1, charges[h, c]))
                 else:
                     closing = None
-    while horizon < t_max and parts:
-        try:
-            nus[horizon] = int(value_histogram(b, p ** (horizon + 1),
-                                               budget=budget)[0])
-        except BudgetExceeded:
-            break
-        horizon += 1
-    return nus[:horizon], closing if horizon == t_max else None, depth
+    return nus[:horizon], closing if horizon == t_max else None, \
+        f"hensel_tree({depth})"
+
+
+def _levels(b, p, t_max, budget):
+    """(nus, closing, method) of b at p: by Hensel's valuation lemma where
+    it applies, by the Hensel tree otherwise."""
+    if not _is_prime(p) or t_max < 1:
+        raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
+    return _hensel_valuation(b, p, t_max, budget) or \
+        _hensel_tree(b, p, t_max, budget)
 
 
 @dataclass
@@ -367,7 +325,7 @@ class UnitSolutionCount:
 
 def nu_count(b, p, t, budget=DEFAULT_ENUM_BUDGET):
     """Exact count of x in (U_{p^t})^n with b(x) = 0 mod p^t."""
-    nus = _hensel_tree(b, p, t, budget)[0]
+    nus = _levels(b, p, t, budget)[0]
     if len(nus) < t:
         raise BudgetExceeded(f"enumeration budget hit at level t={len(nus) + 1}")
     return UnitSolutionCount(p=p, t=t, nu=nus[-1])
@@ -381,22 +339,25 @@ class LocalFactor:
     stabilized_at: int | None
     nu_values: list = field(default_factory=list)
     warning: str | None = None
-    method: str | None = None   # no_solution, nonsingular or hensel_tree(depth)
+    # no_solution, nonsingular, hensel_tree(depth) or hensel_valuation(tau)
+    method: str | None = None
 
 
 def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
-    """Local factor mu(p), read from the Hensel tree of b at p.
+    """Local factor mu(p), read from the levels nu_t of b at p (``_levels``).
 
     partial_sums[t-1] = p^t nu_t / phi(p^t)^n, exact for t <= t_max, and
-    mu(p) is the one at ``stabilized_at``, the level from which the tree
-    proves them constant.  ``method`` is ``no_solution`` (some nu_t = 0, so
-    mu(p) = 0), ``nonsingular`` (no singular zero mod p: constant from
-    t = 1) or ``hensel_tree(d)`` (singular zeros refined d generations
-    deep; d = 0 when the budget stops the root).  A budget cut or a node at
-    level t_max or deeper leaves stabilized_at None, mu(p) the last partial
-    sum, and a warning.
+    mu(p) is the one at ``stabilized_at``, the level from which the Hensel
+    tree or Hensel's valuation lemma proves them constant.  ``method`` is
+    ``no_solution`` (some nu_t = 0, so mu(p) = 0), ``nonsingular`` (no
+    singular zero mod p: constant from t = 1), ``hensel_tree(d)``
+    (singular zeros refined d generations deep; d = 0 when the budget stops
+    the root) or ``hensel_valuation(tau)`` (a separable b closed by the
+    lemma at 2 tau + 1 or before).  A budget cut, or no level proved up to
+    t_max, leaves stabilized_at None, mu(p) the last partial sum, and a
+    warning.
     """
-    nus, closing, depth = _hensel_tree(b, p, t_max, budget)
+    nus, closing, method = _levels(b, p, t_max, budget)
     partials = [Fraction(p ** t * nu, (p ** t - p ** (t - 1)) ** b.n)
                 for t, nu in enumerate(nus, start=1)]
     if 0 in nus:
@@ -408,10 +369,10 @@ def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
                if len(nus) < t_max else
                None if closing else "no stabilization within t_max")
     mu = partials[-1] if partials else Fraction(0)
-    method = "nonsingular" if closing == 1 else f"hensel_tree({depth})"
     return LocalFactor(p=p, partial_sums=partials, mu_p=mu,
                        stabilized_at=closing, nu_values=nus,
-                       warning=warning, method=method)
+                       warning=warning,
+                       method="nonsingular" if closing == 1 else method)
 
 
 # ---------------------------------------------------------------------------

@@ -514,10 +514,14 @@ def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
     w = np.asarray(weight, np.int64 if size < _INT64_SAFE else object)
     if steps < walk:
         parts, const = split
-        rows = [np.zeros(q, w.dtype) for _ in parts]
-        for part, row in zip(parts, rows):
-            np.add.at(row, part.eval_int(support[:, None], q), w[support])
-        return np.roll(_convolve_mod(rows, q, size), const % q)
+        rows = {}       # equal parts share one row
+        for part in parts:
+            if part not in rows:
+                rows[part] = np.zeros(q, w.dtype)
+                np.add.at(rows[part], part.eval_int(support[:, None], q),
+                          w[support])
+        return np.roll(_convolve_mod([rows[g] for g in parts], q, size),
+                       const % q)
     hist = np.zeros(q, w.dtype)
     for block in grid_blocks([support] * n):
         np.add.at(hist, b.eval_int(block, q), w[block].prod(axis=1))

@@ -153,7 +153,7 @@ class TestWarningFlags:
         assert code == 1
         assert rep["flags"] == ["no_stabilization"]
         assert [f["p"] for f in rep["result"]["factors"]] == [2, 3, 5]
-        assert rep["result"]["factors"][1]["method"] == "hensel_tree(1)"
+        assert rep["result"]["factors"][1]["method"] == "hensel_valuation(1)"
 
     def test_reports_name_the_method(self, poly_file, tmp_path):
         pf = poly_file(LINEAR18)
@@ -162,7 +162,7 @@ class TestWarningFlags:
         _, rep = run_json(["series", "--poly", pf, "--prime-bound", "5"],
                           tmp_path)
         assert [f["method"] for f in rep["result"]["factors"]] == \
-            ["nonsingular", "hensel_tree(1)", "nonsingular"]
+            ["nonsingular", "hensel_valuation(1)", "nonsingular"]
 
     @pytest.mark.parametrize("text", [LINEAR6, "n=2\n1 1 1\n-1 0 0\n"])
     def test_local_budget_on_a_huge_prime(self, poly_file, tmp_path, text):

@@ -5,6 +5,7 @@ enumeration; local factors against the exact rational partial sums.
 """
 import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -49,8 +50,8 @@ POLYS = [
 # 3, 6, 6, 3/2, 3/2, 3/2, so two equal ones do not make a limit
 SINGULAR_AT_3 = ("n=3\n1 3 0 0\n-4 2 1 0\n5 1 2 0\n-2 0 3 0\n27 1 0 1\n"
                  "-54 0 1 1\n")
-# 1 x1^3 + 2 x2^3 + 4 x3^3 + 5 x4^3: no two parts alike, so at p = 3 a
-# budget of 300 fits neither its singular zeros nor histograms mod 27
+# 1 x1^3 + 2 x2^3 + 4 x3^3 + 5 x4^3: at p = 3 a budget of 300 fits its
+# histograms mod 9, not mod 27
 DISTINCT_CUBES = "n=4\n1 3 0 0 0\n2 0 3 0 0\n4 0 0 3 0\n5 0 0 0 3\n"
 
 
@@ -153,7 +154,7 @@ class TestUnitSolutionCounts:
         assert nu_count(b, p, t).nu == self.brute_nu(b, p, t)
 
     def test_many_singular_zeros_of_a_diagonal_form(self):
-        # 1,398,102 singular unit zeros mod 3, grouped by the node they give
+        # 1,398,102 singular unit zeros mod 3, none of them walked
         b = cubes(22)
         assert nu_count(b, 3, 2).nu == value_histogram(b, 9)[0]
 
@@ -178,7 +179,7 @@ class TestUnitSolutionCounts:
         assert mu_p(b, 3, t_max=3, budget=79).warning is not None
 
     def test_lifting_path_agrees(self):
-        # force the fallback by starving the histogram budget
+        # a non-separable b takes the tree, even on a small budget
         b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")   # x1 x2 = 1
         got = nu_count(b, 3, 3, budget=100)
         assert got.nu == self.brute_nu(b, 3, 3)
@@ -232,6 +233,72 @@ class TestLinearVariable:
             value_histogram(b, 7)[0] == 6 * 6 + 6 * 5
 
 
+def random_separable(rng, p):
+    """c + f_1(x_1) + ... + f_n(x_n), n <= 3, each f_i a monomial or a
+    binomial, coefficients often divisible by p, at least one monomial."""
+    n = rng.randint(1, 3)
+    terms = {(0,) * n: rng.randint(-20, 20)}
+    for i in range(n):
+        e = [0] * n
+        for d in rng.sample(range(1, 5), 1 if i == 0 else rng.randint(1, 2)):
+            e[i] = d
+            terms[tuple(e)] = rng.choice([1, -1]) * rng.randint(1, 4) * \
+                p ** rng.choice([0, 0, 1, 2])
+    return Polynomial(n, terms)
+
+
+class TestHenselValuation:
+    """A separable b with a monomial part a x_i^d: levels t <= 2 v_p(a d) + 1
+    from histograms, the rest by Hensel's valuation lemma.  Counts must be
+    those of the Hensel tree, and the level it proves no later."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_forms_match_the_tree(self, p):
+        rng = random.Random(p)
+        for _ in range(40):
+            b = random_separable(rng, p)
+            nus, closing, method = local._hensel_valuation(b, p, 4, 10 ** 8)
+            tree, proved, _ = local._hensel_tree(b, p, 4, 10 ** 8)
+            assert nus == tree, b
+            assert method.startswith("hensel_valuation(")
+            if proved is not None:
+                assert closing is not None and closing <= proved, b
+
+    @pytest.mark.parametrize("text,p", [
+        ("n=2\n3 2 0\n1 0 2\n-1 0 0\n", 3),        # p | a: 3 x1^2 + x2^2 - 1
+        ("n=2\n1 3 0\n1 0 2\n1 0 1\n", 2),          # x1^3 + (x2^2 + x2)
+        ("n=2\n1 3 0\n1 0 2\n1 0 1\n", 3),
+        ("n=2\n1 3 0\n1 0 2\n1 0 1\n", 5),
+        ("n=1\n1 2\n-3 0\n", 2),                    # x1^2 = 3: none mod 4
+    ])
+    def test_small_forms_match_brute(self, text, p):
+        b = parse_polynomial(text)
+        f = mu_p(b, p, t_max=3)
+        brute = TestUnitSolutionCounts().brute_nu
+        assert f.nu_values == [brute(b, p, t)
+                               for t in range(1, len(f.nu_values) + 1)]
+        assert f.stabilized_at is not None and f.warning is None
+
+    def test_no_monomial_part_takes_the_tree(self):
+        # (x1^3 + 3 x1) + (x2^3 + 3 x2): every zero mod 3 is singular
+        b = parse_polynomial("n=2\n1 3 0\n3 1 0\n1 0 3\n3 0 1\n")
+        assert local._hensel_valuation(b, 3, 4, 10 ** 6) is None
+        f = mu_p(b, 3, t_max=4)
+        assert f.method == "hensel_tree(1)" and f.stabilized_at == 3
+        assert f.nu_values == [2, 18, 54, 162]
+
+    def test_distinct_cubes_close(self):
+        # sum a_i x_i^3, a_i = 1, 2, 4, 5, ..., 26: no two parts alike, and
+        # every unit zero mod 3 singular; tau = v_3(3 a_i) = 1
+        a = [k for k in range(1, 27) if k % 3]
+        b = Polynomial(len(a), {tuple(3 if j == i else 0
+                                      for j in range(len(a))): c
+                                for i, c in enumerate(a)})
+        f = mu_p(b, 3, budget=10 ** 5)
+        assert f.mu_p == Fraction(32769, 32768) and f.stabilized_at == 2
+        assert f.warning is None and f.method == "hensel_valuation(1)"
+
+
 class TestLocalFactors:
     def test_partial_sums_are_the_nu_ratios(self):
         b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")
@@ -280,7 +347,7 @@ class TestLocalFactors:
 
     def test_method_when_the_budget_stops_the_root(self):
         f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3, budget=300)
-        assert f.method == "hensel_tree(0)" and len(f.nu_values) == 2
+        assert f.method == "hensel_valuation(1)" and len(f.nu_values) == 2
         assert f.stabilized_at is None and "budget" in f.warning
 
     def test_diagonal_form_closes(self):
@@ -288,8 +355,8 @@ class TestLocalFactors:
         f = mu_p(b, 3, t_max=4)
         assert f.nu_values == [value_histogram(b, 3 ** t)[0]
                                for t in range(1, 5)]
-        assert f.stabilized_at == 3 and f.warning is None
-        assert f.method == "hensel_tree(1)"
+        assert f.stabilized_at == 2 and f.warning is None
+        assert f.method == "hensel_valuation(1)"
 
     def test_prime_checked_and_budget_before_allocation(self):
         b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")
