@@ -11,14 +11,17 @@ p = 2 too).  A singular zero x0, where every partial derivative vanishes
 mod p, is refined to h(y) = b(x0 + p y) / p^c, c the p-adic valuation of
 the content, and h is treated the same way.  The tree gives every nu_t
 exactly and proves the level from which the partial sums stop changing.
-A separable b with a monomial part a x_i^d takes no tree: Hensel's
+A separable b with a monomial part a x_i^d needs no tree: Hensel's
 valuation lemma in x_i fixes every level from 2 v_p(a d) + 1 on, and
 histograms mod p^t give the levels before, so a diagonal form in many
-variables costs a few histograms, not one node per singular zero.
+variables costs a few histograms, not one node per singular zero.  It
+takes the tree when those histograms do not fit the budget, or when a
+walk of its zeros mod p costs less and finds none singular.
 The complex B(q) path exists as a floating-point cross-check.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -27,7 +30,7 @@ from math import gcd, inf
 import numpy as np
 
 from .poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, BudgetExceeded,
-                   Polynomial, grid_blocks, residue_histogram)
+                   Polynomial, grid_blocks, histogram_cost, residue_histogram)
 from .primes import _is_prime, primes_up_to
 
 
@@ -175,14 +178,13 @@ def _expand(rows, j, axis):
                         np.tile(axis, len(part)), axis=1)
 
 
-def _children(g, p, units, budget):
-    """(zeros, children, cost) for the zeros of g mod p.
+def _singular_zeros(g, p, units, budget):
+    """(zeros, singular, cost) for the zeros of g mod p.
 
-    ``children`` maps each node (h, c) that a singular zero x0 (every
-    partial derivative zero mod p) refines to, h(y) = g(x0 + p y) / p^c, to
-    the number of singular zeros that give it.  It is None when those
-    zeros, at p^(n-1) each, the least a child's walk costs, do not fit the
-    budget.  ``cost`` is checked before any allocation.
+    ``singular`` holds the rows of the singular zeros (every partial
+    derivative zero mod p), or is None when those zeros, at p^(n-1) each,
+    the least a child's walk costs, do not fit the budget.  ``cost`` is
+    checked before any allocation.
     """
     cost, zeros, candidates = _zero_candidates(g, p, units, budget)
     singular, grads = [np.empty((0, g.n), np.int64)], g.gradient()
@@ -194,12 +196,7 @@ def _children(g, p, units, budget):
         room -= len(block)
         if room >= 0:
             singular.append(block)
-    if room < 0:
-        return zeros, None, cost
-    children = {}
-    for h in _refine(g, np.concatenate(singular), p):
-        children[h] = children.get(h, 0) + 1
-    return zeros, children, cost
+    return zeros, np.concatenate(singular) if room >= 0 else None, cost
 
 
 def _refine(g, singular, p):
@@ -217,26 +214,27 @@ def _refine(g, singular, p):
         yield _divided(n, {a: int(v[k]) for a, v in values}, p)
 
 
-def _hensel_valuation(b, p, t_max, budget):
-    """(nus, closing, method) for a separable b = c + f_1(x_1) + ... with a
-    monomial part a x_i^d, None for any other b.
-
-    With tau the least v_p(a d) over those parts, db/dx_i has valuation
-    tau at every unit x, so Hensel's valuation lemma in x_i gives
-    nu_(t+1) = p^(n-1) nu_t for every t >= T = 2 tau + 1.  Levels t <= T,
-    past t_max if T is, are read from histograms mod p^t, each checked
-    against the budget; later levels, and every level after a zero, follow
-    from the ones before.  ``closing`` is the least s from which the levels
-    grow by p^(n-1), or None if it exceeds t_max or a cut leaves a level
-    up to T unknown.  ``nus`` stops at a cut or at t_max.
-    """
+def _lemma_tau(b, p):
+    """The least v_p(a d) over the monomial parts a x_i^d of a separable
+    b = c + f_1(x_1) + ... + f_n(x_n), None when b has no such part."""
     split = b.additive_split([1] * b.n)
     taus = [_valuation(a * e[0], p) for part in (split[0] if split else ())
             if len(part.terms) == 1 for e, a in part.terms.items()]
-    if not taus:
-        return None
-    n, tau = b.n, min(taus)
-    T, method, nus = 2 * tau + 1, f"hensel_valuation({tau})", []
+    return min(taus, default=None)
+
+
+def _hensel_valuation(b, p, t_max, tau, budget):
+    """(nus, closing, method, cut) for a b with ``_lemma_tau`` tau.
+
+    db/dx_i has valuation tau at every unit x, so Hensel's valuation lemma
+    in x_i gives nu_(t+1) = p^(n-1) nu_t for every t >= T = 2 tau + 1.
+    Levels t <= T, past t_max if T is, are read from histograms mod p^t
+    until one exceeds the budget (``cut``); the rest follow, as does every
+    level after a zero.  ``closing`` is the least s from which the levels
+    grow by p^(n-1), None past t_max or after a cut.
+    """
+    n, T = b.n, 2 * tau + 1
+    method, nus = f"hensel_valuation({tau})", []
     for t in range(1, max(T, t_max) + 1):
         if t > T or nus and nus[-1] == 0:
             nus.append(nus[-1] * p ** (n - 1))
@@ -244,15 +242,15 @@ def _hensel_valuation(b, p, t_max, budget):
         try:
             nus.append(int(value_histogram(b, p ** t, budget=budget)[0]))
         except BudgetExceeded:
-            return nus[:t_max], None, method
+            return nus[:t_max], None, method, t
     s = T
     while s > 1 and nus[s - 1] == nus[s - 2] * p ** (n - 1):
         s -= 1
-    return nus[:t_max], s if s <= t_max else None, method
+    return nus[:t_max], s if s <= t_max else None, method, None
 
 
 def _hensel_tree(b, p, t_max, budget):
-    """(nus, closing, method): nu_1, nu_2, ... of b at p, exact.
+    """(nus, closing, method, cut): nu_1, nu_2, ... of b at p, exact.
 
     A node (g, m) at level L adds m times its zeros' counts to nu_t, t > L.
     The root is (b, 1) at 0 on U_p^n, the others run over (Z/p)^n.  Nodes
@@ -261,9 +259,9 @@ def _hensel_tree(b, p, t_max, budget):
     made (``_walk_cost``: p^(n-1) rows for a node with a ``_linear_split``,
     none for a nonzero constant mod p, p^n otherwise), and only if it is to
     be expanded.  The partial sums are constant from ``closing``, the
-    largest L + 1 of a node without singular zeros, or None after a cut or
-    a node at level t_max or deeper.  ``method`` is hensel_tree(d), d the
-    number of refined generations.
+    largest L + 1 of a node without singular zeros, or None after a cut
+    (at level ``cut``) or a node at level t_max or deeper.  ``method`` is
+    hensel_tree(d), d the number of refined generations.
     """
     n, nus = b.n, [0] * t_max
     # nodes (g, m, gen, paid), paid what g was charged when it was made
@@ -272,12 +270,15 @@ def _hensel_tree(b, p, t_max, budget):
     for L, nodes in enumerate(levels):
         for g, m, gen, paid in nodes if L < horizon else ():
             try:
-                zeros, children, cost = _children(g, p, L == 0,
-                                                  budget - spent + paid)
+                zeros, singular, cost = _singular_zeros(g, p, L == 0,
+                                                        budget - spent + paid)
             except BudgetExceeded:
                 horizon, closing = L, None
                 break
             spent += cost - paid
+            # the nodes (h, c) the singular zeros refine to, with multiplicity
+            children = None if singular is None else \
+                Counter(_refine(g, singular, p))
             charges = {} if children is None else \
                 {h: _walk_cost(h[0], p, False)[0] for h in children
                  if L + h[1] < t_max}
@@ -304,16 +305,38 @@ def _hensel_tree(b, p, t_max, budget):
                 else:
                     closing = None
     return nus[:horizon], closing if horizon == t_max else None, \
-        f"hensel_tree({depth})"
+        f"hensel_tree({depth})", horizon + 1 if horizon < t_max else None
 
 
 def _levels(b, p, t_max, budget):
-    """(nus, closing, method) of b at p: by Hensel's valuation lemma where
-    it applies, by the Hensel tree otherwise."""
+    """(nus, closing, method, cut) of b at p.
+
+    Hensel's valuation lemma takes a b with a ``_lemma_tau`` when its
+    histogram mod p^(2 tau + 1) fits the budget, unless a walk of the zeros
+    mod p (``_singular_zeros``) that costs no more finds none singular.  The
+    Hensel tree takes the rest; where a cut stops it short of a proof, the
+    lemma's histograms count what they can, and the longer count is kept.
+    """
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
-    return _hensel_valuation(b, p, t_max, budget) or \
-        _hensel_tree(b, p, t_max, budget)
+    tau = _lemma_tau(b, p)
+    if tau is not None:
+        q = p ** (2 * tau + 1)      # value_histogram checks q, then the rest
+        cost = max(q, histogram_cost(b.n, q, q - q // p, True))
+        lemma = cost <= budget
+        if lemma and tau > 0:   # with tau = 0 every zero mod p is nonsingular
+            try:
+                singular = _singular_zeros(b, p, True, cost)[1]
+                lemma = singular is None or len(singular) > 0
+            except BudgetExceeded:      # the walk costs more than the lemma
+                pass
+        if lemma:
+            return _hensel_valuation(b, p, t_max, tau, budget)
+    tree = _hensel_tree(b, p, t_max, budget)
+    if tau is None or tree[1] is not None or tree[3] is None:
+        return tree
+    return max(tree, _hensel_valuation(b, p, t_max, tau, budget),
+               key=lambda r: (r[1] is not None, len(r[0])))
 
 
 @dataclass
@@ -357,7 +380,7 @@ def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
     t_max, leaves stabilized_at None, mu(p) the last partial sum, and a
     warning.
     """
-    nus, closing, method = _levels(b, p, t_max, budget)
+    nus, closing, method, cut = _levels(b, p, t_max, budget)
     partials = [Fraction(p ** t * nu, (p ** t - p ** (t - 1)) ** b.n)
                 for t, nu in enumerate(nus, start=1)]
     if 0 in nus:
@@ -365,8 +388,7 @@ def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
         return LocalFactor(p=p, partial_sums=partials[:t], mu_p=Fraction(0),
                            stabilized_at=t, nu_values=nus[:t],
                            method="no_solution")
-    warning = (f"enumeration budget hit at level t={len(nus) + 1}"
-               if len(nus) < t_max else
+    warning = (f"enumeration budget hit at level t={cut}" if cut else
                None if closing else "no stabilization within t_max")
     mu = partials[-1] if partials else Fraction(0)
     return LocalFactor(p=p, partial_sums=partials, mu_p=mu,

@@ -490,6 +490,13 @@ def _convolve_mod(rows, q, size):
     return hist
 
 
+def histogram_cost(n, q, m, separable):
+    """The steps ``residue_histogram`` takes mod q for a b in n variables
+    with m weights nonzero: the m^n tuples it walks, or for a separable b
+    the (n - 1) q^2 + n m steps of convolving, if fewer."""
+    return min(m ** n, (n - 1) * q * q + n * m if separable else m ** n)
+
+
 def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
     """Entry r: the sum of weight[a_1] ... weight[a_n] over a in (Z/q)^n
     with b(a) = r mod q; b integral, ``weight`` q exact integers >= 0.
@@ -505,14 +512,13 @@ def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
         raise ValueError("histogram needs integer coefficients")
     n, support = b.n, np.flatnonzero(weight)
     split = b.additive_split([1] * n) if n else None
-    walk = len(support) ** n
-    steps = (n - 1) * q * q + n * len(support) if split else walk
-    if min(walk, steps) > budget:
-        raise BudgetExceeded(f"histogram mod {q} costs {min(walk, steps)}, "
+    cost = histogram_cost(n, q, len(support), split is not None)
+    if cost > budget:
+        raise BudgetExceeded(f"histogram mod {q} costs {cost}, "
                              f"over budget {budget}")
     size = int(np.sum(weight)) ** n
     w = np.asarray(weight, np.int64 if size < _INT64_SAFE else object)
-    if steps < walk:
+    if cost < len(support) ** n:
         parts, const = split
         rows = {}       # equal parts share one row
         for part in parts:

@@ -51,7 +51,8 @@ POLYS = [
 SINGULAR_AT_3 = ("n=3\n1 3 0 0\n-4 2 1 0\n5 1 2 0\n-2 0 3 0\n27 1 0 1\n"
                  "-54 0 1 1\n")
 # 1 x1^3 + 2 x2^3 + 4 x3^3 + 5 x4^3: at p = 3 a budget of 300 fits its
-# histograms mod 9, not mod 27
+# histograms mod 9, not mod 27, and a budget of 100 neither those nor the
+# root's 6 singular zeros
 DISTINCT_CUBES = "n=4\n1 3 0 0 0\n2 0 3 0 0\n4 0 0 3 0\n5 0 0 0 3\n"
 
 
@@ -159,10 +160,16 @@ class TestUnitSolutionCounts:
         assert nu_count(b, 3, 2).nu == value_histogram(b, 9)[0]
 
     def test_histograms_beyond_a_cut_tree(self):
+        # 8 distinct cubes on a budget of 1000: the tree is cut at the
+        # root's singular zeros, histograms count mod 9 but not mod 27
+        b = distinct_cubes([1, 2, 4, 5, 7, 8, 10, 11])
+        assert nu_count(b, 3, 2, budget=1000).nu == value_histogram(b, 9)[0]
+        with pytest.raises(BudgetExceeded):
+            nu_count(b, 3, 3, budget=1000)
+        # 4 on a budget of 300: the tree, with no histogram, reaches mod 27
         b = parse_polynomial(DISTINCT_CUBES)
         assert nu_count(b, 3, 2, budget=300).nu == self.brute_nu(b, 3, 2)
-        with pytest.raises(BudgetExceeded):
-            nu_count(b, 3, 3, budget=300)
+        assert nu_count(b, 3, 3, budget=300).nu == self.brute_nu(b, 3, 3)
 
     def test_linear_children_charged_their_walk(self):
         # 3 (x1 x2 + x3) at p = 3: the 8 unit zeros mod 3 are all singular,
@@ -247,6 +254,13 @@ def random_separable(rng, p):
     return Polynomial(n, terms)
 
 
+def distinct_cubes(a):
+    """sum a_i x_i^3 over the coefficients ``a``."""
+    n = len(a)
+    return Polynomial(n, {tuple(3 if j == i else 0 for j in range(n)): c
+                          for i, c in enumerate(a)})
+
+
 class TestHenselValuation:
     """A separable b with a monomial part a x_i^d: levels t <= 2 v_p(a d) + 1
     from histograms, the rest by Hensel's valuation lemma.  Counts must be
@@ -257,12 +271,29 @@ class TestHenselValuation:
         rng = random.Random(p)
         for _ in range(40):
             b = random_separable(rng, p)
-            nus, closing, method = local._hensel_valuation(b, p, 4, 10 ** 8)
-            tree, proved, _ = local._hensel_tree(b, p, 4, 10 ** 8)
-            assert nus == tree, b
-            assert method.startswith("hensel_valuation(")
+            tau = local._lemma_tau(b, p)
+            nus, closing, method, cut = local._hensel_valuation(
+                b, p, 4, tau, 10 ** 8)
+            tree, proved, _, _ = local._hensel_tree(b, p, 4, 10 ** 8)
+            assert nus == tree and cut is None, b
+            assert method == f"hensel_valuation({tau})"
             if proved is not None:
                 assert closing is not None and closing <= proved, b
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_small_budgets_never_lose_to_the_tree(self, p):
+        # whichever path _levels takes, it counts no fewer levels than the
+        # tree on the same budget, and proves a level wherever the tree does
+        rng = random.Random(10 + p)
+        for _ in range(40):
+            b = random_separable(rng, p)
+            full = local._hensel_tree(b, p, 4, 10 ** 8)[0]
+            for budget in (30, 300, 3000):
+                nus, closing, _, _ = local._levels(b, p, 4, budget)
+                tree, proved, _, _ = local._hensel_tree(b, p, 4, budget)
+                assert nus == full[:len(nus)] and len(nus) >= len(tree), b
+                if proved is not None:
+                    assert closing is not None and closing <= proved, b
 
     @pytest.mark.parametrize("text,p", [
         ("n=2\n3 2 0\n1 0 2\n-1 0 0\n", 3),        # p | a: 3 x1^2 + x2^2 - 1
@@ -282,7 +313,7 @@ class TestHenselValuation:
     def test_no_monomial_part_takes_the_tree(self):
         # (x1^3 + 3 x1) + (x2^3 + 3 x2): every zero mod 3 is singular
         b = parse_polynomial("n=2\n1 3 0\n3 1 0\n1 0 3\n3 0 1\n")
-        assert local._hensel_valuation(b, 3, 4, 10 ** 6) is None
+        assert local._lemma_tau(b, 3) is None
         f = mu_p(b, 3, t_max=4)
         assert f.method == "hensel_tree(1)" and f.stabilized_at == 3
         assert f.nu_values == [2, 18, 54, 162]
@@ -290,13 +321,43 @@ class TestHenselValuation:
     def test_distinct_cubes_close(self):
         # sum a_i x_i^3, a_i = 1, 2, 4, 5, ..., 26: no two parts alike, and
         # every unit zero mod 3 singular; tau = v_3(3 a_i) = 1
-        a = [k for k in range(1, 27) if k % 3]
-        b = Polynomial(len(a), {tuple(3 if j == i else 0
-                                      for j in range(len(a))): c
-                                for i, c in enumerate(a)})
+        b = distinct_cubes([k for k in range(1, 27) if k % 3])
         f = mu_p(b, 3, budget=10 ** 5)
         assert f.mu_p == Fraction(32769, 32768) and f.stabilized_at == 2
         assert f.warning is None and f.method == "hensel_valuation(1)"
+
+    @pytest.mark.parametrize("c", [25, 125])
+    def test_a_nonsingular_root_takes_the_tree(self, c, monkeypatch):
+        # c x1 + x2^2 + x2 - 2 at p = 5: tau = v_5(c), but both zeros mod 5,
+        # x2 = 1 and 3, are nonsingular; walking them costs 16 points, the
+        # histogram mod 5^(2 tau + 1) millions of steps or more
+        def no_histogram(*args, **kwargs):
+            raise AssertionError("histogram read")
+        monkeypatch.setattr(local, "value_histogram", no_histogram)
+        b = parse_polynomial(f"n=2\n{c} 1 0\n1 0 2\n1 0 1\n-2 0 0\n")
+        f = mu_p(b, 5)
+        assert f.stabilized_at == 1 and f.warning is None
+        assert f.method == "nonsingular"
+        assert f.nu_values == [8 * 5 ** t for t in range(6)]
+
+    def test_tree_when_the_histograms_do_not_fit(self):
+        # histograms mod 27 cost 2259 > 300; the tree proves level 3
+        f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3, budget=300)
+        assert f.nu_values == [6, 162, 4374] and f.stabilized_at == 3
+        assert f.method == "hensel_tree(1)" and f.warning is None
+
+    def test_histograms_count_past_a_cut_tree(self):
+        # 8 distinct cubes at p = 3 on a budget of 1000: the tree is cut at
+        # the root's singular zeros, histograms mod 9 still fit, mod 27 not
+        b = distinct_cubes([1, 2, 4, 5, 7, 8, 10, 11])
+        f = mu_p(b, 3, t_max=3, budget=1000)
+        assert f.nu_values == [value_histogram(b, 3 ** t)[0] for t in (1, 2)]
+        assert f.method == "hensel_valuation(1)" and f.stabilized_at is None
+        assert f.warning == "enumeration budget hit at level t=3"
+        # with t_max = 2 both levels are there; the cut past t_max is named
+        f = mu_p(b, 3, t_max=2, budget=1000)
+        assert len(f.nu_values) == 2 and f.stabilized_at is None
+        assert f.warning == "enumeration budget hit at level t=3"
 
 
 class TestLocalFactors:
@@ -346,8 +407,8 @@ class TestLocalFactors:
         assert f.method == "hensel_tree(2)"
 
     def test_method_when_the_budget_stops_the_root(self):
-        f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3, budget=300)
-        assert f.method == "hensel_valuation(1)" and len(f.nu_values) == 2
+        f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3, budget=100)
+        assert f.method == "hensel_tree(0)" and f.nu_values == [6]
         assert f.stabilized_at is None and "budget" in f.warning
 
     def test_diagonal_form_closes(self):
