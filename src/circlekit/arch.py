@@ -19,8 +19,12 @@ memory holds one replicate, and the estimators work on the rows.
 The eta-integral of I over [-L, L] is done in closed form: integrating
 cos(2 pi eta f(x)) in eta gives the Dirichlet kernel 2L sinc(2L f(x)), so
 J(L) is a plain sample mean and no eta grid is needed.  The L ladder is
-built by angle doubling: sin and cos are taken only at the L whose half is
-not on the ladder, and each 2L follows from the double-angle formulas.
+built by angle doubling: at each L whose half is not on the ladder one
+vectorised tan of the half angle gives sin and cos, each 2L follows from
+the double-angle formulas, and each rung is one dot product.  Samples so
+close to a zero of f that the kernel is exactly 2L are counted apart.  The
+last bits of J(L) follow the platform's tan (numpy's SIMD one, or libm's),
+so they can differ between CPUs; reruns on one machine are identical.
 
 Both J(L) and the sausage density approach their limits with a
 |v|^{1/2} log|v| type edge when the zero set meets the singular locus, so
@@ -29,6 +33,7 @@ the extrapolation bases carry that term alongside the smooth one.
 from __future__ import annotations
 
 import importlib.util
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,14 +79,42 @@ _SOBOL_BITS = 30
 _SOBOL_MAXDIM = 21201
 
 
+def _read_npy_prefix(zf, name, rows, cols=None):
+    """The first ``rows`` rows (and ``cols`` columns) of the .npy member
+    ``name`` of the open zip ``zf``, decompressing only the bytes that hold
+    them: the leading rows of a C-ordered array, the leading columns of a
+    Fortran-ordered one."""
+    with zf.open(name) as fp:
+        version = np.lib.format.read_magic(fp)
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, fortran_order, dtype = read_header(fp)
+        if len(shape) == 1:
+            return np.frombuffer(fp.read(rows * dtype.itemsize), dtype)
+        if fortran_order:
+            count = shape[0] * cols
+            flat = np.frombuffer(fp.read(count * dtype.itemsize), dtype)
+            return flat.reshape((shape[0], cols), order="F")[:rows]
+        count = rows * shape[1]
+        flat = np.frombuffer(fp.read(count * dtype.itemsize), dtype)
+        return flat.reshape(rows, shape[1])[:, :cols]
+
+
 def _sobol_directions(d):
-    """(d, 30) Joe-Kuo direction numbers, column j scaled by 2^(29-j)."""
+    """(d, 30) Joe-Kuo direction numbers, column j scaled by 2^(29-j).
+
+    Only the prefix of scipy's table that d dimensions use is read: d
+    primitive polynomials, and the initial numbers up to their top degree.
+    """
     if d > _SOBOL_MAXDIM:
         raise ValueError(f"Sobol sampling supports at most {_SOBOL_MAXDIM} "
                          "dimensions")
     root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    with np.load(Path(root, "stats", "_sobol_direction_numbers.npz")) as z:
-        poly, vinit = z["poly"][:d].tolist(), z["vinit"][:d].tolist()
+    with zipfile.ZipFile(Path(root, "stats",
+                              "_sobol_direction_numbers.npz")) as zf:
+        poly = _read_npy_prefix(zf, "poly.npy", d).tolist()
+        degree = max((p.bit_length() - 1 for p in poly), default=0)
+        vinit = _read_npy_prefix(zf, "vinit.npy", d, degree).tolist()
     v = [[1] * _SOBOL_BITS]
     for p, init in zip(poly[1:], vinit[1:]):
         m = p.bit_length() - 1
@@ -98,7 +131,12 @@ def _sobol_directions(d):
 
 
 def _sobol(directions, n, seed):
-    """n scrambled Sobol points in [0,1)^d, shape (n, d), as scipy's."""
+    """n scrambled Sobol points in [0,1)^d, shape (n, d), as scipy's.
+
+    The Gray code is filled dimension-major, so each doubling is one xor
+    over d contiguous rows; the result is the transpose of a (d, n) array,
+    whose columns (one coordinate of every point) are contiguous.
+    """
     d = len(directions)
     rng = np.random.default_rng(seed)
     powers = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
@@ -114,13 +152,14 @@ def _sobol(directions, n, seed):
     sv = parity @ powers[::-1]
     # Gray-code order: the reflected second half of each doubling differs
     # from the first half in one more direction number
-    q = np.empty((1 << (n - 1).bit_length(), d), dtype=np.uint32)
-    q[0] = shift
+    q = np.empty((d, 1 << (n - 1).bit_length()), dtype=np.uint32)
+    q[:, 0] = shift
     h = 1
     while h < n:
-        q[h:2 * h] = q[h - 1::-1] ^ sv[:, h.bit_length() - 1]
+        k = h.bit_length() - 1
+        np.bitwise_xor(q[:, h - 1::-1], sv[:, k:k + 1], out=q[:, h:2 * h])
         h *= 2
-    return q[:n] * 2.0 ** -_SOBOL_BITS
+    return (q[:, :n] * 2.0 ** -_SOBOL_BITS).T
 
 
 def _per_replicate(spec):
@@ -180,36 +219,60 @@ def _densities(v, widths):
 def _J_row(v, Ls):
     """J(L) = mean(2 L sinc(2 L v)) on one replicate, for each L in ``Ls``.
 
-    sin and cos are called only at the L whose half is not in ``Ls``, at the
-    angle y = pi (2 L v) that np.sinc forms (an exact zero of v gives the
-    kernel's limit 2 L, as np.sinc(0) does).  Each 2^k L is reached by
-    doubling, sin 2a = 2 sin a cos a and cos 2a = 1 - 2 sin^2 a.  Doubling
-    and halving are exact in floating point, so the chains are found for any
-    ladder, and 2L0 sin(2^k y) / y is the term np.sinc gives at L = 2^k L0
-    but for the doubling's rounding.
+    The L whose half is not in ``Ls`` root chains L0, 2 L0, 4 L0, ...
+    (doubling and halving are exact in floating point, so the chains are
+    found for any ladder).  At a root one tan gives sin and cos of the angle
+    y = pi (2 L0 v) that np.sinc forms: with u = tan(y/2), sin y = 2u/(1+u^2)
+    and cos y = (1-u^2)/(1+u^2), where |u| < 1e17 at every double.  Each
+    rung 2^k L0 follows by doubling, sin 2a = 2 sin a cos a and
+    cos 2a = 1 - 2 sin^2 a, and its mean is one dot product of sin(2^k y)
+    with 2 L0 / y.  A sample with |y| below 2^-27 L0 / (top rung of the
+    chain) has sinc exactly 1 at every rung, so it is counted apart and adds
+    exactly 2L: an exact zero of v gives the kernel's limit, and no weight
+    2 L0 / y overflows at a subnormal v (which numpy's vectorised tan would
+    flush to zero).  J(L) agrees with the mean of np.sinc's terms to about
+    1e-15 of the kernel's scale; its last bits follow the platform's tan,
+    so they can differ between CPUs.
     """
     ladder = set(Ls)
+    n = len(v)
     J = {}
-    y, s, c, tmp = (np.empty_like(v) for _ in range(4))
+    y, s, c, w = (np.empty_like(v) for _ in range(4))
     for L in Ls:
         if L / 2 in ladder:
             continue
+        top = L
+        while 2 * top in ladder:
+            top *= 2
         base = 2.0 * L
         np.multiply(v, base, out=y)
-        y[y == 0] = 1e-20        # np.sinc's stand-in for 0
-        y *= np.pi
-        np.sin(y, out=s)
-        np.cos(y, out=c)
+        y *= np.pi                      # the angle np.sinc forms
+        np.abs(y, out=w)
+        tiny = w < 2.0 ** -27 * L / top
+        flat = np.count_nonzero(tiny)
+        if flat:
+            y[tiny] = 1.0               # any angle: their weight is set to 0
+        np.multiply(y, 0.5, out=s)
+        np.tan(s, out=s)                # u
+        np.multiply(s, s, out=c)
+        np.add(c, 1.0, out=w)           # 1 + u^2
+        s /= w
+        s *= 2
+        np.subtract(1.0, c, out=c)
+        c /= w
+        np.divide(base, y, out=w)
+        if flat:
+            w[tiny] = 0.0
         while True:
-            np.divide(s, y, out=tmp)
-            tmp *= base
-            J[L] = tmp.mean()
+            # einsum, not np.dot: BLAS's threaded dot stalls for
+            # milliseconds when the other core is busy
+            J[L] = np.einsum("i,i", s, w) / n + 2.0 * L * (flat / n)
             if 2 * L not in ladder:
                 break
-            np.multiply(s, s, out=tmp)
+            np.multiply(s, s, out=y)
             s *= c
             s *= 2
-            np.multiply(tmp, -2, out=c)
+            np.multiply(y, -2, out=c)
             c += 1
             L = 2 * L
     return [J[L] for L in Ls]

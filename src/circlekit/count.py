@@ -66,9 +66,9 @@ def _support(table, N):
     if table.N < N:
         raise ValueError("von Mangoldt table too small")
     scaled = table.values[:N + 1] * 2.0 ** 53   # integral: weights 0 or >= 1/2
-    if np.any(scaled % 1):
-        raise ValueError("weights must be 0 or at least 1/2")
     ks = (np.flatnonzero(scaled[2:] > 0) + 2).tolist()
+    if np.any(scaled[ks] % 1):
+        raise ValueError("weights must be 0 or at least 1/2")
     W = np.zeros((N + 1, 2), object)
     W[ks, 0] = [int(w) for w in scaled[ks].tolist()]
     W[ks, 1] = 1
@@ -187,7 +187,7 @@ def count_direct(b, N, table):
     of b = 0 in [0, N]^n.  A separable b is reduced one variable at a time;
     a b of degree one in some x_j has x_j solved for (the first such j);
     any other b is walked whole and only its zeros are weighted."""
-    split = b.additive_split([1] * b.n)
+    split = b.variable_split()
     if split and b.n:       # with no variable there is no group to reduce
         return _reduce(*split, table, N, "direct", "separable")
     for j in range(1, b.n + 1):

@@ -217,7 +217,7 @@ def _refine(g, singular, p):
 def _lemma_tau(b, p):
     """The least v_p(a d) over the monomial parts a x_i^d of a separable
     b = c + f_1(x_1) + ... + f_n(x_n), None when b has no such part."""
-    split = b.additive_split([1] * b.n)
+    split = b.variable_split()
     taus = [_valuation(a * e[0], p) for part in (split[0] if split else ())
             if len(part.terms) == 1 for e, a in part.terms.items()]
     return min(taus, default=None)

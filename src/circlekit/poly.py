@@ -44,7 +44,7 @@ def _grlex_key(exps):
 class Polynomial:
     """Sparse exact polynomial in ``n`` variables."""
 
-    __slots__ = ("n", "terms", "degree", "_hash")
+    __slots__ = ("n", "terms", "degree", "_hash", "_split")
 
     def __init__(self, n, terms=None):
         n = int(n)
@@ -358,6 +358,17 @@ class Polynomial:
                 const = c
         return [Polynomial._trusted(m, t) for m, t in zip(sizes, parts)], const
 
+    def variable_split(self):
+        """``additive_split([1] * n)`` with its parts in a tuple, worked out
+        once: (f_1, ..., f_n), c with self = c + f_1(x_1) + ... + f_n(x_n),
+        or None when a term mixes two variables."""
+        try:
+            return self._split
+        except AttributeError:      # a slot is unset until first assigned
+            split = self.additive_split([1] * self.n)
+            self._split = split and (tuple(split[0]), split[1])
+            return self._split
+
     def compose_linear(self, rows, n_new):
         """Substitute x_i by the linear form with coefficients ``rows[i-1]`` in
         a fresh ring with ``n_new`` variables."""
@@ -511,7 +522,7 @@ def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
     if not b.is_integral():
         raise ValueError("histogram needs integer coefficients")
     n, support = b.n, np.flatnonzero(weight)
-    split = b.additive_split([1] * n) if n else None
+    split = b.variable_split() if n else None
     cost = histogram_cost(n, q, len(support), split is not None)
     if cost > budget:
         raise BudgetExceeded(f"histogram mod {q} costs {cost}, "

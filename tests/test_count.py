@@ -219,6 +219,19 @@ class TestExactReduction:
         for r in (count_direct(b, 31, t), count_mitm(b, 31, t, 2)):
             assert (r.value, r.solution_count) == (0.0, 0)
 
+    def test_non_dyadic_weight_is_rejected(self):
+        # one weight below 1/2 at a prime power: Lambda(k) 2^53 is no
+        # integer, so the sums would not be exact
+        b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-13 0 0\n")
+        t = mangoldt_table(13)
+        values = t.values.copy()
+        values[9] = 0.1
+        bad = MangoldtTable(13, values, t.base)
+        for count_b in (lambda: count_direct(b, 13, bad),
+                        lambda: count_mitm(b, 13, bad, 1)):
+            with pytest.raises(ValueError, match="at least 1/2"):
+                count_b()
+
     def test_primes_only_table_drops_prime_squares(self):
         # x1 + x2 = 13 in prime powers: (2, 11), (4, 9), (5, 8) and their
         # swaps; weighting the squares 4 and 9 and the cube 8 by 0 leaves

@@ -446,6 +446,16 @@ class TestLocalFactors:
         assert est.tail_bound >= 0
         assert {f.p for f in factors} == {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 
+    def test_series_shares_one_split(self):
+        # every prime reads the same worked-out split of five squares -
+        # 12005; each factor equals mu_p on a fresh copy of b
+        text = "n=5\n" + "".join(
+            "1 " + " ".join("2" if j == i else "0" for j in range(5)) + "\n"
+            for i in range(5)) + "-12005 0 0 0 0 0\n"
+        _, factors = singular_series(parse_polynomial(text), 60)
+        for f in factors:
+            assert f == mu_p(parse_polynomial(text), f.p)
+
     def test_series_zero_obstruction(self):
         b = parse_polynomial("n=1\n1 1\n")
         est, _ = singular_series(b, 10)

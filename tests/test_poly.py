@@ -223,6 +223,16 @@ class TestStructure:
         with pytest.raises(ValueError):
             p.additive_split([1, 1])
 
+    def test_variable_split_is_worked_out_once(self):
+        q = parse_polynomial("n=3\n2 0 0 3\n-7 0 0 0\n1 2 0 0\n")
+        first = q.variable_split()
+        assert first == ((parse_polynomial("n=1\n1 2\n"), Polynomial.zero(1),
+                          parse_polynomial("n=1\n2 3\n")), -7)
+        assert q.variable_split() is first
+        assert tuple(q.additive_split([1, 1, 1])[0]) == first[0]
+        # x2 x3 mixes two variables
+        assert parse_polynomial("n=3\n1 0 1 1\n").variable_split() is None
+
     def test_linear_in(self):
         # x1 x2 - x3^2 + 2 x2 = (x2) x1 + (2 x2 - x3^2); x3 is squared
         p = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n2 0 1 0\n")
