@@ -24,7 +24,7 @@ _EXPORTS = {
             "mu_infinity real_nonsingular_witness sigma_infinity "
             "sigma_measure sigma_scaled",
     "arcs": "ArcDissection RationalFreq WeylReport E_normalized S_sum T_scan "
-            "T_sum T_sums build_arcs classify_alpha estimate_gd z_count",
+            "T_sum build_arcs classify_alpha estimate_gd z_count",
     "count": "CountResult MangoldtTable PredictionReport RegularityReport "
              "count_direct count_mitm count_via_histogram mangoldt_table "
              "predict regularity_exponent",

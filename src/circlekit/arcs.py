@@ -70,13 +70,17 @@ def build_arcs(N, C, d):
     """Construct the major-arc dissection at scale N.
 
     Radius N^{-d} (log N)^C around every reduced m/q with q <= (log N)^C;
-    log is natural.  Raises if the arcs overlap (N too small for C).
+    log is natural.  Raises if there is no arc ((log N)^C < 1) or if the
+    arcs overlap (N too small for C).
     """
     if N < 3:
         raise ValueError("need N >= 3 so that log N > 1")
     logC = math.log(N) ** C
     Q = int(logC)
     radius = N ** (-d) * logC
+    if Q < 1:
+        raise ValueError(f"(log N)^C = {logC} < 1 leaves no arc at N={N}, "
+                         f"C={C}")
     centers = sorted(
         {Fraction(m, q) for q in range(1, Q + 1)
          for m in range(q) if math.gcd(m, q) == 1})
@@ -96,35 +100,63 @@ def build_arcs(N, C, d):
 # exponential sums
 # ---------------------------------------------------------------------------
 
-def T_sums(b, alphas, N, table):
-    """Von-Mangoldt-weighted exponential sums over [0, N]^n, one per alpha.
+def _exp_sum(b, alpha, axes, weight=None):
+    """The sum over x in the grid ``axes`` of w(x_1) ... w(x_n) e(alpha b(x)),
+    w = ``weight`` indexed by coordinate (1 when None).
 
-    sum over x of Lambda(x_1)...Lambda(x_n) e(alpha b(x)), iterating over
-    prime-power coordinates only.  b is evaluated once for all alphas, and
-    each grid block is collapsed to its distinct values with their summed
-    weights, so every alpha costs one cos and one sin per distinct value.
+    A float or Fraction alpha is m / r exactly; with D the common
+    denominator of b and q = D r, alpha b(x) mod 1 is (m D b(x) mod q) / q,
+    reduced exactly in integers and rounded once: in int64 while q < 2^61
+    and |D b(x)| or its residue mod q (taken while q^2 < 2^63) is below
+    2^52, where a float estimate of the quotient is off by at most 2 and
+    int64 products wrap exactly mod 2^64; in Python ints otherwise.  A
+    separable b = c + f_1(x_1) + ... + f_n(x_n) factors as e(alpha c) times
+    n one-variable sums; any other b walks its grid, after the budget check
+    on the points walked.
     """
     import numpy as np
-    if table.N < N:
-        raise ValueError("von Mangoldt table too small")
-    ks = np.flatnonzero(table.values[:N + 1])
-    if len(ks) ** b.n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("prime-power grid too large")
-    parts = [([], []) for _ in alphas]
-    for block in grid_blocks([ks] * b.n):
-        vals, inv = np.unique(b.eval_float(block.astype(float)),
-                              return_inverse=True)
-        w = np.bincount(inv, weights=table.values[block].prod(axis=1))
-        for alpha, (re_parts, im_parts) in zip(alphas, parts):
-            ph = 2 * np.pi * alpha * vals
-            re_parts.append(float(np.dot(w, np.cos(ph))))
-            im_parts.append(float(np.dot(w, np.sin(ph))))
-    return [complex(math.fsum(re), math.fsum(im)) for re, im in parts]
+    try:    # any other real alpha, such as a numpy float32, as a float
+        m, r = Fraction(alpha if isinstance(alpha, (int, Fraction))
+                        else float(alpha)).as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"alpha must be finite, got {alpha!r}") from None
+    D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
+    q, split = D * r, b.variable_split()
+    M = m % q
+    walked = (sum if split else math.prod)(len(a) for a in axes)
+    if walked > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"exponential sum walks {walked} points, "
+                             f"over budget {DEFAULT_ENUM_BUDGET}")
+    total, groups = 1, [(b * D, axes)]
+    if split:
+        ph = 2 * math.pi * (M * int(D * split[1]) % q / q)
+        total = complex(math.cos(ph), math.sin(ph))
+        groups = [(f * D, [a]) for f, a in zip(split[0], axes)]
+    for g, grid in groups:
+        re, im = [], []
+        for block in grid_blocks(grid):
+            v = g.eval_int(block, q) if q * q < 2 ** 63 else g.eval_int(block)
+            if v.dtype == object or q >= 2 ** 61 or \
+                    np.abs(v).max() >= 2 ** 52:
+                frac = (v.astype(object) * M % q / q).astype(float)
+            else:
+                k = np.floor(v * (M / q)).astype(np.int64)
+                frac = (v * M - k * q) % q / q
+            ph = 2 * math.pi * frac
+            w = 1 if weight is None else weight[block].prod(axis=1)
+            re.append(float(np.sum(w * np.cos(ph))))
+            im.append(float(np.sum(w * np.sin(ph))))
+        total *= complex(math.fsum(re), math.fsum(im))
+    return complex(total)
 
 
 def T_sum(b, alpha, N, table):
-    """T_sums at a single alpha."""
-    return T_sums(b, [alpha], N, table)[0]
+    """The sum over prime-power x in [0, N]^n of Lambda(x_1) ...
+    Lambda(x_n) e(alpha b(x)), with exact phases (see ``_exp_sum``)."""
+    if table.N < N:
+        raise ValueError("von Mangoldt table too small")
+    ks = table.values[:N + 1].nonzero()[0]
+    return _exp_sum(b, alpha, [ks] * b.n, table.values)
 
 
 def T_scan(b, P, N, table, budget=DEFAULT_ENUM_BUDGET):
@@ -134,7 +166,8 @@ def T_scan(b, P, N, table, budget=DEFAULT_ENUM_BUDGET):
     ``residue_histogram`` of D b mod q, each residue weighted by the exact
     Lambda(x) 2^53 of its prime powers x <= N, divided once by 2^(53 n);
     one inverse FFT gives every T(k/P).  q and the histogram's cost, never
-    above the |ks|^n of ``T_sums``, are checked before any work.
+    above the |ks|^n tuples of the prime-power grid, are checked before any
+    work.
     """
     import numpy as np
     from .count import _support
@@ -158,7 +191,6 @@ def S_sum(psi, alpha, box, P):
 
     box is a list of (lo, hi) with hi - lo <= 1 in each coordinate.
     """
-    import numpy as np
     if len(box) != psi.n:
         raise ValueError("box dimension mismatch")
     ranges = []
@@ -166,14 +198,7 @@ def S_sum(psi, alpha, box, P):
         if hi - lo > 1 + 1e-12:
             raise ValueError("box sides must be at most 1")
         ranges.append(range(math.ceil(P * lo), math.floor(P * hi) + 1))
-    if math.prod(len(r) for r in ranges) > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("lattice box too large")
-    re_parts, im_parts = [], []
-    for block in grid_blocks(ranges):
-        ph = 2 * np.pi * alpha * psi.eval_float(block.astype(float))
-        re_parts.append(float(np.sum(np.cos(ph))))
-        im_parts.append(float(np.sum(np.sin(ph))))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    return _exp_sum(psi, alpha, ranges)
 
 
 def E_normalized(psi, q, m):
@@ -182,15 +207,11 @@ def E_normalized(psi, q, m):
     Unlike the unit-restricted sums of the local module, x ranges over all
     of (Z/q)^n.
     """
-    import numpy as np
-    from .local import value_histogram
     if q < 1:
         raise ValueError("q must be positive")
     if math.gcd(m, q) != 1:
         raise ValueError("need gcd(m, q) = 1")
-    hist = value_histogram(psi, q, units=False)
-    roots = np.exp(2j * np.pi * (m * np.arange(q) % q) / q)
-    return complex(np.dot(np.asarray(hist, dtype=float), roots)) / q ** psi.n
+    return _exp_sum(psi, Fraction(m, q), [range(q)] * psi.n) / q ** psi.n
 
 
 # ---------------------------------------------------------------------------

@@ -432,12 +432,12 @@ def singular_series(b, prime_bound, t_max=6, budget=DEFAULT_ENUM_BUDGET):
             ys.append(np.log(dev))
     if len(xs) >= 3:
         slope, logc = np.polyfit(xs, ys, 1)
-        delta = -slope - 1.0
+        delta = float(-slope - 1.0)     # so tail_bound is a plain float
         c = float(np.exp(logc))
         tail = c * prime_bound ** (-max(delta, 1e-9)) / max(delta, 1e-9) \
             if delta > 0 else float("inf")
         est = SeriesEstimate(prime_bound=prime_bound, product=product,
-                             tail_exponent=float(delta), tail_bound=max(tail, 0.0))
+                             tail_exponent=delta, tail_bound=max(tail, 0.0))
     else:
         est = SeriesEstimate(prime_bound=prime_bound, product=product,
                              tail_exponent=None, tail_bound=0.0)

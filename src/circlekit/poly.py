@@ -234,8 +234,9 @@ class Polynomial:
 
         With ``q=None`` the values are exact: int64 while a coefficient and
         coordinate bound keeps them below 2^62, Python ints (object array)
-        otherwise.  With ``q`` they are reduced into [0, q); that needs
-        q^2 < 2^63 so that no product of two residues overflows.
+        otherwise.  With ``q`` they are reduced into [0, q), once under that
+        bound and else at every step, which needs q^2 < 2^63 so that no
+        product of two residues overflows.
         """
         if not self.is_integral():
             raise ValueError("integer evaluation needs integer coefficients")
@@ -243,18 +244,19 @@ class Polynomial:
         pts = np.asarray(points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
-        if q is None:
-            big = int(np.abs(pts).max(initial=1)) ** max(self.degree, 1)
-            bound = sum(abs(c) for c in self.terms.values()) * big
-            dtype = np.int64 if bound < _INT64_SAFE else object
-        else:
+        if q is not None:
             q = int(q)
             if q < 1 or q * q >= 2 ** 63:
                 raise ValueError(f"modulus {q} needs 1 <= q and q^2 < 2^63")
-            dtype = np.int64
-        cols = np.ascontiguousarray(pts.T, dtype=dtype)
+        big = int(np.abs(pts).max(initial=1)) ** max(self.degree, 1)
+        exact = sum(abs(c) for c in self.terms.values()) * big < _INT64_SAFE
+        cols = np.ascontiguousarray(
+            pts.T, dtype=np.int64 if exact or q else object)
+        if exact or q is None:
+            out = self._eval_columns(cols)
+            return out if q is None else out % q
         # not in place: for one row or one column, cols is the caller's array
-        return self._eval_columns(cols if q is None else cols % q, q)
+        return self._eval_columns(cols % q, q)
 
     def _eval_columns(self, cols, q=None):
         """The batch evaluator behind eval_float, eval_int and evaluate_mod.

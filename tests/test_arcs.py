@@ -10,11 +10,46 @@ import numpy as np
 import pytest
 
 from circlekit.arcs import (ArcDissection, BudgetExceeded, E_normalized,
-                            RationalFreq, S_sum, T_scan, T_sum, T_sums,
-                            build_arcs, classify_alpha, estimate_gd, z_count)
+                            RationalFreq, S_sum, T_scan, T_sum, build_arcs,
+                            classify_alpha, estimate_gd, z_count)
 from circlekit.count import mangoldt_table
-from circlekit.poly import (_BLOCK_ROWS, Polynomial, parse_polynomial,
-                            weyl_difference)
+from circlekit.poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, Polynomial,
+                            parse_polynomial, weyl_difference)
+
+
+def exact_phase_sums(b, alphas, axes, weight=None):
+    """Per alpha, the sum over the grid ``axes`` of w(x_1)...w(x_n)
+    e(alpha b(x)) by fsum, each phase reduced exactly: with D the common
+    denominator of b and alpha = m / r as a Fraction, alpha b(x) mod 1 is
+    ((m D b(x)) mod D r) / (D r) in Python ints.  The float weights are
+    first summed with fsum per class of D b(x) mod Q, Q = D lcm(r), or per
+    exact value of D b(x) when Q is above 2^62."""
+    D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
+    ratios = [Fraction(a).as_integer_ratio() for a in alphas]
+    Q = D * math.lcm(*(r for _, r in ratios))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, b.n)
+    v = (b * D).eval_int(pts)
+    if Q < 2 ** 62:
+        v = v % Q
+    w = np.ones(len(pts)) if weight is None else weight[pts].prod(axis=1)
+    order = np.argsort(v, kind="stable")
+    v, w = v[order], w[order]
+    starts = np.flatnonzero(v[1:] != v[:-1]) + 1
+    S = {int(part[0]): math.fsum(ws.tolist())
+         for part, ws in zip(np.split(v, starts), np.split(w, starts))}
+    out = []
+    for m, r in ratios:
+        q = D * r
+        phase = {u: 2 * math.pi * (m * u % q) / q for u in S}
+        out.append(complex(math.fsum(S[u] * math.cos(phase[u]) for u in S),
+                           math.fsum(S[u] * math.sin(phase[u]) for u in S)))
+    return out
+
+
+FIVE_SQUARES = ("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n1 0 0 0 2 0\n"
+                "1 0 0 0 0 2\n-12005 0 0 0 0 0\n")
+CONE = "n=3\n1 1 1 0\n-1 0 0 2\n"
+RATIONAL = "n=2\n1/3 2 0\n1/2 1 1\n-5/7 0 0\n"     # x1^2/3 + x1 x2/2 - 5/7
 
 
 class TestRationalFreq:
@@ -47,6 +82,12 @@ class TestArcGeometry:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             build_arcs(3, 8, 1)     # huge radius at tiny N
+
+    @pytest.mark.parametrize("N,C", [(100, -1), (10 ** 6, -0.5), (3, -40)])
+    def test_no_center_rejected(self, N, C):
+        # (log N)^C < 1 leaves no denominator q >= 1
+        with pytest.raises(ValueError, match="no arc"):
+            build_arcs(N, C, 2)
 
     def test_growth_in_C(self):
         a1 = build_arcs(10 ** 4, 1, 2)
@@ -117,51 +158,64 @@ class TestWeightedSum:
         t = mangoldt_table(43)
         ks = np.flatnonzero(t.values[:44])
         assert len(ks) ** 4 > _BLOCK_ROWS
-        pts = np.stack(np.meshgrid(*[ks] * 4, indexing="ij"), -1).reshape(-1, 4)
-        w = t.values[pts].prod(axis=1)
-        vals = b.eval_float(pts.astype(float))
+        total = math.fsum(t.values[ks]) ** 4
         alphas = [0.0, 0.05, 0.5, 0.613]
-        for alpha, got in zip(alphas, T_sums(b, alphas, 43, t)):
-            want = np.sum(w * np.exp(2j * np.pi * alpha * vals))
-            assert abs(got - want) <= 1e-12 * w.sum(), alpha
+        want = exact_phase_sums(b, alphas, [ks] * 4, t.values)
+        for alpha, w in zip(alphas, want):
+            assert abs(T_sum(b, alpha, 43, t) - w) <= 1e-14 * total, alpha
 
-    def test_one_call_equals_one_per_alpha(self):
-        b = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
-        t = mangoldt_table(60)
-        alphas = [k / 16 for k in range(16)] + [0.3183, 0.9]
-        assert T_sums(b, alphas, 60, t) == [T_sum(b, a, 60, t) for a in alphas]
+    @pytest.mark.parametrize("text,N", [
+        (CONE, 200), (FIVE_SQUARES, 20),
+        ("n=2\n1 7 5\n-3 0 2\n", 60),    # x1^7 x2^5 - 3 x2^2 past 2^62
+    ])
+    def test_exact_phases(self, text, N):
+        # alpha b(x) reaches 10^4 rad on the cone; alpha = 2.5e-9 = m / r
+        # has r near 2^81, so the residues mod D r need Python ints
+        b, t = parse_polynomial(text), mangoldt_table(N)
+        ks = np.flatnonzero(t.values[:N + 1])
+        alphas = [1 / 16, 0.1, 0.3183, 0.77, 2.5e-9, Fraction(3, 7)]
+        want = exact_phase_sums(b, alphas, [ks] * b.n, t.values)
+        peak = math.fsum(t.values[ks]) ** b.n
+        for alpha, w in zip(alphas, want):
+            assert abs(T_sum(b, alpha, N, t) - w) <= 1e-14 * peak, alpha
+
+    @pytest.mark.parametrize("alpha", [0.1, Fraction(1, 3), 0.3183, 2.5e-9])
+    def test_separable_by_the_product_identity(self, alpha):
+        # five squares at N = 10^4: |ks|^5 is far over the budget, so only
+        # the product e(-12005 alpha) T_1(alpha)^5 of one-variable sums runs
+        N, t = 10 ** 4, mangoldt_table(10 ** 4)
+        ks = np.flatnonzero(t.values[:N + 1])
+        assert len(ks) ** 5 > DEFAULT_ENUM_BUDGET
+        one = exact_phase_sums(parse_polynomial("n=1\n1 2\n"), [alpha],
+                               [ks], t.values)[0]
+        m, r = Fraction(alpha).as_integer_ratio()
+        want = cmath.exp(-2j * math.pi * (12005 * m % r / r)) * one ** 5
+        got = T_sum(parse_polynomial(FIVE_SQUARES), alpha, N, t)
+        assert abs(got - want) <= 1e-14 * math.fsum(t.values[ks]) ** 5
+
+    def test_grid_budget_checked_before_any_evaluation(self, monkeypatch):
+        # the cone is not separable: 1,280^3 prime-power tuples at N = 10^4
+        b, t = parse_polynomial(CONE), mangoldt_table(10 ** 4)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the budget check")
+
+        monkeypatch.setattr(Polynomial, "eval_int", fail)
+        with pytest.raises(BudgetExceeded):
+            T_sum(b, 0.1, 10 ** 4, t)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            T_sum(parse_polynomial(CONE), alpha, 10, mangoldt_table(10))
+
+    def test_numpy_alpha_is_its_exact_value(self):
+        b, t = parse_polynomial(CONE), mangoldt_table(30)
+        for alpha in (np.float32(0.1), np.float64(0.3183), np.int64(2)):
+            want = T_sum(b, Fraction(float(alpha)), 30, t)
+            assert T_sum(b, alpha, 30, t) == want
 
 
-FIVE_SQUARES = ("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n1 0 0 0 2 0\n"
-                "1 0 0 0 0 2\n-12005 0 0 0 0 0\n")
-CONE = "n=3\n1 1 1 0\n-1 0 0 2\n"
-RATIONAL = "n=2\n1/3 2 0\n1/2 1 1\n-5/7 0 0\n"     # x1^2/3 + x1 x2/2 - 5/7
-
-
-def exact_phase_scan(b, P, N, table):
-    """T(k/P) for k < P by an fsum over the whole prime-power grid, each
-    phase 2 pi ((k b(x)) mod P) / P reduced exactly before rounding.  The
-    grid's float weights are summed per class of D b(x) mod D P (D the
-    common denominator of b) with fsum, and each class enters with its
-    exactly reduced phase."""
-    D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
-    q = D * P
-    ks = np.flatnonzero(table.values[:N + 1])
-    pts = np.stack(np.meshgrid(*[ks] * b.n, indexing="ij"), -1)
-    pts = pts.reshape(-1, b.n)
-    r = (b * D).eval_int(pts) % q
-    w = table.values[pts].prod(axis=1)
-    order = np.argsort(r, kind="stable")
-    r, w = r[order], w[order]
-    starts = np.flatnonzero(np.diff(r, prepend=-1))
-    S = {int(r[s]): math.fsum(part.tolist())
-         for s, part in zip(starts, np.split(w, starts[1:]))}
-    out = []
-    for k in range(P):
-        phase = {v: 2 * math.pi * (k * v % q) / q for v in S}
-        out.append(complex(math.fsum(S[v] * math.cos(phase[v]) for v in S),
-                           math.fsum(S[v] * math.sin(phase[v]) for v in S)))
-    return out
 
 
 class TestScan:
@@ -175,7 +229,9 @@ class TestScan:
     ])
     def test_matches_exact_phase_reference(self, text, N, P):
         b, t = parse_polynomial(text), mangoldt_table(N)
-        want = exact_phase_scan(b, P, N, t)
+        ks = np.flatnonzero(t.values[:N + 1])
+        want = exact_phase_sums(b, [Fraction(k, P) for k in range(P)],
+                                [ks] * b.n, t.values)
         got = T_scan(b, P, N, t)
         assert len(got) == P
         err = max(abs(g - w) for g, w in zip(got, want))
@@ -187,7 +243,8 @@ class TestScan:
         b, t = parse_polynomial(text), mangoldt_table(N)
         got = T_scan(b, P, N, t)
         for k in range(P):
-            assert abs(got[k] - T_sum(b, k / P, N, t)) <= 1e-9 * got[0].real
+            err = abs(got[k] - T_sum(b, Fraction(k, P), N, t))
+            assert err <= 2e-15 * got[0].real, k
 
     @pytest.mark.parametrize("text", [CONE, FIVE_SQUARES])
     def test_budget_checked_before_any_evaluation(self, text, monkeypatch):
@@ -236,6 +293,23 @@ class TestLatticeSum:
     def test_box_side_check(self):
         with pytest.raises(ValueError):
             S_sum(parse_polynomial("n=1\n1 1\n"), 0.0, [(0, 2)], 5)
+
+    @pytest.mark.parametrize("text", ["n=2\n1 3 0\n2 1 1\n-7 0 2\n",
+                                      "n=2\n1/3 3 0\n5 0 2\n1 0 0\n"])
+    @pytest.mark.parametrize("alpha", [0.123456789, Fraction(7, 1009)])
+    def test_large_phases_match_fraction_reference(self, text, alpha):
+        # psi reaches about 10^6 on the box (-100, 100] x [0, 100], so
+        # alpha psi(x) reaches 10^5 rad; the first psi is not separable
+        psi = parse_polynomial(text)
+        box, P = [(-0.5, 0.5), (0, 0.5)], 200
+        axes = [range(-100, 101), range(0, 101)]
+        want = exact_phase_sums(psi, [alpha], axes)[0]
+        assert abs(S_sum(psi, alpha, box, P) - want) <= 1e-14 * 201 * 101
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            S_sum(parse_polynomial("n=1\n1 1\n"), alpha, [(0, 1)], 5)
 
 
 class TestNormalizedResidueSum:

@@ -298,7 +298,7 @@ def test_former_exports_resolve():
             "SingularIntegralEstimate I_eta J_of_L mu_infinity "
             "real_nonsingular_witness sigma_infinity sigma_measure "
             "sigma_scaled ArcDissection RationalFreq WeylReport E_normalized "
-            "S_sum T_sum T_sums build_arcs classify_alpha estimate_gd "
+            "S_sum T_sum build_arcs classify_alpha estimate_gd "
             "z_count CountResult MangoldtTable PredictionReport "
             "RegularityReport count_direct count_mitm count_via_histogram "
             "mangoldt_table predict regularity_exponent").split():
@@ -396,6 +396,14 @@ class TestSubcommands:
         assert code == 0
         got = {(c["m"], c["q"]) for c in rep["result"]["centers"]}
         assert got == {(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)}
+
+    def test_arcs_without_a_center_is_usage_error(self, tmp_path, capsys):
+        # (log 100)^-1 < 1: no denominator q >= 1 fits
+        out = tmp_path / "arcs.json"
+        assert main(["arcs", "--N", "100", "--d", "2", "--C", "-1",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_hinv_three_squares(self, poly_file, tmp_path):
         pf = poly_file(SQUARES3)

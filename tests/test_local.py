@@ -456,6 +456,16 @@ class TestLocalFactors:
         for f in factors:
             assert f == mu_p(parse_polynomial(text), f.p)
 
+    def test_series_numbers_are_plain_floats(self):
+        # five squares - 12005 at prime bound 50 fits a tail
+        text = "n=5\n" + "".join(
+            "1 " + " ".join("2" if j == i else "0" for j in range(5)) + "\n"
+            for i in range(5)) + "-12005 0 0 0 0 0\n"
+        est, _ = singular_series(parse_polynomial(text), 50)
+        assert est.tail_bound > 0
+        for value in (est.product, est.tail_exponent, est.tail_bound):
+            assert type(value) is float
+
     def test_series_zero_obstruction(self):
         b = parse_polynomial("n=1\n1 1\n")
         est, _ = singular_series(b, 10)
