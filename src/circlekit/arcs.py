@@ -165,9 +165,8 @@ def T_scan(b, P, N, table, budget=DEFAULT_ENUM_BUDGET):
     With D the common denominator of b and q = D P, H is the
     ``residue_histogram`` of D b mod q, each residue weighted by the exact
     Lambda(x) 2^53 of its prime powers x <= N, divided once by 2^(53 n);
-    one inverse FFT gives every T(k/P).  q and the histogram's cost, never
-    above the |ks|^n tuples of the prime-power grid, are checked before any
-    work.
+    one inverse FFT gives every T(k/P).  q and the histogram's cost are
+    checked before any work.
     """
     import numpy as np
     from .count import _support

@@ -7,9 +7,10 @@ the main-term prediction against ground truth.
 Each Lambda(k) is a float of at least log 2 > 1/2, so Lambda(k) * 2^53 is an
 integer.  Every count sums exact integer products of those and divides once
 by 2^(53 n): the correctly rounded true sum in any order, so all strategies
-agree bit for bit.  b is split into additive groups of variables, each group
-gets an exact weighted value histogram, the groups are convolved, and the
-last group is matched against the target.  A b that is not separable but
+agree bit for bit.  b is split into additive groups of variables, the
+groups' exact weighted value histograms are added by the one histogram
+kernel (``poly._histogram_sum``), and the last group is matched against the
+target.  A b that is not separable but
 has a variable x_j of degree one, b = A x_j + B, is walked over the other
 variables only, with x_j solved for.
 """
@@ -21,8 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from .poly import (_BLOCK_ROWS, _INT64_SAFE, DEFAULT_ENUM_BUDGET,
-                   BudgetExceeded, grid_blocks)
+from .poly import (_INT64_SAFE, DEFAULT_ENUM_BUDGET, BudgetExceeded,
+                   _histogram_sum, grid_blocks)
 from .primes import primes_up_to
 
 
@@ -36,9 +37,12 @@ class MangoldtTable:
 
 
 def mangoldt_table(N):
-    """Sieve-built von Mangoldt table on [0, N]."""
+    """Sieve-built von Mangoldt table on [0, N]; its N + 1 entries are
+    checked against the budget before any is allocated."""
     if N < 0:
         raise ValueError("N must be nonnegative")
+    if N + 1 > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"von Mangoldt table of {N + 1} entries")
     values = np.zeros(N + 1)
     base = np.zeros(N + 1, dtype=np.int64)
     for p in primes_up_to(N):
@@ -99,8 +103,8 @@ def _histogram(g, ks, W, keep=None):
 def _reduce(groups, const, table, N, strategy, method):
     """Exact M_b(N) for b = const + the sum of the groups, polynomials in
     consecutive blocks of variables.  The groups' grids are charged to the
-    budget before any work, and each convolution, at its real size, before
-    it is done."""
+    budget before any work, and each fold, at its real size, before it is
+    done."""
     if not all(g.is_integral() for g in groups) or not isinstance(const, int):
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)
@@ -112,46 +116,16 @@ def _reduce(groups, const, table, N, strategy, method):
                              for g in groups)
     values = np.full(1, const, np.int64 if bound < _INT64_SAFE else object)
     wc = np.array([[1, 1]], object)
+    zero = np.zeros(1, values.dtype), wc     # the histogram of 0
     for g in groups[:-1]:
-        v, w = _histogram(g, ks, W)
+        v, w = _histogram_sum(*zero, *_histogram(g, ks, W))
         used += len(values) * len(v)
         if used > DEFAULT_ENUM_BUDGET:
             raise BudgetExceeded("value convolution too large")
-        values, wc = _convolve(values, wc, v, w)
+        values, wc = _histogram_sum(values, wc, v, w)
     v, w = _histogram(groups[-1], ks, W, keep=-values)
     total = (wc[np.searchsorted(values, -v)] * w).sum(axis=0)
     return _result(N, total, sum(g.n for g in groups), strategy, method)
-
-
-def _convolve(values, wc, v, w):
-    """The histogram of the sums of two independent value histograms,
-    (values, wc) and (v, w): distinct sorted sums, each with the summed
-    products of its pairs' [weight, count].  Pairs are formed in row slices
-    of about ``_BLOCK_ROWS``, so memory holds one slice and the distinct
-    sums, never every pair; the sums are exact, so any slicing gives the
-    same histogram."""
-    step = max(1, _BLOCK_ROWS // max(len(v), 1))
-    # at least one slice, so an empty histogram gives an empty one
-    rows = [slice(s, s + step) for s in range(0, max(len(values), 1), step)]
-    out = _distinct(np.concatenate(
-        [_distinct(np.add.outer(values[r], v)) for r in rows]))
-    acc = np.zeros((len(out), 2), object)
-    for r in rows:
-        sums = np.add.outer(values[r], v).ravel()
-        order = np.argsort(sums)    # sorted keys are found in cache
-        idx = np.empty_like(order)
-        idx[order] = np.searchsorted(out, sums[order])
-        np.add.at(acc, idx, (wc[r, None] * w).reshape(-1, 2))
-    return out, acc
-
-
-def _distinct(a):
-    """The distinct entries of a, sorted.  One sort: on 2^17 int64 sums it
-    takes 1-2 ms where np.unique, which hashes them, takes about 30 ms."""
-    a = np.sort(a, axis=None)
-    keep = np.ones(len(a), bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 def _solve_linear(A, B, j, table, N):
@@ -219,6 +193,8 @@ def count_via_histogram(b, N, table):
     if not b.is_integral():
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)
+    if len(ks) ** b.n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded("prime-power grid too large")
     buckets = {}
     for pt in product(reversed(ks), repeat=b.n):
         buckets.setdefault(b.evaluate(pt), []).append(pt)

@@ -4,20 +4,16 @@ Unit exponential sums, B(q), exact unit-solution counts nu_t(p), the
 truncated singular series, and the local factor mu(p) through the exact
 rational identity  1 + sum_{j<=t} B(p^j)  =  p^t * nu_t(p) / phi(p^t)^n.
 
-nu_t(p) comes from one Hensel-tree recursion, the one behind Igusa's and
-Denef's local zeta computations.  A zero of b mod p with a unit partial
-derivative lifts in exactly p^(n-1) ways per level (Hensel's lemma, at
-p = 2 too).  A singular zero x0, where every partial derivative vanishes
-mod p, is refined to h(y) = b(x0 + p y) / p^c, c the p-adic valuation of
-the content, and h is treated the same way.  The tree gives every nu_t
-exactly and proves the level from which the partial sums stop changing.
-A separable b with a monomial part a x_i^d needs no tree: Hensel's
-valuation lemma in x_i fixes every level from 2 v_p(a d) + 1 on, and
-histograms mod p^t give the levels before, so a diagonal form in many
-variables costs a few histograms, not one node per singular zero.  It
-takes the tree when those histograms do not fit the budget, or when a
-walk of its zeros mod p costs less and finds none singular.
-The complex B(q) path exists as a floating-point cross-check.
+nu_t(p) comes from the Hensel-tree recursion behind Igusa's and Denef's
+local zeta computations: a zero of b mod p with a unit partial derivative
+lifts in p^(n-1) ways per level (Hensel's lemma, at p = 2 too), and a
+singular one x0 is refined to b(x0 + p y) / p^c, c the p-adic valuation of
+the content.  The tree proves the level from which the partial sums stop
+changing.  A separable b with a monomial part a x_i^d may take Hensel's
+valuation lemma instead (``_levels``): it fixes every level from
+T = 2 v_p(a d) + 1 on, and one histogram mod p^T gives the levels before,
+so a diagonal form costs one histogram, not one node per singular zero.
+The complex B(q) path is a floating-point cross-check.
 """
 from __future__ import annotations
 
@@ -47,16 +43,16 @@ def unit_residues(q):
     return r[np.gcd(r, q) == 1]     # gcd(0, 1) = 1
 
 
-def value_histogram(b, q, units=True, budget=DEFAULT_ENUM_BUDGET):
-    """Counts of b(x) mod q over x in U_q^n (or all of (Z/q)^n), exact:
-    the ``residue_histogram`` of weight 1 on those residues."""
+def value_histogram(b, q, budget=DEFAULT_ENUM_BUDGET):
+    """Counts of b(x) mod q over x in U_q^n, exact: the
+    ``residue_histogram`` of weight 1 on the units."""
     q = int(q)
     if q < 1:
         raise ValueError("q must be >= 1")
     if q > budget:      # checked before the q residues are allocated
         raise BudgetExceeded(f"modulus {q} exceeds enumeration budget {budget}")
     weight = np.zeros(q, dtype=np.int64)
-    weight[unit_residues(q) if units else slice(None)] = 1
+    weight[unit_residues(q)] = 1
     return residue_histogram(b, q, weight, budget)
 
 
@@ -69,7 +65,7 @@ def unit_exp_sum(b, m, q, budget=DEFAULT_ENUM_BUDGET):
     q, m = int(q), int(m) % int(q)
     if gcd(m, q) != 1:
         raise ValueError(f"m={m} is not a unit mod {q}")
-    hist = value_histogram(b, q, units=True, budget=budget)
+    hist = value_histogram(b, q, budget=budget)
     roots = np.exp(2j * np.pi * (m * np.arange(q) % q) / q)
     return complex(np.dot(np.asarray(hist, dtype=float), roots))
 
@@ -79,12 +75,12 @@ def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
 
     Mathematically real; the imaginary part is reported for cross-checks.
     """
-    q, units = int(q), unit_residues(q)
+    hist = value_histogram(b, q, budget=budget)   # checks q before any work
+    units = unit_residues(q)
     u = np.zeros(q)
     u[units] = 1.0
     # sum over units m of e(m r / q), all r at once, by an unscaled DFT
     ramanujan = np.fft.ifft(u, norm="forward")
-    hist = value_histogram(b, q, units=True, budget=budget)
     return complex(np.dot(np.asarray(hist, dtype=float), ramanujan)
                    / len(units) ** b.n)
 
@@ -228,21 +224,27 @@ def _hensel_valuation(b, p, t_max, tau, budget):
 
     db/dx_i has valuation tau at every unit x, so Hensel's valuation lemma
     in x_i gives nu_(t+1) = p^(n-1) nu_t for every t >= T = 2 tau + 1.
-    Levels t <= T, past t_max if T is, are read from histograms mod p^t
-    until one exceeds the budget (``cut``); the rest follow, as does every
-    level after a zero.  ``closing`` is the least s from which the levels
-    grow by p^(n-1), None past t_max or after a cut.
+    Levels t <= T, past t_max if T is, are folded from one histogram H mod
+    p^top, top the largest t <= T that fits the budget: a unit mod p^t has
+    p^(top - t) unit lifts per coordinate, so nu_t is H[0] + H[p^t] + ...
+    divided by p^(n (top - t)).  A top below T cuts the levels past it
+    (``cut`` = top + 1) unless one is zero, as then all later ones are.
+    ``closing`` is the least s from which the levels grow by p^(n-1), None
+    past t_max or after a cut.
     """
     n, T = b.n, 2 * tau + 1
-    method, nus = f"hensel_valuation({tau})", []
-    for t in range(1, max(T, t_max) + 1):
-        if t > T or nus and nus[-1] == 0:
-            nus.append(nus[-1] * p ** (n - 1))
-            continue
-        try:
-            nus.append(int(value_histogram(b, p ** t, budget=budget)[0]))
-        except BudgetExceeded:
-            return nus[:t_max], None, method, t
+    method, nus, top = f"hensel_valuation({tau})", [], 0
+    while top < T and histogram_cost(
+            n, p ** (top + 1), p ** (top + 1) - p ** top, True) <= budget:
+        top += 1
+    if top:
+        hist = value_histogram(b, p ** top, budget=budget)
+        nus = [int(hist[::p ** t].sum()) // p ** (n * (top - t))
+               for t in range(1, top + 1)]
+    if top < T and (not nus or nus[-1]):
+        return nus[:t_max], None, method, top + 1
+    while len(nus) < max(T, t_max):
+        nus.append(nus[-1] * p ** (n - 1))
     s = T
     while s > 1 and nus[s - 1] == nus[s - 2] * p ** (n - 1):
         s -= 1
@@ -321,8 +323,8 @@ def _levels(b, p, t_max, budget):
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
     tau = _lemma_tau(b, p)
     if tau is not None:
-        q = p ** (2 * tau + 1)      # value_histogram checks q, then the rest
-        cost = max(q, histogram_cost(b.n, q, q - q // p, True))
+        q = p ** (2 * tau + 1)      # the histogram mod q on phi(q) units
+        cost = histogram_cost(b.n, q, q - q // p, True)
         lemma = cost <= budget
         if lemma and tau > 0:   # with tau = 0 every zero mod p is nonsingular
             try:

@@ -4,9 +4,10 @@ Variables are indexed 1..n.  Terms are stored as a map from exponent tuples
 (0-based positions, length n) to nonzero exact coefficients (int or Fraction).
 All values are immutable after construction; every operation returns a new
 polynomial, so everything here is safe to call from concurrent workers.
-Only batch evaluation, ``grid_blocks`` and ``residue_histogram`` import
-numpy, when first called, so a command that parses or composes polynomials
-never loads it.  The enumeration budget and its exception live here.
+Only batch evaluation, ``grid_blocks`` and the histograms import numpy,
+when first called, so a command that parses or composes polynomials never
+loads it.  The enumeration budget and its exception live here, as does
+``_histogram_sum``, the one exact kernel that adds value histograms.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ DEFAULT_ENUM_BUDGET = 10 ** 8
 _BLOCK_ROWS = 1 << 17
 # rows per slice of a batch evaluation: its power table stays in cache
 _EVAL_ROWS = 1 << 13
+# a histogram sum convolves while its key windows hold at most 8x its pairs
+_DENSE_RATIO = 8
 
 
 class BudgetExceeded(RuntimeError):
@@ -488,38 +491,79 @@ def grid_blocks(axes):
             yield block
 
 
-# -- weighted residue histograms --------------------------------------------
+# -- exact value histograms -------------------------------------------------
 
-def _convolve_mod(rows, q, size):
-    """The histogram mod q of a sum of independent terms from the terms'
-    histograms, exact: int64 while ``size``, the total weight, is below
-    2^62, Python ints otherwise."""
+def _histogram_sum(a, wa, b, wb, q=None):
+    """The exact histogram of x + y, mod q if given, for independent x, y
+    with histograms (a, wa) and (b, wb): keys (a's sorted and distinct, b's
+    may repeat, so raw values folded into the histogram of 0 make one) and
+    rows of positive int64 or Python-int weights, such as [weight, count].
+    Returns the sorted distinct sums with the summed products of their
+    pairs' weights: by convolving the key windows when they hold at most
+    ``_DENSE_RATIO`` times the pairs of keys, else pair by pair.  Both
+    branches are exact, so they agree bit for bit.
+    """
     import numpy as np
-    hist = rows[0] if size < _INT64_SAFE else rows[0].astype(object)
-    for row in rows[1:]:
-        full = np.convolve(hist, row)
-        hist = full[:q].copy()
-        hist[:len(full) - q] += full[q:]
-    return hist
+    dtype, cols = np.result_type(wa, wb), wa.shape[1]
+    if not len(a) or not len(b):
+        return a[:0], np.zeros((0, cols), dtype)
+    lo_a, lo_b = int(a[0]), int(b.min())
+    span_a, span_b = int(a[-1]) - lo_a + 1, int(b.max()) - lo_b + 1
+    if span_a * span_b > _DENSE_RATIO * len(a) * len(b):
+        # pairs in row slices of about _BLOCK_ROWS: their distinct sums
+        # first, then the weights into those, so memory never holds every pair
+        def sums(r):
+            s = np.add.outer(a[r], b).ravel()
+            return s % q if q else s
+
+        def distinct(s):    # one sort: np.unique hashes, many times slower
+            s = np.sort(s)
+            return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+        step = max(1, _BLOCK_ROWS // len(b))
+        rows = [slice(s, s + step) for s in range(0, len(a), step)]
+        out = distinct(np.concatenate([distinct(sums(r)) for r in rows]))
+        acc = np.zeros((len(out), cols), dtype)
+        for r in rows:
+            s = sums(r)
+            order = np.argsort(s)       # sorted keys are found in cache
+            idx = np.empty_like(order)
+            idx[order] = np.searchsorted(out, s[order])
+            np.add.at(acc, idx, (wa[r, None] * wb).reshape(-1, cols))
+        return out, acc
+    # np.convolve of the key windows, the keys lo, lo + 1, ... folded mod q
+    x, y = np.zeros((span_a, cols), dtype), np.zeros((span_b, cols), dtype)
+    x[np.asarray(a - lo_a, np.int64)] = wa
+    np.add.at(y, np.asarray(b - lo_b, np.int64), wb)
+    full = np.empty((span_a + span_b - 1, cols), dtype)
+    for j in range(cols):
+        full[:, j] = np.convolve(x[:, j], y[:, j])
+    lo = lo_a + lo_b
+    if q:
+        ext = np.zeros((-(-(lo % q + len(full)) // q) * q, cols), dtype)
+        ext[lo % q:lo % q + len(full)] = full
+        full, lo = ext.reshape(-1, q, cols).sum(axis=0), 0
+    hit = np.flatnonzero(full[:, 0])    # weights > 0: the sums that occur
+    return hit.astype(np.result_type(a, b)) + lo, full[hit]
 
 
 def histogram_cost(n, q, m, separable):
     """The steps ``residue_histogram`` takes mod q for a b in n variables
-    with m weights nonzero: the m^n tuples it walks, or for a separable b
-    the (n - 1) q^2 + n m steps of convolving, if fewer."""
-    return min(m ** n, (n - 1) * q * q + n * m if separable else m ** n)
+    with m weights nonzero, at least the q entries it fills: the m^n tuples
+    it walks, or for a separable b its n m evaluations and the pairs of
+    keys its folds add, a sum of k parts having at most min(m^k, q) keys."""
+    return max(q, m ** n if not separable else n * m + sum(
+        min(m ** k, q) * min(m, q) for k in range(1, n)))
 
 
 def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
     """Entry r: the sum of weight[a_1] ... weight[a_n] over a in (Z/q)^n
-    with b(a) = r mod q; b integral, ``weight`` q exact integers >= 0.
-
-    With m weights nonzero, a separable b convolves its variables'
-    histograms, (n - 1) q^2 + n m steps, when that is cheaper than walking
-    the m^n tuples of nonzero weight; any other b walks them.  The cost is
-    checked against the budget before any work.  Entries are exact: int64
-    while (sum of the weights)^n is below 2^62, Python ints otherwise.
-    """
+    with b(a) = r mod q; b integral, ``weight`` q exact integers >= 0.  A
+    separable b = c + f_1(x_1) + ... + f_n(x_n) adds its distinct parts'
+    histograms on the m residues of nonzero weight; any other b walks the
+    m^n tuples.  ``histogram_cost`` is checked before any work.  Entries
+    are exact: int64 while (sum of the weights)^n is below 2^62, Python
+    ints otherwise."""
     import numpy as np
     if not b.is_integral():
         raise ValueError("histogram needs integer coefficients")
@@ -531,19 +575,19 @@ def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
                              f"over budget {budget}")
     size = int(np.sum(weight)) ** n
     w = np.asarray(weight, np.int64 if size < _INT64_SAFE else object)
-    if cost < len(support) ** n:
-        parts, const = split
-        rows = {}       # equal parts share one row
-        for part in parts:
-            if part not in rows:
-                rows[part] = np.zeros(q, w.dtype)
-                np.add.at(rows[part], part.eval_int(support[:, None], q),
-                          w[support])
-        return np.roll(_convolve_mod([rows[g] for g in parts], q, size),
-                       const % q)
     hist = np.zeros(q, w.dtype)
-    for block in grid_blocks([support] * n):
-        np.add.at(hist, b.eval_int(block, q), w[block].prod(axis=1))
+    if split is None:
+        for block in grid_blocks([support] * n):
+            np.add.at(hist, b.eval_int(block, q), w[block].prod(axis=1))
+        return hist
+    parts, const = split
+    zero = np.zeros(1, np.int64), np.ones((1, 1), w.dtype)  # histogram of 0
+    own = {g: _histogram_sum(*zero, g.eval_int(support[:, None], q),
+                             w[support, None], q) for g in set(parts)}
+    keys, sums = own[parts[0]]
+    for part in parts[1:]:
+        keys, sums = _histogram_sum(keys, sums, *own[part], q)
+    hist[(keys + const % q) % q] = sums[:, 0]
     return hist
 
 

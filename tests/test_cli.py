@@ -460,6 +460,20 @@ class TestSubcommands:
         assert res["ground_truth"]["solution_count"] > 0
         assert "solutions" not in res["ground_truth"]
 
+    @pytest.mark.parametrize("command", [["count"],
+                                         ["weyl-scan", "--points", "4"]])
+    def test_huge_N_is_usage_error(self, command, poly_file, tmp_path,
+                                   capsys):
+        # the von Mangoldt table's 10^11 + 1 entries are refused, not
+        # allocated until numpy fails
+        out = tmp_path / "out.json"
+        code = main([command[0], "--poly", poly_file(LINEAR6),
+                     "--N", "100000000000", *command[1:],
+                     "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_count_primes_only_variant(self, poly_file, tmp_path):
         pf = poly_file(LINEAR6)
         _, rep = run_json(

@@ -327,6 +327,23 @@ class TestHistogramCrossCheck:
         assert count_via_histogram(b, N, t).value == \
             count_direct(b, N, t).value
 
+    def test_grid_budget_checked_before_the_walk(self, monkeypatch):
+        # 16 prime powers up to 30: 256 tuples of x1 + x2 - 6
+        b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")
+        t = mangoldt_table(30)
+        expect = count_via_histogram(b, 30, t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated before the budget check")
+
+        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 255)
+        monkeypatch.setattr(Polynomial, "evaluate", refuse)
+        with pytest.raises(BudgetExceeded):
+            count_via_histogram(b, 30, t)
+        monkeypatch.undo()
+        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 256)
+        assert count_via_histogram(b, 30, t).value == expect.value
+
 
 class TestRegularity:
     def test_linear_form(self):

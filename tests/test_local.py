@@ -6,6 +6,7 @@ enumeration; local factors against the exact rational partial sums.
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -17,7 +18,7 @@ from circlekit import local
 from circlekit.local import (B_of_q, BudgetExceeded, _linear_split, mu_p,
                              nu_count, singular_series, unit_exp_sum,
                              unit_residues, value_histogram)
-from circlekit.poly import Polynomial, parse_polynomial
+from circlekit.poly import Polynomial, parse_polynomial, residue_histogram
 
 
 def brute_histogram(b, q, units):
@@ -74,25 +75,26 @@ class TestHistograms:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 9, 12])
     def test_matches_brute_force(self, text, q):
         b = parse_polynomial(text)
-        got = value_histogram(b, q, units=True)
+        got = value_histogram(b, q)
         assert [int(x) for x in got] == brute_histogram(b, q, True)
 
     @pytest.mark.parametrize("q", [2, 3, 6, 8])
     def test_full_residue_mode(self, q):
+        # all of (Z/q)^n: the residue histogram of weight 1 everywhere
         b = parse_polynomial("n=2\n1 2 0\n-1 0 1\n")
-        got = value_histogram(b, q, units=False)
+        got = residue_histogram(b, q, np.ones(q, np.int64))
         assert [int(x) for x in got] == brute_histogram(b, q, False)
 
     def test_unit_convention_q1(self):
         assert list(unit_residues(1)) == [0]
         b = parse_polynomial("n=2\n1 1 0\n1 0 1\n")
-        hist = value_histogram(b, 1, units=True)
+        hist = value_histogram(b, 1)
         assert int(hist[0]) == 1
 
     def test_totals(self):
         b = parse_polynomial("n=2\n1 2 0\n1 0 2\n-5 0 0\n")
         q = 9
-        hist = value_histogram(b, q, units=True)
+        hist = value_histogram(b, q)
         assert int(np.sum(hist)) == len(unit_residues(q)) ** 2
 
     def test_budget_guard(self):
@@ -103,7 +105,8 @@ class TestHistograms:
             value_histogram(b, 10 ** 16 + 61, budget=100)
         separable = parse_polynomial("n=2\n1 1 0\n1 0 1\n")
         with pytest.raises(BudgetExceeded):
-            value_histogram(separable, 10 ** 4, units=False, budget=100)
+            residue_histogram(separable, 10 ** 4, np.ones(10 ** 4, np.int64),
+                              budget=100)
 
 
 class TestExponentialSums:
@@ -138,6 +141,19 @@ class TestExponentialSums:
         b = parse_polynomial("n=2\n1 2 0\n1 0 2\n-5 0 0\n")
         for q in (3, 4, 5, 7, 9, 16):
             assert abs(B_of_q(b, q).imag) < 1e-9
+
+    def test_B_checks_the_budget_before_allocating(self):
+        # q = 10^6 + 3 residues, units and a length-q DFT took 46 MB
+        # before the histogram's own check refused the modulus
+        b = parse_polynomial("n=2\n1 2 0\n1 0 2\n-5 0 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                B_of_q(b, 10 ** 6 + 3, budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestUnitSolutionCounts:
@@ -341,7 +357,7 @@ class TestHenselValuation:
         assert f.nu_values == [8 * 5 ** t for t in range(6)]
 
     def test_tree_when_the_histograms_do_not_fit(self):
-        # histograms mod 27 cost 2259 > 300; the tree proves level 3
+        # the histogram mod 27 costs 1368 > 300; the tree proves level 3
         f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3, budget=300)
         assert f.nu_values == [6, 162, 4374] and f.stabilized_at == 3
         assert f.method == "hensel_tree(1)" and f.warning is None

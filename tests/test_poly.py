@@ -12,6 +12,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from circlekit import poly
 from circlekit.poly import (_BLOCK_ROWS, BudgetExceeded, Polynomial,
                             grid_blocks, parse_polynomial, residue_histogram,
                             weyl_difference, weyl_difference_poly)
@@ -288,8 +289,8 @@ class TestResidueHistogram:
         return hist
 
     @pytest.mark.parametrize("text,q", [
-        ("n=2\n1 2 0\n3 0 1\n-1 0 0\n", 7),      # separable; walks 5^2
-        # x1^2 + x2^2 + x3^2 + x4^3 + 2 x5 mod 4: convolves, 79 < 3^5 steps
+        ("n=2\n1 2 0\n3 0 1\n-1 0 0\n", 7),      # separable: folds 2 parts
+        # x1^2 + x2^2 + x3^2 + x4^3 + 2 x5 mod 4: folds 4 distinct parts
         ("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n1 0 0 0 3 0\n"
          "2 0 0 0 0 1\n", 4),
         ("n=3\n1 1 1 0\n1 0 0 1\n", 6),           # x1 x2 + x3: walks
@@ -317,6 +318,53 @@ class TestResidueHistogram:
         with pytest.raises(ValueError):
             residue_histogram(parse_polynomial("n=1\n1/2 1\n"), 4,
                               np.ones(4, np.int64))
+
+    def test_separable_never_walked(self, monkeypatch):
+        # the parts' histograms are folded; no tuple of the grid is formed
+        def walk(*args, **kwargs):
+            raise AssertionError("walked the grid")
+
+        monkeypatch.setattr(poly, "grid_blocks", walk)
+        b = parse_polynomial("n=2\n1 2 0\n3 0 1\n-1 0 0\n")
+        weight = [0 if r % 3 == 1 else 1 + r for r in range(7)]
+        got = residue_histogram(b, 7, np.array(weight, np.int64))
+        assert got.tolist() == self.brute(b, 7, weight)
+
+
+class TestHistogramSum:
+    """The dense and the sparse branch of the one histogram kernel."""
+
+    @pytest.mark.parametrize("q", [None, 7, 64])
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_branches_agree(self, q, cols, monkeypatch):
+        rng = np.random.default_rng(5)
+        hi = q or 500
+        a = np.unique(rng.integers(0, hi, 40))
+        b = rng.integers(0, hi, 60)             # raw: keys repeat
+        wa = rng.integers(1, 2 ** 40, (len(a), cols)).astype(object)
+        wb = rng.integers(1, 2 ** 40, (len(b), cols)).astype(object)
+        want = {}
+        for x, u in zip(a.tolist(), wa.tolist()):
+            for y, v in zip(b.tolist(), wb.tolist()):
+                k = (x + y) % q if q else x + y
+                want[k] = [s + t * w for s, t, w in
+                           zip(want.get(k, [0] * cols), u, v)]
+        for ratio in (0, 10 ** 9):      # always sparse, always dense
+            monkeypatch.setattr(poly, "_DENSE_RATIO", ratio)
+            keys, w = poly._histogram_sum(a, wa, b, wb, q)
+            assert keys.tolist() == sorted(want)
+            assert w.tolist() == [want[k] for k in sorted(want)]
+
+    def test_int64_weights_stay_exact(self, monkeypatch):
+        # the dense branch convolves int64 entries near 2^61 exactly
+        a, b = np.arange(3), np.arange(4)
+        wa = np.full((3, 1), 2 ** 30, np.int64)
+        wb = np.full((4, 1), 2 ** 30 + 1, np.int64)
+        monkeypatch.setattr(poly, "_DENSE_RATIO", 10 ** 9)
+        keys, w = poly._histogram_sum(a, wa, b, wb)
+        assert keys.tolist() == list(range(6))
+        assert w[:, 0].tolist() == [k * 2 ** 30 * (2 ** 30 + 1)
+                                    for k in (1, 2, 3, 3, 2, 1)]
 
 
 class TestDifferencing:
