@@ -2,14 +2,15 @@
 
 Major/minor arc geometry on the torus, von-Mangoldt-weighted and plain
 exponential sums, normalized full-residue sums, rational classification of
-frequencies, and the degeneracy diagnostics z_R / fitted g_d built on the
-multilinear differencing operator.  The arc geometry is pure Python; the
-functions that need numpy import it when called, so a dissection alone
-never loads it.
+frequencies by exact continued-fraction convergents, and the degeneracy
+diagnostics z_R / fitted g_d, counted exactly as kernels of the multilinear
+differencing operator.  Only the exponential sums need numpy, and import
+it when called.
 """
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -100,6 +101,15 @@ def build_arcs(N, C, d):
 # exponential sums
 # ---------------------------------------------------------------------------
 
+def _exact(alpha):
+    """alpha as a Fraction; other reals, numpy float32 say, as floats."""
+    try:
+        return Fraction(alpha if isinstance(alpha, (int, Fraction))
+                        else float(alpha))
+    except (OverflowError, ValueError):
+        raise ValueError(f"alpha must be finite, got {alpha!r}") from None
+
+
 def _exp_sum(b, alpha, axes, weight=None):
     """The sum over x in the grid ``axes`` of w(x_1) ... w(x_n) e(alpha b(x)),
     w = ``weight`` indexed by coordinate (1 when None).
@@ -115,11 +125,7 @@ def _exp_sum(b, alpha, axes, weight=None):
     on the points walked.
     """
     import numpy as np
-    try:    # any other real alpha, such as a numpy float32, as a float
-        m, r = Fraction(alpha if isinstance(alpha, (int, Fraction))
-                        else float(alpha)).as_integer_ratio()
-    except (OverflowError, ValueError):
-        raise ValueError(f"alpha must be finite, got {alpha!r}") from None
+    m, r = _exact(alpha).as_integer_ratio()
     D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
     q, split = D * r, b.variable_split()
     M = m % q
@@ -217,50 +223,31 @@ def E_normalized(psi, q, m):
 # rational classification of a frequency
 # ---------------------------------------------------------------------------
 
-def _convergents(alpha, q_max, depth=64):
-    """Continued-fraction convergents (a, q) of alpha with q <= q_max."""
-    out = []
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    x = alpha
-    for _ in range(depth):
-        a = math.floor(x)
-        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
-        if q0 > q_max:
-            break
-        out.append((p0, q0))
-        frac = x - a
-        if frac < 1e-15:
-            break
-        x = 1.0 / frac
-    return out
-
-
 def classify_alpha(alpha, P, d, Delta):
-    """Rational approximation test: find the smallest q <= P^Delta with
-    ||q alpha|| <= P^{Delta - d}, or report "minor".
+    """Rational approximation test: the smallest q <= P^Delta with
+    ||q alpha|| <= P^{Delta - d} as (q, a, |q alpha - a|), a the integer
+    nearest q alpha, or "minor".
 
-    Returns (q, a, ||q alpha||) on success.  Small q ranges are scanned
-    directly; otherwise continued-fraction convergents suffice, since best
-    approximations are convergents.
+    alpha is read as its exact Fraction and only its convergents' denominators
+    are tried: the least such q beats every smaller q, so it is a best
+    approximation of the second kind, and each of those is a convergent
+    (Khinchin, Continued Fractions, Thm 16).  Only |q alpha - a| is taken
+    in alpha's own arithmetic.
     """
-    import numpy as np
-    if Delta <= 0:
-        raise ValueError("Delta must be positive")
-    q_max = int(P ** Delta)
-    thresh = P ** (Delta - d)
-    if q_max <= 10 ** 6:
-        qs = np.arange(1, q_max + 1)
-        dist = np.abs(qs * alpha - np.round(qs * alpha))
-        hits = np.nonzero(dist <= thresh)[0]
-        if len(hits):
-            q = int(qs[hits[0]])
-            return q, int(round(q * alpha)), float(dist[hits[0]])
-        return "minor"
-    for _, q in _convergents(alpha % 1.0, q_max):
-        dd = abs(q * alpha - round(q * alpha))
-        if dd <= thresh:
-            return q, round(q * alpha), dd
-    return "minor"
+    if P <= 0 or Delta <= 0:
+        raise ValueError(f"need P, Delta > 0, got P = {P}, Delta = {Delta}")
+    x = y = _exact(alpha)
+    q_max, thresh = int(P ** Delta), Fraction(P ** (Delta - d))
+    q_prev, q = 1, 0
+    while True:
+        k = math.floor(y)
+        q_prev, q = q, k * q + q_prev
+        if q > q_max:
+            return "minor"
+        a = round(q * x)
+        if abs(q * x - a) <= thresh:    # 0 at the last convergent
+            return q, a, abs(q * alpha - a)
+        y = 1 / (y - k)
 
 
 # ---------------------------------------------------------------------------
@@ -277,36 +264,53 @@ class WeylReport:
     gamma_d_prime: float
 
 
-def _grid(n, R):
-    import numpy as np
-    axes = [np.arange(-R, R + 1, dtype=np.int64)] * n
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+def _kernel_count(A, R):
+    """Number of y in [-R, R]^n with A y = 0, A an exact n x n matrix: each
+    row of A's reduced row echelon form over Q, denominators cleared, reads
+    c y_p = -a . y_free for a pivot coordinate p, so only the free
+    coordinates are walked and each y_p is tested in integers."""
+    rows, eqs, free = [[Fraction(v) for v in r] for r in A], [], []
+    for col in range(len(A)):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            free.append(col)
+            continue
+        rows.remove(piv)
+        piv = [v / piv[col] for v in piv]
+        rows, eqs = ([[u - r[col] * v for u, v in zip(r, piv)] for r in rs]
+                     for rs in (rows, eqs))
+        eqs.append(piv)
+    eqs = [(c, [int(e[j] * c) for j in free]) for e in eqs
+           for c in [math.lcm(*(v.denominator for v in e))]]
+    count = 0
+    for y in product(range(-R, R + 1), repeat=len(free)):
+        dots = ((c, sum(u * v for u, v in zip(a, y))) for c, a in eqs)
+        count += all(s % c == 0 and abs(s) <= R * c for c, s in dots)
+    return count
 
 
 def z_count(f, d, R):
     """Number of (d-1)-tuples in [-R, R]^{n(d-1)} on which the differencing
     operator of f contracts to zero against every basis vector.
 
-    For d = 2 this is exact kernel counting of the associated bilinear form;
-    for d >= 3 the last tuple slot is handled by batched linear algebra over
-    the grid.
+    Each head (h_1, ..., h_{d-2}) fixes the exact matrix A_ij =
+    weyl_difference(f, d, head + [e_j, e_i]), and the last slot ranges
+    over the kernel of A, counted by ``_kernel_count``.
     """
-    import numpy as np
-    if not f.is_homogeneous() or f.degree != d:
-        raise ValueError("need a form of degree d")
+    if d < 2 or not f.is_homogeneous() or f.degree != d:
+        raise ValueError(f"need a homogeneous form of degree d >= 2, got "
+                         f"d = {d} and degree {f.degree}")
     n = f.n
-    if d < 2:
-        raise ValueError("degeneracy count needs d >= 2")
+    if R < 0:
+        raise ValueError(f"need R >= 0, got R = {R}")
     if (2 * R + 1) ** (n * (d - 1)) > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("tuple grid too large")
-    basis = np.eye(n, dtype=np.int64)
-    Y = _grid(n, R).astype(float)               # candidate last vectors
-    count = 0       # for d = 2 the only head is the empty tuple
-    for head in product(_grid(n, R), repeat=d - 2):
-        A = np.array([[weyl_difference(f, d, list(head) + [basis[j], basis[i]])
-                       for j in range(n)] for i in range(n)], dtype=float)
-        count += int(np.sum(np.all(np.abs(Y @ A.T) < 0.5, axis=1)))
-    return count
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    box = range(-R, R + 1)      # for d = 2 the only head is the empty tuple
+    heads = product(*(product(box, repeat=n) for _ in range(d - 2)))
+    return sum(_kernel_count([[weyl_difference(f, d, [*head, e[j], e[i]])
+                               for j in range(n)] for i in range(n)], R)
+               for head in heads)
 
 
 def estimate_gd(f, d, R_list):
@@ -315,15 +319,14 @@ def estimate_gd(f, d, R_list):
     fitted_gd = n(d-1) - slope of log z_R in log R; gamma_d and gamma'_d are
     the derived minor-arc exponents (infinite when g_d = 0).
     """
-    import numpy as np
-    if len(R_list) < 3:
-        raise ValueError("need at least 3 values of R")
     R_list = sorted(R_list)
+    if len(R_list) < 3 or R_list[0] < 1:
+        raise ValueError(f"need 3 or more radii R >= 1, got {R_list}")
     zs = [z_count(f, d, R) for R in R_list]
-    slope = float(np.polyfit(np.log(R_list), np.log(zs), 1)[0])
+    slope = statistics.linear_regression(
+        [math.log(R) for R in R_list], [math.log(z) for z in zs]).slope
     gd = max(f.n * (d - 1) - slope, 0.0)
     gamma_d = 2 ** (d - 1) * (d - 1) / gd if gd > 0 else math.inf
     gamma_dp = 2 ** (d - 1) / gd if gd > 0 else math.inf
-    return WeylReport(P=float(max(R_list)), R_values=list(R_list),
-                      z_counts=zs, fitted_gd=gd,
-                      gamma_d=gamma_d, gamma_d_prime=gamma_dp)
+    return WeylReport(P=float(R_list[-1]), R_values=R_list, z_counts=zs,
+                      fitted_gd=gd, gamma_d=gamma_d, gamma_d_prime=gamma_dp)

@@ -209,10 +209,7 @@ def _cmd_gm_split(args, t0):
     from .hinv import build_gm_fm
     b = _load_poly(args.poly)
     dec = _parse_decomposition(args.dec, b.top_degree_part())
-    try:
-        g_M, f_M = build_gm_fm(dec.target, dec, args.M)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    g_M, f_M = build_gm_fm(dec.target, dec, args.M)
     result = {"M": args.M, "g_M": g_M.to_text(), "f_M": f_M.to_text()}
     return _emit(args, "gm-split", b, vars(args), result, t0)
 

@@ -220,8 +220,6 @@ class RegularityReport:
 def regularity_exponent(system, N_list, budget=DEFAULT_ENUM_BUDGET):
     """Fit the growth exponent of the integer zero count of a polynomial
     system on [-N, N]^n and compare with the regular-growth bound n - D."""
-    if len(N_list) < 3:
-        raise ValueError("need at least 3 scales")
     if not system:
         raise ValueError("empty system")
     n = system[0].n
@@ -232,6 +230,8 @@ def regularity_exponent(system, N_list, budget=DEFAULT_ENUM_BUDGET):
     system = [p * math.lcm(*(c.denominator for c in p.terms.values()))
               for p in system]
     N_list = sorted(N_list)
+    if len(N_list) < 3 or N_list[0] < 1:
+        raise ValueError(f"need 3 or more scales N >= 1, got {N_list}")
     if (2 * N_list[-1] + 1) ** n > budget:
         raise BudgetExceeded("enumeration budget exceeded")
     counts = []

@@ -3,6 +3,8 @@ counts.  Brute-force enumeration over small ranges is the oracle throughout.
 """
 import cmath
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 from circlekit.arcs import (ArcDissection, BudgetExceeded, E_normalized,
-                            RationalFreq, S_sum, T_scan, T_sum, build_arcs,
-                            classify_alpha, estimate_gd, z_count)
+                            RationalFreq, S_sum, T_scan, T_sum, _kernel_count,
+                            build_arcs, classify_alpha, estimate_gd, z_count)
 from circlekit.count import mangoldt_table
 from circlekit.poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, Polynomial,
                             parse_polynomial, weyl_difference)
@@ -355,9 +357,9 @@ class TestClassification:
             assert q <= 50 ** 1.2 and dist <= 50 ** (1.2 - 2) + 1e-12
 
     def test_convergent_branch_matches_scan(self):
-        # q_max = P^Delta above 10^6 takes the continued-fraction branch;
-        # d = 1 and Delta < 1/2 put the threshold below 1/q_max, so both
-        # hits and "minor" occur.  The oracle is the scan over every q.
+        # q_max = P^Delta above 10^6, far past any short scan; d = 1 and
+        # Delta < 1/2 put the threshold below 1/q_max, so both hits and
+        # "minor" occur.  The oracle is the float scan over every q.
         def scan(alpha, P, d, Delta):
             qs = np.arange(1, int(P ** Delta) + 1)
             dist = np.abs(qs * alpha - np.round(qs * alpha))
@@ -387,6 +389,86 @@ class TestClassification:
         assert classify_alpha(1.25, 100, 2, 0.5)[:2] == (4, 5)
         assert classify_alpha(1.25, 1e13, 1, 0.465)[:2] == (4, 5)
         assert classify_alpha(-0.75, 1e13, 1, 0.465)[:2] == (4, -3)
+
+    def test_float_rounding_does_not_make_a_hit(self):
+        # in floats q alpha rounds to an integer at this q, but exactly
+        # ||q alpha|| = 6.0e-10 is above the threshold P^(Delta - d)
+        alpha, P, d, Delta = (0.2473611332846053, 6641890.220959316, 3,
+                              1.2768846397614864)
+        q, x = 337496299, Fraction(alpha)
+        assert q * alpha == round(q * alpha)
+        assert q <= P ** Delta
+        assert abs(q * x - round(q * x)) > Fraction(P ** (Delta - d))
+        assert classify_alpha(alpha, P, d, Delta) == "minor"
+
+    @staticmethod
+    def exact_scan(alpha, P, d, Delta):
+        """The least q <= P^Delta with ||q alpha|| <= P^(Delta - d), trying
+        every q: ||q m / r|| = min(q m mod r, r - q m mod r) / r exactly."""
+        m, r = Fraction(alpha).as_integer_ratio()
+        tn, td = Fraction(P ** (Delta - d)).as_integer_ratio()
+        for q in range(1, int(P ** Delta) + 1):
+            res = q * m % r
+            if min(res, r - res) * td <= tn * r:
+                return q, round(Fraction(q * m, r))
+        return "minor"
+
+    def test_equals_exact_scan(self):
+        rng = random.Random(19)
+        outcomes = set()
+        for case in range(1200):
+            d = rng.randint(1, 4)
+            P = rng.choice([rng.uniform(0.5, 3), rng.uniform(2, 10 ** 4)])
+            # P^Delta up to 2 10^4, and Delta near d for large thresholds
+            top = math.log(2e4) / math.log(P) if P > 1 else 3.0
+            Delta = rng.choice([rng.uniform(0.01, top),
+                                min(top, d + rng.uniform(-0.5, 0.1))])
+            if Delta <= 0:
+                continue
+            kind = case % 6
+            if kind == 0:
+                alpha = rng.uniform(-3, 3)
+            elif kind == 1:
+                alpha = rng.randint(-5, 5)
+            elif kind == 2:
+                alpha = Fraction(rng.randint(-5, 5)) + Fraction(1, 2)
+            elif kind == 3:     # a float near a/q
+                q = rng.randint(1, 3000)
+                alpha = rng.randint(-3 * q, 3 * q) / q + rng.gauss(0, 1e-9)
+            elif kind == 4:     # an exact rational, possibly negative
+                q = rng.randint(1, 5 * 10 ** 4)
+                alpha = Fraction(rng.randint(-3 * q, 3 * q), q)
+            else:   # a float whose ||q alpha|| is the threshold, rounded
+                q = rng.randint(1, max(1, min(3000, int(P ** Delta))))
+                alpha = float(Fraction(rng.randint(-3 * q, 3 * q), q)
+                              + Fraction(P ** (Delta - d)) / q)
+            want = self.exact_scan(alpha, P, d, Delta)
+            got = classify_alpha(alpha, P, d, Delta)
+            outcomes.add(want == "minor")
+            if want == "minor":
+                assert got == "minor", (alpha, P, d, Delta)
+                continue
+            assert got[:2] == want, (alpha, P, d, Delta)
+            q, a = want
+            if isinstance(alpha, Fraction):
+                assert got[2] == abs(q * alpha - a)
+            else:
+                assert got[2] == pytest.approx(
+                    float(abs(q * Fraction(alpha) - a)), abs=1e-12)
+        assert outcomes == {True, False}
+
+    def test_half_integer_and_integer_alpha(self):
+        # with a threshold of at least 1/2 every alpha hits at q = 1, and
+        # k + 1/2 takes a = round(k + 1/2), half to even
+        assert classify_alpha(2.5, 100, 1, 1) == (1, 2, 0.5)
+        assert classify_alpha(Fraction(-7, 2), 100, 1, 1) == \
+            (1, -4, Fraction(1, 2))
+        assert classify_alpha(-3, 100, 3, 0.5) == (1, -3, 0)
+
+    @pytest.mark.parametrize("P", [0, -1, 0.0])
+    def test_nonpositive_P_is_refused(self, P):
+        with pytest.raises(ValueError, match="P, Delta > 0"):
+            classify_alpha(0.25, P, 2, 0.5)
 
     def test_agrees_with_arc_membership(self):
         # Delta chosen so that the classification threshold dominates the
@@ -474,6 +556,46 @@ class TestDegeneracyCounts:
         with pytest.raises(BudgetExceeded):
             z_count(f, 3, 200)
 
+    def test_hyperbolic_count_holds_no_grid(self):
+        # x1 x2 + x3 x4 has a trivial kernel; a grid of all 41^4 candidate
+        # vectors peaked at 259 MB
+        f = parse_polynomial("n=4\n1 1 1 0 0\n1 0 0 1 1\n")
+        tracemalloc.start()
+        try:
+            assert z_count(f, 2, 20) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_kernel_count_matches_brute(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n, R = rng.randint(1, 4), rng.randint(0, 2)
+            A = [[Fraction(rng.choice([0, 0, 1, -1, 2, 3, -4, 6]),
+                           rng.choice([1, 1, 2, 3])) for _ in range(n)]
+                 for _ in range(n)]
+            if n > 1 and rng.random() < 0.5:    # a dependent row
+                A[-1] = [2 * u - v for u, v in zip(A[0], A[1])]
+            brute = sum(all(sum(a * y for a, y in zip(row, ys)) == 0
+                            for row in A)
+                        for ys in product(range(-R, R + 1), repeat=n))
+            assert _kernel_count(A, R) == brute, (A, R)
+
+    def test_rational_coefficients(self):
+        # (x1^2 + x2^2) / 5 has the kernel of x1^2 + x2^2; a float test
+        # |A y| < 1/2 took A y = (2/5) y for a zero when |y_i| <= 1
+        f = parse_polynomial("n=2\n1/5 2 0\n1/5 0 2\n")
+        g = parse_polynomial("n=2\n1 2 0\n1 0 2\n")
+        assert [z_count(f, 2, R) for R in (2, 4, 8)] == \
+            [z_count(g, 2, R) for R in (2, 4, 8)] == [1, 1, 1]
+
+    def test_negative_radius_is_refused(self):
+        f = parse_polynomial("n=2\n1 2 0\n")
+        with pytest.raises(ValueError, match="R = -1"):
+            z_count(f, 2, -1)
+        assert z_count(f, 2, 0) == 1
+
 
 class TestGrowthFit:
     def test_rank_recovery(self):
@@ -492,3 +614,8 @@ class TestGrowthFit:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             estimate_gd(parse_polynomial("n=2\n1 2 0\n"), 2, [5, 10])
+
+    def test_radius_below_one_is_refused(self):
+        # log R is fitted, so R = 0 is refused before any count
+        with pytest.raises(ValueError, match=r"R >= 1, got \[0, 1, 2\]"):
+            estimate_gd(parse_polynomial("n=2\n1 2 0\n"), 2, [2, 1, 0])

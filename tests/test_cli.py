@@ -246,7 +246,7 @@ _IMPORTS = {
     "count": {"count", "primes", "poly", "numpy"},
     "regularity": {"count", "primes", "poly", "numpy"},
     "weyl-scan": {"arcs", "count", "primes", "poly", "numpy"},
-    "zcount": {"arcs", "poly", "numpy"},
+    "zcount": {"arcs", "poly"},
     "predict": {"count", "local", "primes", "arch", "poly", "numpy"},
 }
 
@@ -433,6 +433,33 @@ class TestSubcommands:
         assert main(["weyl-scan", "--poly", pf, "--N", "10", "--points", "0",
                      "--output", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weyl_scan_at_N_zero_is_usage_error(self, poly_file, tmp_path,
+                                                capfd):
+        # P = N = 0 has no threshold P^(Delta - d); no CSV is written
+        out = tmp_path / "scan.csv"
+        assert main(["weyl-scan", "--poly", poly_file(LINEAR6), "--N", "0",
+                     "--output", str(out)]) == 2
+        assert capfd.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["zcount", "--R", "-1"], "R = -1"),
+        (["zcount", "--R", "0", "--R", "1", "--R", "2"], "got [0, 1, 2]"),
+        (["regularity", "--N-list", "0", "--N-list", "1", "--N-list", "2"],
+         "got [0, 1, 2]")])
+    def test_bad_radius_or_scale_is_usage_error(self, argv, named, poly_file,
+                                                tmp_path, capfd):
+        # refused by name before any count, not fitted as log 0 (which
+        # made LAPACK print DLASCL errors at the C level)
+        out = tmp_path / "out.json"
+        assert main([argv[0], "--poly", poly_file("n=2\n1 1 1\n"),
+                     *argv[1:], "--output", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
+        assert "DLASCL" not in captured.err + captured.out
         assert not out.exists()
 
     def test_zcount_growth_fit(self, poly_file, tmp_path):

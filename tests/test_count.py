@@ -376,6 +376,12 @@ class TestRegularity:
         with pytest.raises(ValueError):
             regularity_exponent([parse_polynomial("n=1\n1 1\n")], [5, 10])
 
+    def test_scale_below_one_is_refused(self):
+        # log N is fitted, so N = 0 is refused up front, by name
+        with pytest.raises(ValueError, match=r"N >= 1, got \[0, 1, 2\]"):
+            regularity_exponent([parse_polynomial("n=2\n1 1 1\n")],
+                                [2, 0, 1])
+
 
 class TestPredict:
     SPEC = QuadratureSpec(box_points=1 << 16, seed=7)
