@@ -33,11 +33,14 @@ the extrapolation bases carry that term alongside the smooth one.
 from __future__ import annotations
 
 import importlib.util
+import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .poly import _charge
 
 _REPLICATES = 8
 
@@ -57,8 +60,9 @@ class QuadratureSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if self.box_points < _REPLICATES or self.eta_L <= 0 or self.eps <= 0:
-            raise ValueError("quadrature parameters must be positive")
+        if self.box_points < _REPLICATES or not all(
+                math.isfinite(v) and v > 0 for v in (self.eta_L, self.eps)):
+            raise ValueError("quadrature parameters must be finite and > 0")
 
 
 @dataclass
@@ -175,13 +179,14 @@ def _balance_flags(spec):
 def _replicate_samples(n, spec):
     """The per-replicate sample blocks in [0,1]^n, shape (m, n) each.
 
-    Limits are checked at the call; each block is drawn only when the
-    iteration reaches it.
+    Limits are checked, and a block's m n coordinates charged, at the
+    call; each block is drawn only when the iteration reaches it.
     """
     per = _per_replicate(spec)
     if per > 1 << _SOBOL_BITS:
         raise ValueError(f"Sobol sampling supports at most 2**{_SOBOL_BITS} "
                          "points")
+    _charge(per * n, f"Sobol replicate of {per} points in {n} dimensions")
     directions = _sobol_directions(n)
     return (_sobol(directions, per, spec.seed * 1009 + r)
             for r in range(_REPLICATES))

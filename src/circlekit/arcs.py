@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .poly import (DEFAULT_ENUM_BUDGET, BudgetExceeded, grid_blocks,
-                   residue_histogram, weyl_difference)
+from .poly import _charge, grid_blocks, residue_histogram, weyl_difference
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +69,10 @@ class ArcDissection:
 def build_arcs(N, C, d):
     """Construct the major-arc dissection at scale N.
 
-    Radius N^{-d} (log N)^C around every reduced m/q with q <= (log N)^C;
-    log is natural.  Raises if there is no arc ((log N)^C < 1) or if the
-    arcs overlap (N too small for C).
+    Radius N^{-d} (log N)^C around every reduced m/q with q <= Q =
+    (log N)^C, log natural; the Q (Q + 1) / 2 candidate m/q are charged to
+    the budget first.  Raises if there is no arc (Q < 1) or if the arcs
+    overlap (N too small for C).
     """
     if N < 3:
         raise ValueError("need N >= 3 so that log N > 1")
@@ -82,6 +82,7 @@ def build_arcs(N, C, d):
     if Q < 1:
         raise ValueError(f"(log N)^C = {logC} < 1 leaves no arc at N={N}, "
                          f"C={C}")
+    _charge(Q * (Q + 1) // 2, f"arc centres with q <= {Q}")
     centers = sorted(
         {Fraction(m, q) for q in range(1, Q + 1)
          for m in range(q) if math.gcd(m, q) == 1})
@@ -121,18 +122,16 @@ def _exp_sum(b, alpha, axes, weight=None):
     2^52, where a float estimate of the quotient is off by at most 2 and
     int64 products wrap exactly mod 2^64; in Python ints otherwise.  A
     separable b = c + f_1(x_1) + ... + f_n(x_n) factors as e(alpha c) times
-    n one-variable sums; any other b walks its grid, after the budget check
-    on the points walked.
+    n one-variable sums; any other b walks its grid.  The points walked are
+    charged to the budget first.
     """
     import numpy as np
     m, r = _exact(alpha).as_integer_ratio()
     D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
     q, split = D * r, b.variable_split()
     M = m % q
-    walked = (sum if split else math.prod)(len(a) for a in axes)
-    if walked > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(f"exponential sum walks {walked} points, "
-                             f"over budget {DEFAULT_ENUM_BUDGET}")
+    _charge((sum if split else math.prod)(len(a) for a in axes),
+            "exponential sum")
     total, groups = 1, [(b * D, axes)]
     if split:
         ph = 2 * math.pi * (M * int(D * split[1]) % q / q)
@@ -165,7 +164,7 @@ def T_sum(b, alpha, N, table):
     return _exp_sum(b, alpha, [ks] * b.n, table.values)
 
 
-def T_scan(b, P, N, table, budget=DEFAULT_ENUM_BUDGET):
+def T_scan(b, P, N, table):
     """T(k/P) for k = 0, ..., P - 1: the sum over r of H(r) e(k r / q).
 
     With D the common denominator of b and q = D P, H is the
@@ -180,12 +179,11 @@ def T_scan(b, P, N, table, budget=DEFAULT_ENUM_BUDGET):
         raise ValueError("need at least one point")
     D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
     q = D * P
-    if q > budget:
-        raise BudgetExceeded(f"modulus {q} exceeds enumeration budget {budget}")
+    _charge(q, f"residues mod {q}")
     ks, W = _support(table, N)
     weight = np.zeros(q, object)
     np.add.at(weight, np.array(ks, np.int64) % q, W[ks, 0])
-    hist = residue_histogram(b * D, q, weight, budget)
+    hist = residue_histogram(b * D, q, weight)
     scale = 2 ** (53 * b.n)
     return np.fft.ifft([int(h) / scale for h in hist],
                        norm="forward")[:P].tolist()
@@ -303,8 +301,7 @@ def z_count(f, d, R):
     n = f.n
     if R < 0:
         raise ValueError(f"need R >= 0, got R = {R}")
-    if (2 * R + 1) ** (n * (d - 1)) > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("tuple grid too large")
+    _charge((2 * R + 1) ** (n * (d - 1)), "tuple grid")
     e = [[int(i == j) for j in range(n)] for i in range(n)]
     box = range(-R, R + 1)      # for d = 2 the only head is the empty tuple
     heads = product(*(product(box, repeat=n) for _ in range(d - 2)))
@@ -320,8 +317,8 @@ def estimate_gd(f, d, R_list):
     the derived minor-arc exponents (infinite when g_d = 0).
     """
     R_list = sorted(R_list)
-    if len(R_list) < 3 or R_list[0] < 1:
-        raise ValueError(f"need 3 or more radii R >= 1, got {R_list}")
+    if len(set(R_list)) < 3 or R_list[0] < 1:
+        raise ValueError(f"need 3 or more distinct R >= 1, got {R_list}")
     zs = [z_count(f, d, R) for R in R_list]
     slope = statistics.linear_regression(
         [math.log(R) for R in R_list], [math.log(z) for z in zs]).slope

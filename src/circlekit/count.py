@@ -22,8 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .poly import (_INT64_SAFE, DEFAULT_ENUM_BUDGET, BudgetExceeded,
-                   _histogram_sum, grid_blocks)
+from .poly import _INT64_SAFE, _charge, _histogram_sum, grid_blocks
 from .primes import primes_up_to
 
 
@@ -37,20 +36,16 @@ class MangoldtTable:
 
 
 def mangoldt_table(N):
-    """Sieve-built von Mangoldt table on [0, N]; its N + 1 entries are
-    checked against the budget before any is allocated."""
+    """Sieve-built von Mangoldt table on [0, N]; the sieve charges its N + 1
+    entries to the budget before this table's are allocated."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if N + 1 > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(f"von Mangoldt table of {N + 1} entries")
-    values = np.zeros(N + 1)
-    base = np.zeros(N + 1, dtype=np.int64)
-    for p in primes_up_to(N):
-        lp = math.log(p)
-        pk = p
+    primes = primes_up_to(N)
+    values, base = np.zeros(N + 1), np.zeros(N + 1, dtype=np.int64)
+    for p in primes:
+        lp, pk = math.log(p), p
         while pk <= N:
-            values[pk] = lp
-            base[pk] = p
+            values[pk], base[pk] = lp, p
             pk *= p
     return MangoldtTable(N=N, values=values, base=base)
 
@@ -108,9 +103,7 @@ def _reduce(groups, const, table, N, strategy, method):
     if not all(g.is_integral() for g in groups) or not isinstance(const, int):
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)
-    used = sum(len(ks) ** g.n for g in groups)
-    if used > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("prime-power grid too large")
+    _charge(used := sum(len(ks) ** g.n for g in groups), "prime-power grid")
     # histogram of the groups so far: distinct values, summed [weight, count]
     bound = abs(const) + sum(sum(map(abs, g.terms.values())) * N ** g.degree
                              for g in groups)
@@ -120,8 +113,7 @@ def _reduce(groups, const, table, N, strategy, method):
     for g in groups[:-1]:
         v, w = _histogram_sum(*zero, *_histogram(g, ks, W))
         used += len(values) * len(v)
-        if used > DEFAULT_ENUM_BUDGET:
-            raise BudgetExceeded("value convolution too large")
+        _charge(used, "value convolution")
         values, wc = _histogram_sum(values, wc, v, w)
     v, w = _histogram(groups[-1], ks, W, keep=-values)
     total = (wc[np.searchsorted(values, -v)] * w).sum(axis=0)
@@ -136,8 +128,7 @@ def _solve_linear(A, B, j, table, N):
     if not (A.is_integral() and B.is_integral()):
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)
-    if len(ks) ** A.n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("prime-power grid too large")
+    _charge(len(ks) ** A.n, "prime-power grid")
     weighted = np.zeros(N + 1, bool)
     weighted[ks] = True
     free = W[ks].sum(axis=0)    # [summed weight, |ks|] of a free x_j
@@ -193,8 +184,7 @@ def count_via_histogram(b, N, table):
     if not b.is_integral():
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)
-    if len(ks) ** b.n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("prime-power grid too large")
+    _charge(len(ks) ** b.n, "prime-power grid")
     buckets = {}
     for pt in product(reversed(ks), repeat=b.n):
         buckets.setdefault(b.evaluate(pt), []).append(pt)
@@ -217,23 +207,24 @@ class RegularityReport:
     slack: float = 0.25
 
 
-def regularity_exponent(system, N_list, budget=DEFAULT_ENUM_BUDGET):
+def regularity_exponent(system, N_list):
     """Fit the growth exponent of the integer zero count of a polynomial
-    system on [-N, N]^n and compare with the regular-growth bound n - D."""
+    system on [-N, N]^n, every scale's grid charged before any is walked,
+    and compare with the regular-growth bound n - D."""
+    import statistics   # loads decimal, about 3 ms that count never needs
     if not system:
         raise ValueError("empty system")
     n = system[0].n
     if any(p.n != n for p in system):
         raise ValueError("mixed variable counts in the system")
-    D = sum(p.degree for p in system)
+    ref = n - sum(p.degree for p in system)    # n - D
     # clearing denominators leaves the zero set unchanged
     system = [p * math.lcm(*(c.denominator for c in p.terms.values()))
               for p in system]
     N_list = sorted(N_list)
-    if len(N_list) < 3 or N_list[0] < 1:
-        raise ValueError(f"need 3 or more scales N >= 1, got {N_list}")
-    if (2 * N_list[-1] + 1) ** n > budget:
-        raise BudgetExceeded("enumeration budget exceeded")
+    if len(set(N_list)) < 3 or N_list[0] < 1:
+        raise ValueError(f"need 3 or more distinct N >= 1, got {N_list}")
+    _charge(sum((2 * N + 1) ** n for N in N_list), "zero-count grids")
     counts = []
     for N in N_list:
         count = 0
@@ -242,9 +233,9 @@ def regularity_exponent(system, N_list, budget=DEFAULT_ENUM_BUDGET):
                 block = block[p.eval_int(block) == 0]
             count += len(block)
         counts.append(count)
-    slope = float(np.polyfit(np.log(N_list),
-                             np.log(np.maximum(counts, 1)), 1)[0])
-    ref = n - D
+    slope = statistics.linear_regression(
+        [math.log(N) for N in N_list],
+        [math.log(max(c, 1)) for c in counts]).slope
     return RegularityReport(N_values=list(N_list), counts=counts,
                             fitted_exponent=slope, reference_exponent=ref,
                             regular=slope <= ref + 0.25)

@@ -25,8 +25,8 @@ from math import gcd, inf
 
 import numpy as np
 
-from .poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, BudgetExceeded,
-                   Polynomial, grid_blocks, histogram_cost, residue_histogram)
+from .poly import (_BLOCK_ROWS, BudgetExceeded, Polynomial, _charge, _limit,
+                   grid_blocks, histogram_cost, residue_histogram)
 from .primes import _is_prime, primes_up_to
 
 
@@ -43,39 +43,38 @@ def unit_residues(q):
     return r[np.gcd(r, q) == 1]     # gcd(0, 1) = 1
 
 
-def value_histogram(b, q, budget=DEFAULT_ENUM_BUDGET):
+def value_histogram(b, q):
     """Counts of b(x) mod q over x in U_q^n, exact: the
     ``residue_histogram`` of weight 1 on the units."""
     q = int(q)
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q > budget:      # checked before the q residues are allocated
-        raise BudgetExceeded(f"modulus {q} exceeds enumeration budget {budget}")
+    _charge(q, f"residues mod {q}")     # before the q residues are allocated
     weight = np.zeros(q, dtype=np.int64)
     weight[unit_residues(q)] = 1
-    return residue_histogram(b, q, weight, budget)
+    return residue_histogram(b, q, weight)
 
 
 # ---------------------------------------------------------------------------
 # exponential sums
 # ---------------------------------------------------------------------------
 
-def unit_exp_sum(b, m, q, budget=DEFAULT_ENUM_BUDGET):
+def unit_exp_sum(b, m, q):
     """S~_{m,q} = sum over k in U_q^n of e(b(k) m / q), gcd(m, q) = 1."""
     q, m = int(q), int(m) % int(q)
     if gcd(m, q) != 1:
         raise ValueError(f"m={m} is not a unit mod {q}")
-    hist = value_histogram(b, q, budget=budget)
+    hist = value_histogram(b, q)
     roots = np.exp(2j * np.pi * (m * np.arange(q) % q) / q)
     return complex(np.dot(np.asarray(hist, dtype=float), roots))
 
 
-def B_of_q(b, q, budget=DEFAULT_ENUM_BUDGET):
+def B_of_q(b, q):
     """B(q) = phi(q)^{-n} * sum over units m of S~_{m,q} (complex path).
 
     Mathematically real; the imaginary part is reported for cross-checks.
     """
-    hist = value_histogram(b, q, budget=budget)   # checks q before any work
+    hist = value_histogram(b, q)   # checks q before any work
     units = unit_residues(q)
     u = np.zeros(q)
     u[units] = 1.0
@@ -141,8 +140,7 @@ def _zero_candidates(g, p, units, budget):
     mod p.  Each cost is checked before its work.
     """
     cost, split = _walk_cost(g, p, units)
-    if cost > budget:
-        raise BudgetExceeded(f"zeros mod {p} cost {cost}, over budget {budget}")
+    _charge(cost, f"zeros mod {p}", budget)
     if cost == 0:       # a nonzero constant mod p
         return 0, 0, ()
     n, size = g.n, (p - 1 if units else p)
@@ -158,9 +156,7 @@ def _zero_candidates(g, p, units, budget):
                                       else a != 0))
         free.append(block[(a == 0) & (c == 0)])
         cost += len(free[-1]) * size
-        if cost > budget:
-            raise BudgetExceeded(
-                f"zeros mod {p} cost {cost}, over budget {budget}")
+        _charge(cost, f"zeros mod {p}", budget)
     return cost, zeros, _expand(np.concatenate(free), j, domain)
 
 
@@ -238,7 +234,7 @@ def _hensel_valuation(b, p, t_max, tau, budget):
             n, p ** (top + 1), p ** (top + 1) - p ** top, True) <= budget:
         top += 1
     if top:
-        hist = value_histogram(b, p ** top, budget=budget)
+        hist = value_histogram(b, p ** top)
         nus = [int(hist[::p ** t].sum()) // p ** (n * (top - t))
                for t in range(1, top + 1)]
     if top < T and (not nus or nus[-1]):
@@ -310,8 +306,8 @@ def _hensel_tree(b, p, t_max, budget):
         f"hensel_tree({depth})", horizon + 1 if horizon < t_max else None
 
 
-def _levels(b, p, t_max, budget):
-    """(nus, closing, method, cut) of b at p.
+def _levels(b, p, t_max, budget=None):
+    """(nus, closing, method, cut) of b at p, within ``_limit(budget)``.
 
     Hensel's valuation lemma takes a b with a ``_lemma_tau`` when its
     histogram mod p^(2 tau + 1) fits the budget, unless a walk of the zeros
@@ -321,7 +317,7 @@ def _levels(b, p, t_max, budget):
     """
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
-    tau = _lemma_tau(b, p)
+    budget, tau = _limit(budget), _lemma_tau(b, p)
     if tau is not None:
         q = p ** (2 * tau + 1)      # the histogram mod q on phi(q) units
         cost = histogram_cost(b.n, q, q - q // p, True)
@@ -348,9 +344,9 @@ class UnitSolutionCount:
     nu: int
 
 
-def nu_count(b, p, t, budget=DEFAULT_ENUM_BUDGET):
+def nu_count(b, p, t):
     """Exact count of x in (U_{p^t})^n with b(x) = 0 mod p^t."""
-    nus = _levels(b, p, t, budget)[0]
+    nus = _levels(b, p, t)[0]
     if len(nus) < t:
         raise BudgetExceeded(f"enumeration budget hit at level t={len(nus) + 1}")
     return UnitSolutionCount(p=p, t=t, nu=nus[-1])
@@ -368,7 +364,7 @@ class LocalFactor:
     method: str | None = None
 
 
-def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
+def mu_p(b, p, t_max=6):
     """Local factor mu(p), read from the levels nu_t of b at p (``_levels``).
 
     partial_sums[t-1] = p^t nu_t / phi(p^t)^n, exact for t <= t_max, and
@@ -382,7 +378,7 @@ def mu_p(b, p, t_max=6, budget=DEFAULT_ENUM_BUDGET):
     t_max, leaves stabilized_at None, mu(p) the last partial sum, and a
     warning.
     """
-    nus, closing, method, cut = _levels(b, p, t_max, budget)
+    nus, closing, method, cut = _levels(b, p, t_max)
     partials = [Fraction(p ** t * nu, (p ** t - p ** (t - 1)) ** b.n)
                 for t, nu in enumerate(nus, start=1)]
     if 0 in nus:
@@ -411,7 +407,7 @@ class SeriesEstimate:
     tail_bound: float
 
 
-def singular_series(b, prime_bound, t_max=6, budget=DEFAULT_ENUM_BUDGET):
+def singular_series(b, prime_bound, t_max=6):
     """Product of mu(p) over p <= prime_bound, plus an empirical tail fit.
 
     Returns (SeriesEstimate, [LocalFactor...]).  The product is reported as
@@ -419,8 +415,7 @@ def singular_series(b, prime_bound, t_max=6, budget=DEFAULT_ENUM_BUDGET):
     """
     if prime_bound < 2:
         raise ValueError("prime bound must be >= 2")
-    factors = [mu_p(b, p, t_max=t_max, budget=budget)
-               for p in primes_up_to(prime_bound)]
+    factors = [mu_p(b, p, t_max=t_max) for p in primes_up_to(prime_bound)]
     if any(f.mu_p == 0 for f in factors):
         product = 0.0
     else:

@@ -6,8 +6,8 @@ All values are immutable after construction; every operation returns a new
 polynomial, so everything here is safe to call from concurrent workers.
 Only batch evaluation, ``grid_blocks`` and the histograms import numpy,
 when first called, so a command that parses or composes polynomials never
-loads it.  The enumeration budget and its exception live here, as does
-``_histogram_sum``, the one exact kernel that adds value histograms.
+loads it.  ``DEFAULT_ENUM_BUDGET``, ``_charge`` and their exception live
+here, as does ``_histogram_sum``, the one kernel that adds value histograms.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate, product as iproduct
 
 _INT64_SAFE = 2 ** 62
-# the most points or convolution steps an exact enumeration may cost
+# the most an exact enumeration may cost, read by _charge at every check
 DEFAULT_ENUM_BUDGET = 10 ** 8
 # rows per block of grid_blocks: about 1 MB of int64 per coordinate
 _BLOCK_ROWS = 1 << 17
@@ -28,6 +28,17 @@ _DENSE_RATIO = 8
 
 class BudgetExceeded(RuntimeError):
     """Raised when an exact enumeration would exceed the configured budget."""
+
+
+def _limit(budget=None):
+    """``budget``, else ``DEFAULT_ENUM_BUDGET`` as it is at the call."""
+    return DEFAULT_ENUM_BUDGET if budget is None else budget
+
+
+def _charge(cost, what, budget=None):
+    """Refuse ``what``, before any of its work, if ``cost`` is over budget."""
+    if cost > (limit := _limit(budget)):
+        raise BudgetExceeded(f"{what} costs {cost}, over budget {limit}")
 
 
 def _norm_coeff(c):
@@ -556,7 +567,7 @@ def histogram_cost(n, q, m, separable):
         min(m ** k, q) * min(m, q) for k in range(1, n)))
 
 
-def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
+def residue_histogram(b, q, weight):
     """Entry r: the sum of weight[a_1] ... weight[a_n] over a in (Z/q)^n
     with b(a) = r mod q; b integral, ``weight`` q exact integers >= 0.  A
     separable b = c + f_1(x_1) + ... + f_n(x_n) adds its distinct parts'
@@ -569,10 +580,8 @@ def residue_histogram(b, q, weight, budget=DEFAULT_ENUM_BUDGET):
         raise ValueError("histogram needs integer coefficients")
     n, support = b.n, np.flatnonzero(weight)
     split = b.variable_split() if n else None
-    cost = histogram_cost(n, q, len(support), split is not None)
-    if cost > budget:
-        raise BudgetExceeded(f"histogram mod {q} costs {cost}, "
-                             f"over budget {budget}")
+    _charge(histogram_cost(n, q, len(support), split is not None),
+            f"histogram mod {q}")
     size = int(np.sum(weight)) ** n
     w = np.asarray(weight, np.int64 if size < _INT64_SAFE else object)
     hist = np.zeros(q, w.dtype)

@@ -10,11 +10,14 @@ prime factors above about 10^16 takes minutes.
 from itertools import count
 from math import gcd, isqrt
 
+from .poly import _charge
+
 
 def primes_up_to(N):
-    """The primes p <= N, by the sieve of Eratosthenes."""
+    """The primes p <= N, by a sieve of N + 1 entries charged up front."""
     if N < 2:
         return []
+    _charge(N + 1, f"sieve to {N}")
     import numpy as np
     sieve = np.ones(N + 1, dtype=bool)
     sieve[:2] = False

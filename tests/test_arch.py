@@ -17,12 +17,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import qmc
 
+from circlekit import arch
 from circlekit.arch import (_L_STEPS, I_eta, J_of_L, QuadratureSpec, _J_row,
                             _read_npy_prefix, _replicate_samples,
                             _sobol_directions, mu_infinity,
                             real_nonsingular_witness, sigma_infinity,
                             sigma_measure, sigma_scaled)
-from circlekit.poly import parse_polynomial
+from circlekit.poly import BudgetExceeded, parse_polynomial
 
 SPEC = QuadratureSpec(box_points=1 << 18, seed=7)
 
@@ -88,6 +89,24 @@ class TestSobol:
             _replicate_samples(1, QuadratureSpec(box_points=8 << 31))
         with pytest.raises(ValueError):
             _sobol_directions(21202)
+
+    def test_coordinates_charged_before_any_draw(self, monkeypatch,
+                                                 enum_limit):
+        # 4096 / 8 = 512 points a replicate in 3 dimensions: 1,536
+        # coordinates; 8 * 10^9 points in 3 dimensions took 12 GiB
+        spec = QuadratureSpec(box_points=4096)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("drawn before the budget check")
+
+        monkeypatch.setattr(arch, "_sobol", fail)
+        monkeypatch.setattr(arch, "_sobol_directions", fail)
+        with enum_limit(1535), pytest.raises(
+                BudgetExceeded, match="costs 1536, over budget 1535"):
+            _replicate_samples(3, spec)
+        monkeypatch.undo()
+        with enum_limit(1536):
+            assert len(list(_replicate_samples(3, spec))) == 8
 
     def test_unbalanced_replicates_are_flagged(self):
         f = parse_polynomial("n=2\n1 1 0\n-1 0 1\n")     # x1 - x2
@@ -287,3 +306,11 @@ def test_spec_validation():
         QuadratureSpec(eps=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(eta_L=-1.0)
+
+
+@pytest.mark.parametrize("field", ["eps", "eta_L"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_rejects_non_finite(field, value):
+    # a NaN eta_L failed later with a KeyError, an infinite eps in the SVD
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureSpec(**{field: value})

@@ -11,12 +11,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from circlekit.arcs import (ArcDissection, BudgetExceeded, E_normalized,
-                            RationalFreq, S_sum, T_scan, T_sum, _kernel_count,
-                            build_arcs, classify_alpha, estimate_gd, z_count)
+from circlekit import arcs
+from circlekit.arcs import (ArcDissection, E_normalized, RationalFreq, S_sum,
+                            T_scan, T_sum, _kernel_count, build_arcs,
+                            classify_alpha, estimate_gd, z_count)
 from circlekit.count import mangoldt_table
-from circlekit.poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, Polynomial,
-                            parse_polynomial, weyl_difference)
+from circlekit.poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, BudgetExceeded,
+                            Polynomial, parse_polynomial, weyl_difference)
 
 
 def exact_phase_sums(b, alphas, axes, weight=None):
@@ -90,6 +91,18 @@ class TestArcGeometry:
         # (log N)^C < 1 leaves no denominator q >= 1
         with pytest.raises(ValueError, match="no arc"):
             build_arcs(N, C, 2)
+
+    def test_centres_charged_before_any_is_made(self, monkeypatch,
+                                                enum_limit):
+        # (log 10^6)^3 = 2636.9...: 2636 * 2637 / 2 = 3,475,566 candidate
+        # m/q, which took seconds to build; about 3 * 10^22 at C = 10
+        def fail(*args, **kwargs):
+            raise AssertionError("a centre made before the budget check")
+
+        monkeypatch.setattr(arcs, "Fraction", fail)
+        with enum_limit(10 ** 6), pytest.raises(
+                BudgetExceeded, match="costs 3475566, over budget 1000000"):
+            build_arcs(10 ** 6, 3, 2)
 
     def test_growth_in_C(self):
         a1 = build_arcs(10 ** 4, 1, 2)
@@ -249,7 +262,8 @@ class TestScan:
             assert err <= 2e-15 * got[0].real, k
 
     @pytest.mark.parametrize("text", [CONE, FIVE_SQUARES])
-    def test_budget_checked_before_any_evaluation(self, text, monkeypatch):
+    def test_budget_checked_before_any_evaluation(self, text, monkeypatch,
+                                                  enum_limit):
         # the cone walks 12^3 = 1,728 folded tuples mod 16; five squares
         # adds its parts' histograms mod 32 in 2,562 steps (21 residues)
         b, t = parse_polynomial(text), mangoldt_table(200)
@@ -259,8 +273,8 @@ class TestScan:
 
         monkeypatch.setattr(Polynomial, "eval_int", fail)
         monkeypatch.setattr(Polynomial, "eval_float", fail)
-        with pytest.raises(BudgetExceeded):
-            T_scan(b, 16 if text == CONE else 32, 200, t, budget=1000)
+        with enum_limit(1000), pytest.raises(BudgetExceeded):
+            T_scan(b, 16 if text == CONE else 32, 200, t)
 
     def test_zero_frequency_is_psi_to_the_n(self):
         t = mangoldt_table(200)
@@ -614,6 +628,12 @@ class TestGrowthFit:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             estimate_gd(parse_polynomial("n=2\n1 2 0\n"), 2, [5, 10])
+
+    def test_needs_three_distinct_radii(self):
+        # two distinct radii fitted a slope through two points
+        with pytest.raises(ValueError,
+                           match=r"distinct R >= 1, got \[3, 3, 5\]"):
+            estimate_gd(parse_polynomial("n=2\n1 2 0\n"), 2, [3, 5, 3])
 
     def test_radius_below_one_is_refused(self):
         # log R is fitted, so R = 0 is refused before any count

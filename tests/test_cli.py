@@ -501,6 +501,38 @@ class TestSubcommands:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, argv, named", [
+        (None, ["arcs", "--N", "1000000", "--C", "10", "--d", "2"],
+         "arc centres"),
+        ("n=3\n1 1 1 0\n-1 0 0 2\n",
+         ["series", "--prime-bound", "10000000000"], "sieve to"),
+        ("n=3\n1 1 1 0\n-1 0 0 2\n",
+         ["sigma-inf", "--box-points", "8000000000"], "Sobol replicate"),
+        ("n=2\n1 2 0\n1 0 2\n-5 0 0\n",
+         ["regularity", "--N-list", "5", "--N-list", "5", "--N-list", "5"],
+         "got [5, 5, 5]"),
+        (LINEAR6, ["sigma-inf", "--eta-L", "nan"], "finite"),
+        (LINEAR6, ["sigma-inf", "--eta-L", "inf"], "finite"),
+        (LINEAR6, ["sigma-inf", "--eps", "nan"], "finite"),
+        (LINEAR6, ["sigma-inf", "--eps", "inf"], "finite"),
+        (LINEAR6, ["predict", "--N", "20", "--eps", "nan"], "finite"),
+    ], ids=["arc-centres", "sieve", "sobol", "repeated-scale", "eta-L-nan",
+            "eta-L-inf", "eps-nan", "eps-inf", "predict-eps-nan"])
+    def test_refused_before_any_work(self, text, argv, named, poly_file,
+                                     tmp_path, capfd):
+        # over budget (3 * 10^22 arc centres, a sieve of 9.3 GiB, Sobol
+        # samples of 12 GiB), one distinct scale, or a non-finite
+        # quadrature parameter: refused by name with exit 2, with no
+        # traceback, warning or report
+        out = tmp_path / "out.json"
+        poly = [] if text is None else ["--poly", poly_file(text)]
+        assert main([argv[0], *poly, *argv[1:], "--output", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
+        assert "Warning" not in captured.err
+        assert not out.exists()
+
     def test_count_primes_only_variant(self, poly_file, tmp_path):
         pf = poly_file(LINEAR6)
         _, rep = run_json(

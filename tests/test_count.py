@@ -10,12 +10,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from circlekit import count
 from circlekit.arch import QuadratureSpec
-from circlekit.count import (BudgetExceeded, MangoldtTable, count_direct,
-                             count_mitm, count_via_histogram, mangoldt_table,
-                             predict, regularity_exponent)
-from circlekit.poly import Polynomial, parse_polynomial
+from circlekit.count import (MangoldtTable, count_direct, count_mitm,
+                             count_via_histogram, mangoldt_table, predict,
+                             regularity_exponent)
+from circlekit.poly import BudgetExceeded, Polynomial, parse_polynomial
 
 
 def brute_force(b, N, table):
@@ -97,7 +96,8 @@ class TestDirectCount:
         with pytest.raises(BudgetExceeded):
             count_direct(b, 2 * 10 ** 5, mangoldt_table(2 * 10 ** 5))
 
-    def test_grid_budget_checked_before_any_evaluation(self, monkeypatch):
+    def test_grid_budget_checked_before_any_evaluation(self, monkeypatch,
+                                                       enum_limit):
         # x1^2 x2^2 - x3^2 is neither separable nor of degree one in any
         # variable, so its whole grid is charged before anything is evaluated
         b = parse_polynomial("n=3\n1 2 2 0\n-1 0 0 2\n")
@@ -106,9 +106,8 @@ class TestDirectCount:
         def refuse(*args, **kwargs):
             raise AssertionError("evaluated before the budget check")
 
-        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 4000)
         monkeypatch.setattr(Polynomial, "eval_int", refuse)
-        with pytest.raises(BudgetExceeded):
+        with enum_limit(4000), pytest.raises(BudgetExceeded):
             count_direct(b, 30, t)
 
     def test_convolution_memory_is_one_slice(self):
@@ -128,7 +127,7 @@ class TestDirectCount:
             (expect.value, expect.solution_count)
         assert peak < 20 * 2 ** 20
 
-    def test_budget_charges_real_convolution_sizes(self, monkeypatch):
+    def test_budget_charges_real_convolution_sizes(self, enum_limit):
         # five squares at N=30: 16 prime powers a variable, at most 816
         # distinct sums of three squares, so the convolutions cost about
         # 15,500, not the 16^2 + 16^3 + 16^4 of the grid products
@@ -136,13 +135,12 @@ class TestDirectCount:
                              "1 0 0 0 2 0\n1 0 0 0 0 2\n-2045 0 0 0 0 0\n")
         t = mangoldt_table(30)
         expect = count_mitm(b, 30, t, 2)
-        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 20_000)
-        got = count_direct(b, 30, t)
+        with enum_limit(20_000):
+            got = count_direct(b, 30, t)
         assert (got.value, got.solution_count) == \
             (expect.value, expect.solution_count)
         assert got.solution_count == 850
-        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 10_000)
-        with pytest.raises(BudgetExceeded):
+        with enum_limit(10_000), pytest.raises(BudgetExceeded):
             count_direct(b, 30, t)
 
 
@@ -327,7 +325,8 @@ class TestHistogramCrossCheck:
         assert count_via_histogram(b, N, t).value == \
             count_direct(b, N, t).value
 
-    def test_grid_budget_checked_before_the_walk(self, monkeypatch):
+    def test_grid_budget_checked_before_the_walk(self, monkeypatch,
+                                                 enum_limit):
         # 16 prime powers up to 30: 256 tuples of x1 + x2 - 6
         b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")
         t = mangoldt_table(30)
@@ -336,13 +335,12 @@ class TestHistogramCrossCheck:
         def refuse(*args, **kwargs):
             raise AssertionError("evaluated before the budget check")
 
-        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 255)
         monkeypatch.setattr(Polynomial, "evaluate", refuse)
-        with pytest.raises(BudgetExceeded):
+        with enum_limit(255), pytest.raises(BudgetExceeded):
             count_via_histogram(b, 30, t)
         monkeypatch.undo()
-        monkeypatch.setattr(count, "DEFAULT_ENUM_BUDGET", 256)
-        assert count_via_histogram(b, 30, t).value == expect.value
+        with enum_limit(256):
+            assert count_via_histogram(b, 30, t).value == expect.value
 
 
 class TestRegularity:
@@ -371,6 +369,37 @@ class TestRegularity:
         p = parse_polynomial("n=2\n1/2 1 0\n-1 0 1\n")
         rep = regularity_exponent([p], [5, 10, 20])
         assert rep.counts == [5, 11, 21]
+
+    def test_constant_counts_fit_slope_zero(self):
+        # x1^2 + x2^2 = 5 has 8 points at every scale: the slope is exactly 0
+        p = parse_polynomial("n=2\n1 2 0\n1 0 2\n-5 0 0\n")
+        rep = regularity_exponent([p], [5, 10, 20])
+        assert rep.counts == [8, 8, 8]
+        assert rep.fitted_exponent == 0.0
+
+    def test_repeated_scales_are_refused(self):
+        # one distinct scale made np.polyfit warn and fit a slope of 0.646
+        p = parse_polynomial("n=2\n1 2 0\n1 0 2\n-5 0 0\n")
+        with pytest.raises(ValueError,
+                           match=r"distinct N >= 1, got \[5, 5, 5\]"):
+            regularity_exponent([p], [5, 5, 5])
+        with pytest.raises(ValueError, match=r"got \[5, 5, 10\]"):
+            regularity_exponent([p], [10, 5, 5])
+        assert regularity_exponent([p], [5, 10, 5, 20]).counts == [8] * 4
+
+    def test_every_scale_charged_before_any_walk(self, monkeypatch,
+                                                 enum_limit):
+        # x1 x2 at N = 5, 10 and 20 walks 11^2 + 21^2 + 41^2 = 2,243
+        # points, of which the largest grid alone is 1,681
+        p = parse_polynomial("n=2\n1 1 1\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked before the budget check")
+
+        monkeypatch.setattr(Polynomial, "eval_int", refuse)
+        with enum_limit(2242), pytest.raises(
+                BudgetExceeded, match="costs 2243, over budget 2242"):
+            regularity_exponent([p], [5, 10, 20])
 
     def test_needs_scales(self):
         with pytest.raises(ValueError):

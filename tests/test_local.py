@@ -15,10 +15,11 @@ import pytest
 from sympy import totient
 
 from circlekit import local
-from circlekit.local import (B_of_q, BudgetExceeded, _linear_split, mu_p,
-                             nu_count, singular_series, unit_exp_sum,
-                             unit_residues, value_histogram)
-from circlekit.poly import Polynomial, parse_polynomial, residue_histogram
+from circlekit.local import (B_of_q, _linear_split, mu_p, nu_count,
+                             singular_series, unit_exp_sum, unit_residues,
+                             value_histogram)
+from circlekit.poly import (BudgetExceeded, Polynomial, parse_polynomial,
+                            residue_histogram)
 
 
 def brute_histogram(b, q, units):
@@ -97,16 +98,17 @@ class TestHistograms:
         hist = value_histogram(b, q)
         assert int(np.sum(hist)) == len(unit_residues(q)) ** 2
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, enum_limit):
         b = parse_polynomial("n=2\n1 1 1\n")       # not separable
-        with pytest.raises(BudgetExceeded):
-            value_histogram(b, 97, budget=100)
-        with pytest.raises(BudgetExceeded):     # before any allocation
-            value_histogram(b, 10 ** 16 + 61, budget=100)
         separable = parse_polynomial("n=2\n1 1 0\n1 0 1\n")
-        with pytest.raises(BudgetExceeded):
-            residue_histogram(separable, 10 ** 4, np.ones(10 ** 4, np.int64),
-                              budget=100)
+        with enum_limit(100):
+            with pytest.raises(BudgetExceeded):
+                value_histogram(b, 97)
+            with pytest.raises(BudgetExceeded):     # before any allocation
+                value_histogram(b, 10 ** 16 + 61)
+            with pytest.raises(BudgetExceeded):
+                residue_histogram(separable, 10 ** 4,
+                                  np.ones(10 ** 4, np.int64))
 
 
 class TestExponentialSums:
@@ -142,14 +144,14 @@ class TestExponentialSums:
         for q in (3, 4, 5, 7, 9, 16):
             assert abs(B_of_q(b, q).imag) < 1e-9
 
-    def test_B_checks_the_budget_before_allocating(self):
+    def test_B_checks_the_budget_before_allocating(self, enum_limit):
         # q = 10^6 + 3 residues, units and a length-q DFT took 46 MB
         # before the histogram's own check refused the modulus
         b = parse_polynomial("n=2\n1 2 0\n1 0 2\n-5 0 0\n")
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetExceeded):
-                B_of_q(b, 10 ** 6 + 3, budget=1000)
+            with enum_limit(1000), pytest.raises(BudgetExceeded):
+                B_of_q(b, 10 ** 6 + 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -175,19 +177,21 @@ class TestUnitSolutionCounts:
         b = cubes(22)
         assert nu_count(b, 3, 2).nu == value_histogram(b, 9)[0]
 
-    def test_histograms_beyond_a_cut_tree(self):
+    def test_histograms_beyond_a_cut_tree(self, enum_limit):
         # 8 distinct cubes on a budget of 1000: the tree is cut at the
         # root's singular zeros, histograms count mod 9 but not mod 27
         b = distinct_cubes([1, 2, 4, 5, 7, 8, 10, 11])
-        assert nu_count(b, 3, 2, budget=1000).nu == value_histogram(b, 9)[0]
-        with pytest.raises(BudgetExceeded):
-            nu_count(b, 3, 3, budget=1000)
+        with enum_limit(1000):
+            assert nu_count(b, 3, 2).nu == value_histogram(b, 9)[0]
+            with pytest.raises(BudgetExceeded):
+                nu_count(b, 3, 3)
         # 4 on a budget of 300: the tree, with no histogram, reaches mod 27
         b = parse_polynomial(DISTINCT_CUBES)
-        assert nu_count(b, 3, 2, budget=300).nu == self.brute_nu(b, 3, 2)
-        assert nu_count(b, 3, 3, budget=300).nu == self.brute_nu(b, 3, 3)
+        with enum_limit(300):
+            assert nu_count(b, 3, 2).nu == self.brute_nu(b, 3, 2)
+            assert nu_count(b, 3, 3).nu == self.brute_nu(b, 3, 3)
 
-    def test_linear_children_charged_their_walk(self):
+    def test_linear_children_charged_their_walk(self, enum_limit):
         # 3 (x1 x2 + x3) at p = 3: the 8 unit zeros mod 3 are all singular,
         # and the 4 with x1 x2 + x3 = 0 mod 3 refine to nodes linear in
         # y3 that walk 3^2 rows, the other 4 to nodes that are nonzero
@@ -196,15 +200,18 @@ class TestUnitSolutionCounts:
         # before it refines them: 8 + 8 * 9 = 80, of which 8 + 4 * 9 = 44
         # is spent.  Walking the constant nodes' 3^3 points each took 152.
         b = parse_polynomial("n=3\n3 1 1 0\n3 0 0 1\n")
-        f = mu_p(b, 3, t_max=3, budget=80)
+        with enum_limit(80):
+            f = mu_p(b, 3, t_max=3)
         assert f.warning is None and f.method == "hensel_tree(1)"
         assert f.nu_values == [self.brute_nu(b, 3, t) for t in (1, 2, 3)]
-        assert mu_p(b, 3, t_max=3, budget=79).warning is not None
+        with enum_limit(79):
+            assert mu_p(b, 3, t_max=3).warning is not None
 
-    def test_lifting_path_agrees(self):
+    def test_lifting_path_agrees(self, enum_limit):
         # a non-separable b takes the tree, even on a small budget
         b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")   # x1 x2 = 1
-        got = nu_count(b, 3, 3, budget=100)
+        with enum_limit(100):
+            got = nu_count(b, 3, 3)
         assert got.nu == self.brute_nu(b, 3, 3)
 
 
@@ -241,7 +248,8 @@ class TestLinearVariable:
         b = parse_polynomial(self.NONUNIT)
         assert nu_count(b, 5, 1).nu == 16 - 4
 
-    def test_zero_rows_charged_before_expansion(self, monkeypatch):
+    def test_zero_rows_charged_before_expansion(self, monkeypatch,
+                                                enum_limit):
         # at p = 7 the root walks 6^2 rows x' and 6 of them have
         # A = B = 0; expanding those costs 6 * 6 more, 72 in all
         b = parse_polynomial(self.VANISHING)
@@ -249,11 +257,12 @@ class TestLinearVariable:
         real = local._expand
         monkeypatch.setattr(local, "_expand",
                             lambda *a: expanded.append(a) or real(*a))
-        with pytest.raises(BudgetExceeded):
-            nu_count(b, 7, 1, budget=71)
+        with enum_limit(71), pytest.raises(BudgetExceeded):
+            nu_count(b, 7, 1)
         assert expanded == []
-        assert nu_count(b, 7, 1, budget=72).nu == \
-            value_histogram(b, 7)[0] == 6 * 6 + 6 * 5
+        with enum_limit(72):
+            nu = nu_count(b, 7, 1).nu
+        assert nu == value_histogram(b, 7)[0] == 6 * 6 + 6 * 5
 
 
 def random_separable(rng, p):
@@ -334,11 +343,12 @@ class TestHenselValuation:
         assert f.method == "hensel_tree(1)" and f.stabilized_at == 3
         assert f.nu_values == [2, 18, 54, 162]
 
-    def test_distinct_cubes_close(self):
+    def test_distinct_cubes_close(self, enum_limit):
         # sum a_i x_i^3, a_i = 1, 2, 4, 5, ..., 26: no two parts alike, and
         # every unit zero mod 3 singular; tau = v_3(3 a_i) = 1
         b = distinct_cubes([k for k in range(1, 27) if k % 3])
-        f = mu_p(b, 3, budget=10 ** 5)
+        with enum_limit(10 ** 5):
+            f = mu_p(b, 3)
         assert f.mu_p == Fraction(32769, 32768) and f.stabilized_at == 2
         assert f.warning is None and f.method == "hensel_valuation(1)"
 
@@ -356,22 +366,25 @@ class TestHenselValuation:
         assert f.method == "nonsingular"
         assert f.nu_values == [8 * 5 ** t for t in range(6)]
 
-    def test_tree_when_the_histograms_do_not_fit(self):
+    def test_tree_when_the_histograms_do_not_fit(self, enum_limit):
         # the histogram mod 27 costs 1368 > 300; the tree proves level 3
-        f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3, budget=300)
+        with enum_limit(300):
+            f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3)
         assert f.nu_values == [6, 162, 4374] and f.stabilized_at == 3
         assert f.method == "hensel_tree(1)" and f.warning is None
 
-    def test_histograms_count_past_a_cut_tree(self):
+    def test_histograms_count_past_a_cut_tree(self, enum_limit):
         # 8 distinct cubes at p = 3 on a budget of 1000: the tree is cut at
         # the root's singular zeros, histograms mod 9 still fit, mod 27 not
         b = distinct_cubes([1, 2, 4, 5, 7, 8, 10, 11])
-        f = mu_p(b, 3, t_max=3, budget=1000)
+        with enum_limit(1000):
+            f = mu_p(b, 3, t_max=3)
         assert f.nu_values == [value_histogram(b, 3 ** t)[0] for t in (1, 2)]
         assert f.method == "hensel_valuation(1)" and f.stabilized_at is None
         assert f.warning == "enumeration budget hit at level t=3"
         # with t_max = 2 both levels are there; the cut past t_max is named
-        f = mu_p(b, 3, t_max=2, budget=1000)
+        with enum_limit(1000):
+            f = mu_p(b, 3, t_max=2)
         assert len(f.nu_values) == 2 and f.stabilized_at is None
         assert f.warning == "enumeration budget hit at level t=3"
 
@@ -422,8 +435,9 @@ class TestLocalFactors:
         f = mu_p(parse_polynomial(SINGULAR_AT_3), 3, t_max=6)
         assert f.method == "hensel_tree(2)"
 
-    def test_method_when_the_budget_stops_the_root(self):
-        f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3, budget=100)
+    def test_method_when_the_budget_stops_the_root(self, enum_limit):
+        with enum_limit(100):
+            f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3)
         assert f.method == "hensel_tree(0)" and f.nu_values == [6]
         assert f.stabilized_at is None and "budget" in f.warning
 
@@ -451,6 +465,25 @@ class TestLocalFactors:
         f = mu_p(b, 5, t_max=4)
         assert f.stabilized_at is not None
         assert f.partial_sums[-1] == f.partial_sums[f.stabilized_at - 1]
+
+    def test_series_sieve_charged_before_it_is_made(self, monkeypatch,
+                                                    enum_limit):
+        # the sieve's 10^6 + 1 entries are refused before any is allocated
+        # and before any mu(p); at 10^10 the sieve took 9.3 GiB
+        def fail(*args, **kwargs):
+            raise AssertionError("a factor computed before the budget check")
+
+        monkeypatch.setattr(local, "mu_p", fail)
+        b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")
+        tracemalloc.start()
+        try:
+            with enum_limit(1000), pytest.raises(
+                    BudgetExceeded, match="costs 1000001, over budget 1000"):
+                singular_series(b, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     def test_series_product_and_tail(self):
         b = parse_polynomial("n=2\n1 1 0\n1 0 1\n-6 0 0\n")

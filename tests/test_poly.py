@@ -1,4 +1,5 @@
-"""Exact polynomial arithmetic, serialization, and the differencing operator.
+"""Exact polynomial arithmetic, serialization, the differencing operator,
+and the one enumeration budget that every module charges.
 
 Arithmetic is cross-checked against sympy as an independent oracle; the
 symbolic differencing identities are checked monomial by monomial.
@@ -13,6 +14,9 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from circlekit import poly
+from circlekit.arcs import z_count
+from circlekit.count import count_direct, mangoldt_table
+from circlekit.local import value_histogram
 from circlekit.poly import (_BLOCK_ROWS, BudgetExceeded, Polynomial,
                             grid_blocks, parse_polynomial, residue_histogram,
                             weyl_difference, weyl_difference_poly)
@@ -305,14 +309,14 @@ class TestResidueHistogram:
         assert got.dtype == (object if big else np.int64)
         assert got.tolist() == self.brute(b, q, weight)
 
-    def test_budget_before_any_evaluation(self, monkeypatch):
+    def test_budget_before_any_evaluation(self, monkeypatch, enum_limit):
         def fail(*args, **kwargs):
             raise AssertionError("evaluated before the budget check")
 
         monkeypatch.setattr(Polynomial, "eval_int", fail)
         b = parse_polynomial("n=3\n1 1 1 0\n1 0 0 1\n")
-        with pytest.raises(BudgetExceeded):     # 10^3 tuples
-            residue_histogram(b, 10, np.ones(10, np.int64), budget=999)
+        with enum_limit(999), pytest.raises(BudgetExceeded):  # 10^3 tuples
+            residue_histogram(b, 10, np.ones(10, np.int64))
 
     def test_needs_integer_coefficients(self):
         with pytest.raises(ValueError):
@@ -406,3 +410,25 @@ class TestDifferencing:
         lhs = weyl_difference(G, 3, [u, v, [a + b for a, b in zip(w, w2)]])
         assert lhs == weyl_difference(G, 3, [u, v, w]) + \
             weyl_difference(G, 3, [u, v, w2])
+
+
+class TestEnumerationBudget:
+    """One limit, ``poly.DEFAULT_ENUM_BUDGET``, read by every check."""
+
+    def test_one_limit_is_seen_by_every_module(self, enum_limit):
+        # the cone walks 16^2 rows x' at N = 30 (count), 21^3 tuples of
+        # radius 10 (arcs) and 6^3 unit tuples mod 7 (local)
+        cone = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+        table = mangoldt_table(30)
+        runs = [(lambda: count_direct(cone, 30, table), 256),
+                (lambda: z_count(cone, 2, 10), 9261),
+                (lambda: value_histogram(cone, 7), 216)]
+        for run, cost in runs:
+            run()
+            with enum_limit(cost - 1):
+                with pytest.raises(BudgetExceeded,
+                                   match=f"costs {cost}, over budget "
+                                         f"{cost - 1}$"):
+                    run()
+            with enum_limit(cost):
+                run()
