@@ -71,12 +71,19 @@ def build_arcs(N, C, d):
 
     Radius N^{-d} (log N)^C around every reduced m/q with q <= Q =
     (log N)^C, log natural; the Q (Q + 1) / 2 candidate m/q are charged to
-    the budget first.  Raises if there is no arc (Q < 1) or if the arcs
-    overlap (N too small for C).
+    the budget first.  Raises if C is not finite, if (log N)^C overflows a
+    float, if there is no arc (Q < 1) or if the arcs overlap (N too small
+    for C).
     """
     if N < 3:
         raise ValueError("need N >= 3 so that log N > 1")
-    logC = math.log(N) ** C
+    if not math.isfinite(C):
+        raise ValueError(f"C must be finite, got N={N}, C={C}")
+    try:
+        logC = math.log(N) ** C
+    except OverflowError:
+        raise ValueError(f"(log N)^C overflows a float at N={N}, "
+                         f"C={C}") from None
     Q = int(logC)
     radius = N ** (-d) * logC
     if Q < 1:
@@ -262,11 +269,11 @@ class WeylReport:
     gamma_d_prime: float
 
 
-def _kernel_count(A, R):
-    """Number of y in [-R, R]^n with A y = 0, A an exact n x n matrix: each
-    row of A's reduced row echelon form over Q, denominators cleared, reads
-    c y_p = -a . y_free for a pivot coordinate p, so only the free
-    coordinates are walked and each y_p is tested in integers."""
+def _kernel(A):
+    """(eqs, free) for A y = 0, A an exact n x n matrix: each row of A's
+    reduced row echelon form over Q, denominators cleared, is a pair (c, a)
+    that reads c y_p = -a . y_free for a pivot coordinate p, and ``free``
+    lists the free coordinates."""
     rows, eqs, free = [[Fraction(v) for v in r] for r in A], [], []
     for col in range(len(A)):
         piv = next((r for r in rows if r[col]), None)
@@ -278,8 +285,15 @@ def _kernel_count(A, R):
         rows, eqs = ([[u - r[col] * v for u, v in zip(r, piv)] for r in rs]
                      for rs in (rows, eqs))
         eqs.append(piv)
-    eqs = [(c, [int(e[j] * c) for j in free]) for e in eqs
-           for c in [math.lcm(*(v.denominator for v in e))]]
+    return [(c, [int(e[j] * c) for j in free]) for e in eqs
+            for c in [math.lcm(*(v.denominator for v in e))]], free
+
+
+def _kernel_count(A, R):
+    """Number of y in [-R, R]^n with A y = 0: only the free coordinates of
+    ``_kernel`` are walked, (2 R + 1)^free points that the caller prices,
+    and each pivot coordinate y_p is tested in integers."""
+    eqs, free = _kernel(A)
     count = 0
     for y in product(range(-R, R + 1), repeat=len(free)):
         dots = ((c, sum(u * v for u, v in zip(a, y))) for c, a in eqs)
@@ -293,7 +307,10 @@ def z_count(f, d, R):
 
     Each head (h_1, ..., h_{d-2}) fixes the exact matrix A_ij =
     weyl_difference(f, d, head + [e_j, e_i]), and the last slot ranges
-    over the kernel of A, counted by ``_kernel_count``.
+    over the kernel of A, counted by ``_kernel_count``.  Everything is
+    priced before any kernel is walked: the heads up front, then each
+    head's (2 R + 1)^free added to a running total as its matrix is
+    eliminated, and only then are the kernels walked.
     """
     if d < 2 or not f.is_homogeneous() or f.degree != d:
         raise ValueError(f"need a homogeneous form of degree d >= 2, got "
@@ -301,13 +318,24 @@ def z_count(f, d, R):
     n = f.n
     if R < 0:
         raise ValueError(f"need R >= 0, got R = {R}")
-    _charge((2 * R + 1) ** (n * (d - 1)), "tuple grid")
+    # a head builds n^2 entries from 2^d points of n coordinates, each the
+    # sum of up to d vectors, at which f's terms are evaluated; it is built
+    # twice, once to price its kernel walk and once to walk it
+    cost = (2 * R + 1) ** (n * (d - 2)) * \
+        2 * n ** 3 * 2 ** d * (d + len(f.terms))
+    _charge(cost, "heads of the tuple grid")
     e = [[int(i == j) for j in range(n)] for i in range(n)]
     box = range(-R, R + 1)      # for d = 2 the only head is the empty tuple
-    heads = product(*(product(box, repeat=n) for _ in range(d - 2)))
-    return sum(_kernel_count([[weyl_difference(f, d, [*head, e[j], e[i]])
-                               for j in range(n)] for i in range(n)], R)
-               for head in heads)
+
+    def matrices():
+        for head in product(*(product(box, repeat=n) for _ in range(d - 2))):
+            yield [[weyl_difference(f, d, [*head, e[j], e[i]])
+                    for j in range(n)] for i in range(n)]
+
+    for A in matrices():
+        cost += (2 * R + 1) ** len(_kernel(A)[1])
+        _charge(cost, "heads and kernel walks")
+    return sum(_kernel_count(A, R) for A in matrices())
 
 
 def estimate_gd(f, d, R_list):

@@ -13,6 +13,12 @@ changing.  A separable b with a monomial part a x_i^d may take Hensel's
 valuation lemma instead (``_levels``): it fixes every level from
 T = 2 v_p(a d) + 1 on, and one histogram mod p^T gives the levels before,
 so a diagonal form costs one histogram, not one node per singular zero.
+Where every unit zero mod p is provably nonsingular (``_closed_form``: a
+quadratic form plus a constant at an odd p not dividing det(2 A), or any b
+at p = 2 with an odd partial derivative at (1, ..., 1)), nu_1 is read
+without enumeration, from Legendre-symbol counts of the principal minors
+at an odd p.  Only the histograms and the tree's walks import numpy, when
+called, so a closed-form factor and the singular series load none.
 The complex B(q) path is a floating-point cross-check.
 """
 from __future__ import annotations
@@ -21,13 +27,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd, inf
-
-import numpy as np
+from math import exp, gcd, inf, log, prod
+from statistics import linear_regression
 
 from .poly import (_BLOCK_ROWS, BudgetExceeded, Polynomial, _charge, _limit,
                    grid_blocks, histogram_cost, residue_histogram)
-from .primes import _is_prime, primes_up_to
+from .primes import _is_prime, _jacobi, primes_up_to
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +41,7 @@ from .primes import _is_prime, primes_up_to
 
 def unit_residues(q):
     """Array of residues coprime to q; by convention U_1 = {0}."""
+    import numpy as np
     q = int(q)
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -46,6 +52,7 @@ def unit_residues(q):
 def value_histogram(b, q):
     """Counts of b(x) mod q over x in U_q^n, exact: the
     ``residue_histogram`` of weight 1 on the units."""
+    import numpy as np
     q = int(q)
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -61,6 +68,7 @@ def value_histogram(b, q):
 
 def unit_exp_sum(b, m, q):
     """S~_{m,q} = sum over k in U_q^n of e(b(k) m / q), gcd(m, q) = 1."""
+    import numpy as np
     q, m = int(q), int(m) % int(q)
     if gcd(m, q) != 1:
         raise ValueError(f"m={m} is not a unit mod {q}")
@@ -74,6 +82,7 @@ def B_of_q(b, q):
 
     Mathematically real; the imaginary part is reported for cross-checks.
     """
+    import numpy as np
     hist = value_histogram(b, q)   # checks q before any work
     units = unit_residues(q)
     u = np.zeros(q)
@@ -139,6 +148,7 @@ def _zero_candidates(g, p, units, budget):
     Any other g has its whole grid walked, unless it is a nonzero constant
     mod p.  Each cost is checked before its work.
     """
+    import numpy as np
     cost, split = _walk_cost(g, p, units)
     _charge(cost, f"zeros mod {p}", budget)
     if cost == 0:       # a nonzero constant mod p
@@ -163,6 +173,7 @@ def _zero_candidates(g, p, units, budget):
 def _expand(rows, j, axis):
     """Blocks of every point (x', x_j), x' a row of ``rows`` and x_j on
     ``axis``, with x_j in column j (1-based)."""
+    import numpy as np
     step = max(1, _BLOCK_ROWS // len(axis))
     for s in range(0, len(rows), step):
         part = rows[s:s + step]
@@ -178,6 +189,7 @@ def _singular_zeros(g, p, units, budget):
     the least a child's walk costs, do not fit the budget.  ``cost`` is
     checked before any allocation.
     """
+    import numpy as np
     cost, zeros, candidates = _zero_candidates(g, p, units, budget)
     singular, grads = [np.empty((0, g.n), np.int64)], g.gradient()
     room = (budget - cost) // p ** (g.n - 1)
@@ -306,18 +318,160 @@ def _hensel_tree(b, p, t_max, budget):
         f"hensel_tree({depth})", horizon + 1 if horizon < t_max else None
 
 
+def _diagonal(M, p):
+    """The nonzero entries of a diagonal form congruent to the symmetric
+    matrix M mod p, p odd: pivot on a unit diagonal entry, or make one from
+    a unit M_ij with M_ii = M_jj = 0 by x_i -> x_i + x_j (new M_ii = 2 M_ij),
+    and pass to the Schur complement."""
+    M, d = [[v % p for v in row] for row in M], []
+    while M:
+        k = next((i for i, row in enumerate(M) if row[i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(M)
+                         for j in range(i) if row[j]), (None, None))
+            if k is None:
+                break
+            for row in M:
+                row[k] = (row[k] + row[j]) % p
+            M[k] = [(u + v) % p for u, v in zip(M[k], M[j])]
+        d.append(M[k][k])
+        inv = pow(M[k][k], -1, p)
+        M = [[(v - M[i][k] * M[k][j] * inv) % p
+              for j, v in enumerate(row) if j != k]
+             for i, row in enumerate(M) if i != k]
+    return d
+
+
+def _blocks(M, p):
+    """The coordinates split into the connected classes of the graph with
+    an edge i - j wherever M_ij is not 0 mod p, so that M mod p is block
+    diagonal on them."""
+    left, blocks = set(range(len(M))), []
+    while left:
+        todo, block = [min(left)], []
+        left.remove(todo[0])
+        while todo:
+            block.append(i := todo.pop())
+            linked = {j for j in left if M[i][j] % p}
+            left -= linked
+            todo += linked
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _form_count(m, r, e, a, p):
+    """The number of y in F_p^m with y^T M y = a, p odd, for a symmetric M of
+    rank r whose discriminant D has Legendre symbol e: p^(m - r) times the
+    count of a nondegenerate form of rank r (Lidl and Niederreiter, Finite
+    Fields, Thms 6.26 and 6.27, eta the Legendre symbol), which is
+    p^(r-1) + v(a) p^(r/2 - 1) eta((-1)^(r/2) D) for r even, v(0) = p - 1
+    and v(a) = -1 otherwise, and p^(r-1) + p^((r-1)/2) eta((-1)^((r-1)/2)
+    a D) for r odd."""
+    a %= p
+    if r == 0:
+        return p ** m if a == 0 else 0
+    eta = e * _jacobi((-1) ** (r // 2) * (a if r % 2 else 1), p)
+    if r % 2:
+        count = p ** (r - 1) + p ** (r // 2) * eta
+    else:
+        count = p ** (r - 1) + (p - 1 if a == 0 else -1) * \
+            p ** (r // 2 - 1) * eta
+    return p ** (m - r) * count
+
+
+def _quadratic_part(b, p):
+    """(M, c) with b = x^T M x + c mod p, M symmetric, p odd, when b is
+    integral and has only terms of degree 2 and 0, at least one of degree 2;
+    None otherwise."""
+    if b.degree != 2 or not b.is_integral():
+        return None
+    n, half = b.n, pow(2, -1, p)
+    M, c = [[0] * n for _ in range(n)], b.terms.get((0,) * n, 0)
+    for e, v in b.terms.items():
+        if sum(e) == 1:
+            return None
+        if sum(e) == 2:
+            # x_i x_j, or x_i^2 with i = j
+            i, j = (k for k, x in enumerate(e) for _ in range(x))
+            M[i][j] = M[j][i] = v if i == j else v * half
+    return M, c
+
+
+def _closed_form(b, p, t_max, budget):
+    """(nus, 1, method, None) where every unit zero of b mod p is provably
+    nonsingular, so nu_t = nu_1 p^((n-1)(t-1)) for every t; None elsewhere.
+
+    At p = 2 the one unit point is 1 = (1, ..., 1): for an integral b, no
+    zero if b(1) is odd, one nonsingular zero if b(1) is even and some
+    db/dx_i(1) is odd (``nonsingular``).  At an odd p, b = Q(x) + c with Q
+    a quadratic form x^T A x and p not dividing det(2 A) (so A has rank n
+    mod p): grad Q = 2 A x is not 0 mod p at a unit x.  Then nu_1 is the
+    inclusion-exclusion sum over T of (-1)^(n - |T|) N_p(Q_T = -c), Q_T the
+    form on the coordinates in T, read by ``_form_count`` from the rank
+    and the Legendre symbol of the discriminant of the principal submatrix
+    A_T (the product of its ``_diagonal``).  A_T is block diagonal on the
+    ``_blocks`` of A, so only the subsets of each block are diagonalised,
+    2^|B| of them at up to |B|^3 steps each, and their classes joined with
+    those of the blocks before, up to 2 (n + 1)^2 of them; that is priced
+    against ``budget`` (``quadratic_form``).
+    """
+    n = b.n
+    if n == 0 or not b.is_integral():
+        return None
+    if p == 2:
+        one = (1,) * n
+        if b.evaluate(one) % 2:
+            nu = 0
+        elif any(g.evaluate(one) % 2 for g in b.gradient()):
+            nu = 1
+        else:
+            return None
+        method = "nonsingular"
+    else:
+        form = _quadratic_part(b, p)
+        if form is None:
+            return None
+        M, c = form
+        blocks = _blocks(M, p)
+        if sum(2 ** len(B) * (len(B) ** 3 + 2 * (n + 1) ** 2)
+               for B in blocks) > budget or len(_diagonal(M, p)) < n:
+            return None
+        # Counter of (|T|, rank, Legendre symbol of the discriminant) of the
+        # A_T, T a subset of the coordinates: a union of subsets of blocks
+        classes = Counter({(0, 0, 1): 1})
+        for B in blocks:
+            part, joined = Counter(), Counter()
+            for mask in range(2 ** len(B)):
+                T = [i for k, i in enumerate(B) if mask >> k & 1]
+                d = _diagonal([[M[i][j] for j in T] for i in T], p)
+                part[len(T), len(d), _jacobi(prod(d), p)] += 1
+            for (m, r, e), k in classes.items():
+                for (m2, r2, e2), k2 in part.items():
+                    joined[m + m2, r + r2, e * e2] += k * k2
+            classes = joined
+        nu = sum((-1) ** (n - m) * k * _form_count(m, r, e, -c, p)
+                 for (m, r, e), k in classes.items())
+        method = "quadratic_form"
+    return [nu * p ** ((n - 1) * t) for t in range(t_max)], 1, method, None
+
+
 def _levels(b, p, t_max, budget=None):
     """(nus, closing, method, cut) of b at p, within ``_limit(budget)``.
 
-    Hensel's valuation lemma takes a b with a ``_lemma_tau`` when its
-    histogram mod p^(2 tau + 1) fits the budget, unless a walk of the zeros
-    mod p (``_singular_zeros``) that costs no more finds none singular.  The
-    Hensel tree takes the rest; where a cut stops it short of a proof, the
-    lemma's histograms count what they can, and the longer count is kept.
+    ``_closed_form`` takes a b whose unit zeros mod p are all provably
+    nonsingular.  Hensel's valuation lemma takes a b with a ``_lemma_tau``
+    when its histogram mod p^(2 tau + 1) fits the budget, unless a walk of
+    the zeros mod p (``_singular_zeros``) that costs no more finds none
+    singular.  The Hensel tree takes the rest; where a cut stops it short
+    of a proof, the lemma's histograms count what they can, and the longer
+    count is kept.
     """
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
-    budget, tau = _limit(budget), _lemma_tau(b, p)
+    budget = _limit(budget)
+    if closed := _closed_form(b, p, t_max, budget):
+        return closed
+    tau = _lemma_tau(b, p)
     if tau is not None:
         q = p ** (2 * tau + 1)      # the histogram mod q on phi(q) units
         cost = histogram_cost(b.n, q, q - q // p, True)
@@ -360,7 +514,8 @@ class LocalFactor:
     stabilized_at: int | None
     nu_values: list = field(default_factory=list)
     warning: str | None = None
-    # no_solution, nonsingular, hensel_tree(depth) or hensel_valuation(tau)
+    # no_solution, nonsingular, quadratic_form, hensel_tree(depth) or
+    # hensel_valuation(tau)
     method: str | None = None
 
 
@@ -369,9 +524,12 @@ def mu_p(b, p, t_max=6):
 
     partial_sums[t-1] = p^t nu_t / phi(p^t)^n, exact for t <= t_max, and
     mu(p) is the one at ``stabilized_at``, the level from which the Hensel
-    tree or Hensel's valuation lemma proves them constant.  ``method`` is
-    ``no_solution`` (some nu_t = 0, so mu(p) = 0), ``nonsingular`` (no
-    singular zero mod p: constant from t = 1), ``hensel_tree(d)``
+    tree, Hensel's valuation lemma or a closed form proves them constant.
+    ``method`` is ``no_solution`` (some nu_t = 0, so mu(p) = 0),
+    ``nonsingular`` (no singular zero mod p: constant from t = 1),
+    ``quadratic_form`` (b = Q(x) + c at an odd p not dividing det(2 A): no
+    unit zero is singular, and nu_1 is a sum of Legendre-symbol counts, no
+    enumeration), ``hensel_tree(d)``
     (singular zeros refined d generations deep; d = 0 when the budget stops
     the root) or ``hensel_valuation(tau)`` (a separable b closed by the
     lemma at 2 tau + 1 or before).  A budget cut, or no level proved up to
@@ -392,7 +550,8 @@ def mu_p(b, p, t_max=6):
     return LocalFactor(p=p, partial_sums=partials, mu_p=mu,
                        stabilized_at=closing, nu_values=nus,
                        warning=warning,
-                       method="nonsingular" if closing == 1 else method)
+                       method="nonsingular" if closing == 1 and
+                       method != "quadratic_form" else method)
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +578,18 @@ def singular_series(b, prime_bound, t_max=6):
     if any(f.mu_p == 0 for f in factors):
         product = 0.0
     else:
-        product = float(np.exp(sum(np.log(float(f.mu_p)) for f in factors)))
+        product = exp(sum(log(float(f.mu_p)) for f in factors))
     # fit |mu(p) - 1| ~ C p^{-1-delta}
     xs, ys = [], []
     for f in factors:
         dev = abs(float(f.mu_p) - 1.0)
         if dev > 0:
-            xs.append(np.log(f.p))
-            ys.append(np.log(dev))
+            xs.append(log(f.p))
+            ys.append(log(dev))
     if len(xs) >= 3:
-        slope, logc = np.polyfit(xs, ys, 1)
-        delta = float(-slope - 1.0)     # so tail_bound is a plain float
-        c = float(np.exp(logc))
+        slope, logc = linear_regression(xs, ys)
+        delta = -slope - 1.0
+        c = exp(logc)
         tail = c * prime_bound ** (-max(delta, 1e-9)) / max(delta, 1e-9) \
             if delta > 0 else float("inf")
         est = SeriesEstimate(prime_bound=prime_bound, product=product,

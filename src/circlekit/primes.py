@@ -1,5 +1,5 @@
 """Prime numbers: the sieve of Eratosthenes, a primality test, and integer
-factorisation.
+factorisation, in pure Python.
 
 The primality test is deterministic below 2^64 (Miller-Rabin to the twelve
 bases 2..37) and Baillie-PSW above.  Factorisation is trial division by the
@@ -7,24 +7,28 @@ primes up to 37, perfect powers, then Pollard's rho.  Rho takes about
 sqrt(p) steps, p the second-largest prime factor, so an integer with two
 prime factors above about 10^16 takes minutes.
 """
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt
 
 from .poly import _charge
 
 
 def primes_up_to(N):
-    """The primes p <= N, by a sieve of N + 1 entries charged up front."""
+    """The primes p <= N, by a sieve of N + 1 entries charged up front.
+
+    Only the odd numbers are stored, one byte each: entry i is 2 i + 1, so
+    an odd prime p strikes out every p-th entry from p^2 on.
+    """
     if N < 2:
         return []
     _charge(N + 1, f"sieve to {N}")
-    import numpy as np
-    sieve = np.ones(N + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(N) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.flatnonzero(sieve).tolist()
+    sieve = bytearray([1]) * ((N + 1) // 2)
+    sieve[0] = 0                                # 1 is not prime
+    for i in range(1, (isqrt(N) + 1) // 2):
+        if sieve[i]:
+            start, p = 2 * i * (i + 1), 2 * i + 1   # (p^2 - 1) / 2, p
+            sieve[start::p] = bytes((len(sieve) - 1 - start) // p + 1)
+    return [2, *(2 * i + 1 for i in compress(range(len(sieve)), sieve))]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

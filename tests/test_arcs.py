@@ -104,6 +104,16 @@ class TestArcGeometry:
                 BudgetExceeded, match="costs 3475566, over budget 1000000"):
             build_arcs(10 ** 6, 3, 2)
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+    def test_non_finite_C_rejected(self, C):
+        with pytest.raises(ValueError, match=f"N=1000, C={C}"):
+            build_arcs(1000, C, 2)
+
+    def test_overflowing_Q_rejected(self):
+        # (log 10^6)^1000 is about 10^1140
+        with pytest.raises(ValueError, match="overflows.*N=1000000, C=1000"):
+            build_arcs(10 ** 6, 1000, 2)
+
     def test_growth_in_C(self):
         a1 = build_arcs(10 ** 4, 1, 2)
         a2 = build_arcs(10 ** 4, 2, 2)
@@ -569,6 +579,43 @@ class TestDegeneracyCounts:
         f = parse_polynomial("n=3\n1 1 1 1\n")
         with pytest.raises(BudgetExceeded):
             z_count(f, 3, 200)
+
+    def test_heads_and_kernels_charged_not_the_grid(self, enum_limit):
+        # x1 x2 + x3 x4 at R = 50: one head, built twice (16 entries, 4
+        # points of 4 coordinates, d + 2 terms: 2 * 4^3 * 2^2 * 4 = 2048),
+        # and a trivial kernel (one point), where the grid has 101^4 tuples
+        f = parse_polynomial("n=4\n1 1 1 0 0\n1 0 0 1 1\n")
+        with enum_limit(2049):
+            assert z_count(f, 2, 50) == 1
+        with enum_limit(2048), pytest.raises(
+                BudgetExceeded, match="heads and kernel walks costs 2049"):
+            z_count(f, 2, 50)
+        with enum_limit(2047), pytest.raises(
+                BudgetExceeded, match="heads of the tuple grid costs 2048"):
+            z_count(f, 2, 50)
+
+    def test_every_walk_priced_before_any_walk(self, monkeypatch,
+                                               enum_limit):
+        # x1^3 in 4 variables at R = 1: 3^4 heads at 2 * 4^3 * 2^3 * 4 =
+        # 4096 each, and a kernel of 3 free coordinates (h_1 != 0, 54
+        # heads) or 4 (h_1 = 0, 27 heads): 54 * 27 + 27 * 81 = 3645 points
+        f = parse_polynomial("n=4\n1 3 0 0 0\n")
+        walks = []
+
+        def count(A, R):
+            walks.append(A)
+            return _kernel_count(A, R)
+
+        monkeypatch.setattr(arcs, "_kernel_count", count)
+        with enum_limit(81 * 4096 + 3645 - 1), pytest.raises(
+                BudgetExceeded, match="heads and kernel walks costs "
+                                      f"{81 * 4096 + 3645}"):
+            z_count(f, 3, 1)
+        assert walks == []
+        with enum_limit(81 * 4096 + 3645):
+            # h_1 y_1 = 0 on [-1, 1]^8: (9 - 4) 3^6 pairs
+            assert z_count(f, 3, 1) == 5 * 3 ** 6
+        assert len(walks) == 81
 
     def test_hyperbolic_count_holds_no_grid(self):
         # x1 x2 + x3 x4 has a trivial kernel; a grid of all 41^4 candidate

@@ -164,7 +164,7 @@ class TestWarningFlags:
         assert [f["method"] for f in rep["result"]["factors"]] == \
             ["nonsingular", "hensel_valuation(1)", "nonsingular"]
 
-    @pytest.mark.parametrize("text", [LINEAR6, "n=2\n1 1 1\n-1 0 0\n"])
+    @pytest.mark.parametrize("text", [LINEAR6, "n=2\n1 2 1\n-1 0 0\n"])
     def test_local_budget_on_a_huge_prime(self, poly_file, tmp_path, text):
         # the root of the Hensel tree is over budget before any allocation
         pf = poly_file(text)
@@ -280,6 +280,25 @@ def test_each_command_imports_only_what_it_runs(command, poly_file,
     want = _BASE | {m if m == "numpy" else f"circlekit.{m}"
                     for m in _IMPORTS[command]}
     assert _loaded_after(code, tmp_path) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["local", "--p", "7"], ["series", "--prime-bound", "10"]],
+    ids=["local", "series"])
+def test_closed_form_factors_load_no_numpy(argv, poly_file, tmp_path):
+    # x1^2 + x2^2 + x3^2 at p = 7 and x1 x2 - x3^2 at every p <= 10 are read
+    # from Legendre-symbol counts, and the sieve and the tail fit are pure
+    # Python
+    text = SQUARES3 if argv[0] == "local" else "n=3\n1 1 1 0\n-1 0 0 2\n"
+    out = tmp_path / "out.json"
+    argv = [argv[0], "--poly", poly_file(text), *argv[1:],
+            "--output", str(out)]
+    code = f"from circlekit.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, tmp_path) == \
+        _BASE | {"circlekit.local", "circlekit.primes", "circlekit.poly"}
+    factors = json.loads(out.read_text())["result"]
+    factors = factors.get("factors", [factors])
+    assert {f["method"] for f in factors if f["p"] > 2} == {"quadratic_form"}
 
 
 def test_package_import_loads_no_submodule(tmp_path):
@@ -461,6 +480,27 @@ class TestSubcommands:
         assert named in captured.err
         assert "DLASCL" not in captured.err + captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("C", ["1000", "nan", "inf"])
+    def test_arcs_bad_C_is_usage_error(self, C, tmp_path, capfd):
+        # (log 10^6)^1000 overflows a float; nan and inf are no exponent
+        out = tmp_path / "out.json"
+        assert main(["arcs", "--N", "1000000", f"--C={C}", "--d", "2",
+                     "--output", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "N=1000000" in captured.err and f"C={float(C)}" in \
+            captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_zcount_charges_what_it_walks(self, poly_file, tmp_path):
+        # x1 x2 + x3 x4 has a trivial kernel: one point walked at R = 50,
+        # where the whole grid of 101^4 tuples is over budget
+        pf = poly_file("n=4\n1 1 1 0 0\n1 0 0 1 1\n")
+        code, rep = run_json(["zcount", "--poly", pf, "--R", "50"], tmp_path)
+        assert code == 0
+        assert rep["result"]["z_counts"] == [1]
 
     def test_zcount_growth_fit(self, poly_file, tmp_path):
         pf = poly_file("n=2\n1 2 0\n")

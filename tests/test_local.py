@@ -20,6 +20,7 @@ from circlekit.local import (B_of_q, _linear_split, mu_p, nu_count,
                              value_histogram)
 from circlekit.poly import (BudgetExceeded, Polynomial, parse_polynomial,
                             residue_histogram)
+from circlekit.primes import primes_up_to
 
 
 def brute_histogram(b, q, units):
@@ -450,7 +451,7 @@ class TestLocalFactors:
         assert f.method == "hensel_valuation(1)"
 
     def test_prime_checked_and_budget_before_allocation(self):
-        b = parse_polynomial("n=2\n1 1 1\n-1 0 0\n")
+        b = parse_polynomial("n=2\n1 2 1\n-1 0 0\n")
         with pytest.raises(ValueError):
             mu_p(b, 6)
         with pytest.raises(ValueError):
@@ -519,3 +520,199 @@ class TestLocalFactors:
         b = parse_polynomial("n=1\n1 1\n")
         est, _ = singular_series(b, 10)
         assert est.product == 0.0
+
+
+CONE = "n=3\n1 1 1 0\n-1 0 0 2\n"                 # x1 x2 - x3^2
+SQUARES3 = "n=3\n1 2 0 0\n1 0 2 0\n1 0 0 2\n"
+FIVE_SQUARES = "n=5\n" + "".join(
+    "1 " + " ".join("2" if j == i else "0" for j in range(5)) + "\n"
+    for i in range(5)) + "-12005 0 0 0 0 0\n"
+
+
+def random_form(rng, blocks):
+    """A random integral quadratic form plus a constant, with cross terms
+    only inside each block of consecutive variables (sizes ``blocks``)."""
+    n, cuts, terms = sum(blocks), [0], {}
+    for size in blocks:
+        cuts.append(cuts[-1] + size)
+    for lo, hi in zip(cuts, cuts[1:]):
+        for i in range(lo, hi):
+            for j in range(i, hi):
+                if i == j or rng.random() < 0.7:
+                    e = [0] * n
+                    e[i] += 1
+                    e[j] += 1
+                    terms[tuple(e)] = rng.choice([-5, -3, -2, -1, 1, 2, 3, 4, 6])
+    terms[(0,) * n] = rng.randint(-40, 40)
+    return Polynomial(n, terms), blocks
+
+
+def unit_zeros(b, blocks, p):
+    """value_histogram(b, p)[0], with b's additive blocks histogrammed one
+    at a time and added mod p."""
+    parts, const = b.additive_split(blocks)
+    hist = np.zeros(p, dtype=object)
+    hist[const % p] = 1
+    for part in parts:
+        h = value_histogram(part, p).astype(object)
+        hist = np.array([sum(hist[r] * h[(s - r) % p] for r in range(p))
+                         for s in range(p)], dtype=object)
+    return int(hist[0])
+
+
+def odd_good_primes(b, bound):
+    """The odd primes p <= bound at which b is Q(x) + c with p not
+    dividing det(2 A)."""
+    return [p for p in primes_up_to(bound)[1:]
+            if local._quadratic_part(b, p) is not None
+            and len(local._diagonal(local._quadratic_part(b, p)[0], p)) == b.n]
+
+
+def today(b, p, t_max=6):
+    """mu_p(b, p) as the valuation lemma or the Hensel tree finds it."""
+    saved = local._closed_form
+    local._closed_form = lambda *args: None
+    try:
+        return mu_p(b, p, t_max)
+    finally:
+        local._closed_form = saved
+
+
+def same_but_method(f, g):
+    return all(getattr(f, k) == getattr(g, k) for k in (
+        "p", "partial_sums", "mu_p", "stabilized_at", "nu_values", "warning"))
+
+
+class TestClosedForm:
+    """Local factors read from Legendre-symbol counts where every unit
+    zero mod p is nonsingular (``local._closed_form``)."""
+
+    FORMS = [random_form(random.Random(s), blocks) for s, blocks in enumerate(
+        [[1], [1], [2], [2], [2], [3], [3], [3], [3], [1, 1], [2, 1],
+         [4], [4], [5], [5], [2, 2], [3, 1], [1, 1, 1, 1], [3, 2], [2, 3],
+         [2, 2, 1], [1, 1, 1, 1, 1]])]
+
+    def test_nu1_is_the_histogram_count(self):
+        # every block of at most 3 variables is walked whole at every odd
+        # good p <= 60; a block of 4 or 5 only where it has at most 2 10^5
+        # unit points
+        named = [(parse_polynomial(t), [n]) for t, n in
+                 ((CONE, 3), (SQUARES3, 3), (FIVE_SQUARES, 5))]
+        checked = set()
+        for b, blocks in named + self.FORMS:
+            for p in odd_good_primes(b, 60):
+                if (p - 1) ** max(blocks) > 2 * 10 ** 5:
+                    continue
+                nus, closing, method, cut = local._closed_form(
+                    b, p, 3, 10 ** 8)
+                assert (closing, method, cut) == (1, "quadratic_form", None)
+                assert nus[0] == unit_zeros(b, blocks, p), (b, p)
+                assert nus == [nus[0] * p ** ((b.n - 1) * t)
+                               for t in range(3)]
+                checked.add((b.n, p > 29))
+        assert checked == {(n, big) for n in range(1, 6)
+                           for big in (False, True)}
+
+    def test_factors_equal_the_lemma_and_tree(self):
+        # at every odd good p <= 200 for the named forms and the separable
+        # ones, and where the tree walks at most 4 10^4 unit points for the
+        # others
+        forms = [parse_polynomial(t) for t in (CONE, SQUARES3, FIVE_SQUARES)]
+        forms += [b for b, _ in self.FORMS]
+        for k, b in enumerate(forms):
+            for p in odd_good_primes(b, 200):
+                if k > 2 and not b.variable_split() and \
+                        (p - 1) ** b.n > 4 * 10 ** 4:
+                    continue
+                f = mu_p(b, p)
+                g = today(b, p)
+                assert same_but_method(f, g), (b, p, f, g)
+                assert f.method == ("quadratic_form" if f.mu_p else
+                                    "no_solution")
+                assert g.method in ("nonsingular", "no_solution")
+
+    def test_cone_and_five_squares(self):
+        cone, five = parse_polynomial(CONE), parse_polynomial(FIVE_SQUARES)
+        for p in primes_up_to(200)[1:]:
+            f = mu_p(cone, p)
+            assert f.mu_p == Fraction(p, p - 1)
+            assert f.method == "quadratic_form" and f.stabilized_at == 1
+        assert mu_p(five, 7).method == "quadratic_form"
+        assert mu_p(five, 5).method == "quadratic_form"     # 5 | 12005
+
+    def test_huge_prime_is_exact(self):
+        # x1 x2 - 1 has p - 1 unit zeros, all nonsingular
+        P = 10 ** 16 + 61
+        f = mu_p(parse_polynomial("n=2\n1 1 1\n-1 0 0\n"), P)
+        assert f.mu_p == Fraction(P, P - 1)
+        assert f.warning is None and f.stabilized_at == 1
+        assert f.method == "quadratic_form"
+        assert nu_count(parse_polynomial("n=2\n1 1 1\n-1 0 0\n"), P, 2).nu \
+            == (P - 1) * P
+
+    @pytest.mark.parametrize("text, p", [
+        ("n=2\n1 2 0\n3 0 2\n-1 0 0\n", 3),        # 3 | det(2A) = 12
+        ("n=3\n1 1 1 0\n-1 0 0 2\n", 2),           # p = 2 is never a form's
+        ("n=2\n1 1 1\n1 1 0\n-5 0 0\n", 7),        # x1 x2 + x1 - 5
+        ("n=2\n1 2 0\n1 0 2\n1 1 0\n-5 0 0\n", 5),  # a linear term
+        ("n=2\n1 2 1\n-3 0 0\n", 5),               # degree 3
+    ])
+    def test_other_b_take_the_lemma_or_tree(self, text, p):
+        b = parse_polynomial(text)
+        f = mu_p(b, p)
+        assert f.method != "quadratic_form"
+        if p > 2:
+            assert local._closed_form(b, p, 6, 10 ** 8) is None
+        assert f == today(b, p)
+
+    def test_rational_coefficients_are_left_alone(self):
+        b = parse_polynomial("n=2\n1/2 2 0\n1 0 2\n-1 0 0\n")
+        for p in (2, 5):
+            assert local._closed_form(b, p, 6, 10 ** 8) is None
+
+    def test_subsets_priced_against_the_budget(self):
+        # the cone's blocks are {x1, x2} and {x3}: 2^2 subsets at 2^3 steps
+        # and 2^1 at 1^3, each joined with up to 2 (3 + 1)^2 classes
+        b = parse_polynomial(CONE)
+        assert local._blocks(local._quadratic_part(b, 7)[0], 7) == \
+            [[0, 1], [2]]
+        cost = 4 * (8 + 32) + 2 * (1 + 32)
+        assert local._closed_form(b, 7, 2, cost - 1) is None
+        assert local._closed_form(b, 7, 2, cost)[2] == "quadratic_form"
+
+    def test_walk_taken_where_the_subsets_cost_more(self):
+        # sum x_i^2 + x_i x_{i+1} - 1 in 16 variables at p = 3, one block:
+        # 2^16 subsets at 16^3 steps each are over budget, the walk of the
+        # 2^16 unit points is not
+        n = 16
+        terms = {(0,) * n: -1}
+        for i in range(n):
+            terms[tuple(2 * (k == i) for k in range(n))] = 1
+            if i + 1 < n:
+                terms[tuple(int(k in (i, i + 1)) for k in range(n))] = 1
+        b = Polynomial(n, terms)
+        assert odd_good_primes(b, 3) == [3]
+        assert local._walk_cost(b, 3, True)[0] == 2 ** 16
+        assert local._closed_form(b, 3, 6, 10 ** 8) is None
+        f = mu_p(b, 3)
+        assert f.method == "nonsingular" and f.warning is None
+        assert f == today(b, 3)
+
+    @pytest.mark.parametrize("text, nu, method", [
+        ("n=2\n1 2 0\n1 0 2\n1 0 0\n", 0, "no_solution"),   # b(1) = 3
+        (CONE, 1, "nonsingular"),                          # d/dx1 = x2 = 1
+        ("n=2\n1 3 0\n1 0 1\n-2 0 0\n", 1, "nonsingular"),  # x1^3 + x2 - 2
+        ("n=2\n1 2 0\n1 0 2\n-2 0 0\n", None, None),        # even gradient
+    ])
+    def test_at_two(self, text, nu, method):
+        b = parse_polynomial(text)
+        closed = local._closed_form(b, 2, 4, 10 ** 8)
+        f = mu_p(b, 2, t_max=4)
+        assert f == today(b, 2, t_max=4)
+        if nu is None:
+            assert closed is None
+            return
+        assert closed == ([nu * 2 ** ((b.n - 1) * t) for t in range(4)], 1,
+                          "nonsingular", None)
+        assert f.method == method
+        assert f.mu_p == 2 * nu

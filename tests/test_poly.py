@@ -416,12 +416,13 @@ class TestEnumerationBudget:
     """One limit, ``poly.DEFAULT_ENUM_BUDGET``, read by every check."""
 
     def test_one_limit_is_seen_by_every_module(self, enum_limit):
-        # the cone walks 16^2 rows x' at N = 30 (count), 21^3 tuples of
-        # radius 10 (arcs) and 6^3 unit tuples mod 7 (local)
+        # the cone walks 16^2 rows x' at N = 30 (count), one head built
+        # twice (2 * 3^3 * 2^2 * 4 = 864) and one kernel point at radius 10
+        # (arcs) and 6^3 unit tuples mod 7 (local)
         cone = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
         table = mangoldt_table(30)
         runs = [(lambda: count_direct(cone, 30, table), 256),
-                (lambda: z_count(cone, 2, 10), 9261),
+                (lambda: z_count(cone, 2, 10), 865),
                 (lambda: value_histogram(cone, 7), 216)]
         for run, cost in runs:
             run()
