@@ -454,10 +454,10 @@ def real_nonsingular_witness(f, grid=24, value_tol=1e-12, grad_tol=1e-3):
     Coarse grid scan for near-zeros, then Newton polish along the gradient
     direction.  grad_tol rejects polish runs that drift toward a boundary
     zero with vanishing gradient (e.g. definite forms vanishing at a corner).
+    Its grid^n points of n coordinates are charged before it is built.
     """
     n = f.n
-    if grid ** n > 10 ** 7:
-        raise ValueError("grid too fine for the dimension")
+    _charge(grid ** n * n, f"witness grid of {grid}^{n} points")
     axes = (np.arange(grid) + 0.5) / grid
     mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1)
     pts = mesh.reshape(-1, n)

@@ -8,16 +8,18 @@ splitting constructions.
 For degree >= 3 only upper-bound certification through verified decompositions
 is offered; no exact algorithm is claimed.
 
-Square classes factor integers with ``primes._factorint``.
+The number theory comes from ``primes``: ``_factorint`` for square classes,
+``_diagonal`` (the Gram matrix diagonalised by congruence over Q) for the
+invariants, ``_valuation`` and ``_jacobi`` for the Hilbert symbols.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .poly import Polynomial
-from .primes import _factorint
+from .primes import _diagonal, _factorint, _jacobi, _valuation
 
 
 # ---------------------------------------------------------------------------
@@ -93,38 +95,21 @@ def squarefree_part(a):
     return out
 
 
-def _split_valuation(a, p):
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v, a
-
-
-def _legendre(a, p):
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def hilbert_symbol(a, b, p):
     """Hilbert symbol (a, b)_p for nonzero integers; p prime, or None for R."""
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if p is None:
         return -1 if (a < 0 and b < 0) else 1
-    al, u = _split_valuation(abs(a), p)
-    be, v = _split_valuation(abs(b), p)
-    u *= -1 if a < 0 else 1
-    v *= -1 if b < 0 else 1
+    al, u = _valuation(a, p)
+    be, v = _valuation(b, p)
     if p != 2:
         s = 1
         if al % 2 and be % 2 and p % 4 == 3:
             s = -s
-        if be % 2 and _legendre(u, p) == -1:
+        if be % 2 and _jacobi(u, p) == -1:
             s = -s
-        if al % 2 and _legendre(v, p) == -1:
+        if al % 2 and _jacobi(v, p) == -1:
             s = -s
         return s
     eps_u = (u - 1) // 2
@@ -141,53 +126,12 @@ def is_local_square(a, p):
         raise ValueError("zero has no square class")
     if p is None:
         return a > 0
-    v, u = _split_valuation(abs(a), p)
-    u *= -1 if a < 0 else 1
+    v, u = _valuation(a, p)
     if v % 2:
         return False
     if p == 2:
         return u % 8 == 1
-    return _legendre(u, p) == 1
-
-
-def _diagonalize_symmetric(A):
-    """Exact diagonalization of a symmetric rational matrix by congruence.
-
-    Returns the nonzero diagonal entries of some P^T A P with P invertible.
-    """
-    A = [[Fraction(x) for x in row] for row in A]
-    n = len(A)
-    diag = []
-    for i in range(n):
-        if A[i][i] == 0:
-            # try to bring a nonzero diagonal entry to position i
-            pivot = next((j for j in range(i + 1, n) if A[j][j] != 0), None)
-            if pivot is not None:
-                for k in range(n):
-                    A[i][k], A[pivot][k] = A[pivot][k], A[i][k]
-                for k in range(n):
-                    A[k][i], A[k][pivot] = A[k][pivot], A[k][i]
-            else:
-                off = next((j for j in range(i + 1, n) if A[i][j] != 0), None)
-                if off is None:
-                    continue  # row i is identically zero: rank drop
-                # x_off <- x_off + x_i turns the off-diagonal entry diagonal
-                for k in range(n):
-                    A[i][k] += A[off][k]
-                for k in range(n):
-                    A[k][i] += A[k][off]
-                if A[i][i] == 0:
-                    continue
-        a = A[i][i]
-        for j in range(i + 1, n):
-            if A[i][j] != 0:
-                r = A[i][j] / a
-                for k in range(n):
-                    A[j][k] -= r * A[i][k]
-                for k in range(n):
-                    A[k][j] -= r * A[k][i]
-        diag.append(a)
-    return [d for d in diag if d != 0]
+    return _jacobi(u, p) == 1
 
 
 def _isotropic_local(r, d, eps, p):
@@ -285,7 +229,7 @@ def gram_matrix(f):
 def quadratic_h(f):
     """Exact h-invariant data for a quadratic form: h = rank - Witt index."""
     A = gram_matrix(f)
-    diag = _diagonalize_symmetric([list(r) for r in A])
+    diag = _diagonal(A)
     sf = [squarefree_part(a) for a in diag]
     rank = len(sf)
     sp = sum(1 for a in sf if a > 0)

@@ -32,7 +32,7 @@ from statistics import linear_regression
 
 from .poly import (_BLOCK_ROWS, BudgetExceeded, Polynomial, _charge, _limit,
                    grid_blocks, histogram_cost, residue_histogram)
-from .primes import _is_prime, _jacobi, primes_up_to
+from .primes import _diagonal, _is_prime, _jacobi, _valuation, primes_up_to
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +97,10 @@ def B_of_q(b, q):
 # unit solution counts and mu(p): the Hensel tree
 # ---------------------------------------------------------------------------
 
-def _valuation(v, p):
-    """The p-adic valuation of the integer v, infinite for v = 0."""
-    c = 0
-    while v and v % p == 0:
-        v //= p
-        c += 1
-    return c if v else inf
-
-
 def _divided(n, terms, p):
     """(h, c): the polynomial with ``terms`` divided by p^c, c the p-adic
     valuation of its content (infinite when every term is zero)."""
-    c = _valuation(reduce(gcd, terms.values(), 0), p)
+    c = _valuation(reduce(gcd, terms.values(), 0), p)[0]
     return Polynomial._trusted(n, {a: v // p ** c for a, v in terms.items()}
                                if c < inf else {}), c
 
@@ -222,7 +213,7 @@ def _lemma_tau(b, p):
     """The least v_p(a d) over the monomial parts a x_i^d of a separable
     b = c + f_1(x_1) + ... + f_n(x_n), None when b has no such part."""
     split = b.variable_split()
-    taus = [_valuation(a * e[0], p) for part in (split[0] if split else ())
+    taus = [_valuation(a * e[0], p)[0] for part in (split[0] if split else ())
             if len(part.terms) == 1 for e, a in part.terms.items()]
     return min(taus, default=None)
 
@@ -316,30 +307,6 @@ def _hensel_tree(b, p, t_max, budget):
                     closing = None
     return nus[:horizon], closing if horizon == t_max else None, \
         f"hensel_tree({depth})", horizon + 1 if horizon < t_max else None
-
-
-def _diagonal(M, p):
-    """The nonzero entries of a diagonal form congruent to the symmetric
-    matrix M mod p, p odd: pivot on a unit diagonal entry, or make one from
-    a unit M_ij with M_ii = M_jj = 0 by x_i -> x_i + x_j (new M_ii = 2 M_ij),
-    and pass to the Schur complement."""
-    M, d = [[v % p for v in row] for row in M], []
-    while M:
-        k = next((i for i, row in enumerate(M) if row[i]), None)
-        if k is None:
-            k, j = next(((i, j) for i, row in enumerate(M)
-                         for j in range(i) if row[j]), (None, None))
-            if k is None:
-                break
-            for row in M:
-                row[k] = (row[k] + row[j]) % p
-            M[k] = [(u + v) % p for u, v in zip(M[k], M[j])]
-        d.append(M[k][k])
-        inv = pow(M[k][k], -1, p)
-        M = [[(v - M[i][k] * M[k][j] * inv) % p
-              for j, v in enumerate(row) if j != k]
-             for i, row in enumerate(M) if i != k]
-    return d
 
 
 def _blocks(M, p):

@@ -1,5 +1,8 @@
-"""Prime numbers: the sieve of Eratosthenes, a primality test, and integer
-factorisation, in pure Python.
+"""Prime numbers and the number theory over them that the other modules
+share, in pure Python: the sieve of Eratosthenes, a primality test, integer
+factorisation, the p-adic valuation, the Jacobi symbol (the Legendre symbol
+at a prime) and a congruence diagonaliser of symmetric matrices over Q or
+mod an odd prime.
 
 The primality test is deterministic below 2^64 (Miller-Rabin to the twelve
 bases 2..37) and Baillie-PSW above.  Factorisation is trial division by the
@@ -7,8 +10,9 @@ primes up to 37, perfect powers, then Pollard's rho.  Rho takes about
 sqrt(p) steps, p the second-largest prime factor, so an integer with two
 prime factors above about 10^16 takes minutes.
 """
+from fractions import Fraction
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from .poly import _charge
 
@@ -166,3 +170,44 @@ def _factorint(n):
             d = _rho(m)
             stack += [(d, e), (m // d, e)]
     return out
+
+
+def _valuation(a, p):
+    """(v, u) with a = p^v u and u prime to p, u of a's sign; v is infinite
+    and u is 0 for a = 0."""
+    if a == 0:
+        return inf, 0
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v, a
+
+
+def _diagonal(M, p=None):
+    """The nonzero entries of a diagonal form congruent to the symmetric
+    matrix M, over Q (``p`` None, entries made Fractions) or mod an odd
+    prime p: pivot on a nonzero diagonal entry, or make one from a nonzero
+    M_ij with M_ii = M_jj = 0 by x_i -> x_i + x_j (new M_ii = 2 M_ij), and
+    pass to the Schur complement.  Their number is the rank of M; at full
+    rank their product is det(M) times a nonzero square."""
+    M, d = [[v % p if p else Fraction(v) for v in row] for row in M], []
+    while M:
+        k = next((i for i, row in enumerate(M) if row[i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(M)
+                         for j in range(i) if row[j]), (None, None))
+            if k is None:
+                break
+            for row in M:
+                row[k] += row[j]
+            M[k] = [u + v for u, v in zip(M[k], M[j])]
+        pivot = M.pop(k)
+        a = pivot.pop(k)
+        d.append(a % p if p else a)
+        inv = pow(a, -1, p) if p else 1 / a
+        for row in M:
+            r = row.pop(k) * inv
+            row[:] = [(v - r * u) % p if p else v - r * u
+                      for v, u in zip(row, pivot)]
+    return d

@@ -298,6 +298,23 @@ class TestRealWitness:
         w = real_nonsingular_witness(f)
         assert w is not None and w.gradient_norm > 1e-3
 
+    def test_grid_charged_before_any_evaluation(self, monkeypatch,
+                                                enum_limit):
+        # the cone's 24^3 grid points of 3 coordinates: 41,472
+        f = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the budget check")
+
+        monkeypatch.setattr(type(f), "eval_float", fail)
+        with enum_limit(41471), pytest.raises(
+                BudgetExceeded, match="costs 41472, over budget 41471"):
+            real_nonsingular_witness(f)
+        monkeypatch.undo()
+        with enum_limit(41472):
+            w = real_nonsingular_witness(f)
+        assert w is not None and abs(w.value) < 1e-12
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):

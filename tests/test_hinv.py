@@ -4,6 +4,7 @@ The Witt index is cross-checked against brute-force isotropic-vector search
 (one-sided where the search box is the limiting factor), and the Hilbert
 symbol against its defining solvability condition for small parameters.
 """
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -19,8 +20,8 @@ from circlekit.hinv import (Decomposition, a_d_lower, build_gm_fm,
                             lemma21_check, linear_count, quadratic_h,
                             squarefree_part, verify_decomposition, witt_index)
 from circlekit.poly import Polynomial, parse_polynomial
-from circlekit.primes import (_factorint, _is_prime,
-                              _strong_lucas_probable_prime)
+from circlekit.primes import (_diagonal, _factorint, _is_prime, _jacobi,
+                              _strong_lucas_probable_prime, _valuation)
 
 
 def has_isotropic_vector(diag, H):
@@ -80,6 +81,70 @@ class TestFactorisation:
                                           31, 37))]
         assert [_strong_lucas_probable_prime(n) for n in coprime] \
             == [is_strong_lucas_prp(n) for n in coprime]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices up to 5 x 5, zeros frequent so that
+    rank drops and zero diagonals (the pairing step) occur."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = draw(entry)
+    return M
+
+
+def is_rational_square(x):
+    return x >= 0 and all(math.isqrt(k) ** 2 == k for k in (x.p, x.q))
+
+
+def positive_eigenvalues(A):
+    """The sign changes in the coefficients of A's characteristic
+    polynomial: the number of its positive roots, exactly, as a symmetric
+    matrix has only real ones (Descartes' rule of signs)."""
+    c = [int(x) for x in A.charpoly().all_coeffs() if x]
+    return sum(a * b < 0 for a, b in zip(c, c[1:]))
+
+
+class TestNumberTheory:
+    """The valuation, Legendre symbol and congruence diagonaliser that
+    ``hinv`` and ``local`` share, against sympy."""
+
+    @pytest.mark.parametrize("a, p, want", [
+        (0, 3, (math.inf, 0)), (0, 2, (math.inf, 0)), (5, 3, (0, 5)),
+        (3 ** 4 * 7, 3, (4, 7)), (-3 ** 4 * 7, 3, (4, -7)),
+        (-40, 2, (3, -5)), (2 ** 70, 2, (70, 1)), (-1, 2, (0, -1))])
+    def test_valuation(self, a, p, want):
+        assert _valuation(a, p) == want
+
+    def test_jacobi_is_legendre_at_a_prime(self):
+        for p in sympy.primerange(3, 60):
+            assert [_jacobi(a, p) for a in range(-70, 70)] == \
+                [sympy.legendre_symbol(a % p, p) for a in range(-70, 70)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_matrices())
+    def test_diagonal_over_Q(self, M):
+        d, A = _diagonal(M), sympy.Matrix(M)
+        assert len(d) == A.rank() and 0 not in d
+        # Sylvester's law of inertia: a congruence keeps the signature
+        assert sum(v > 0 for v in d) == positive_eigenvalues(A)
+        if len(d) == len(M):
+            assert is_rational_square(sympy.Rational(math.prod(d)) / A.det())
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @settings(max_examples=150, deadline=None)
+    @given(M=symmetric_matrices())
+    def test_diagonal_mod_p(self, M, p):
+        d, det = _diagonal(M, p), int(sympy.Matrix(M).det())
+        assert all(0 < v < p for v in d)
+        if det % p:
+            assert len(d) == len(M)
+            assert _jacobi(math.prod(d), p) == _jacobi(det, p)
+        else:
+            assert len(d) < len(M)
 
 
 class TestSquareClasses:
