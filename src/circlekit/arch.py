@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .poly import _charge
+from .poly import _charge, grid_blocks
 
 _REPLICATES = 8
 
@@ -454,18 +454,22 @@ def real_nonsingular_witness(f, grid=24, value_tol=1e-12, grad_tol=1e-3):
     Coarse grid scan for near-zeros, then Newton polish along the gradient
     direction.  grad_tol rejects polish runs that drift toward a boundary
     zero with vanishing gradient (e.g. definite forms vanishing at a corner).
-    Its grid^n points of n coordinates are charged before it is built.
+    Its grid^n points of n coordinates are charged before any is made,
+    then walked in ``grid_blocks``, keeping the 64 least |f| (ties in grid
+    order), so memory holds one block.
     """
     n = f.n
     _charge(grid ** n * n, f"witness grid of {grid}^{n} points")
-    axes = (np.arange(grid) + 0.5) / grid
-    mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1)
-    pts = mesh.reshape(-1, n)
-    vals = f.eval_float(pts)
-    order = np.argsort(np.abs(vals))
+    best, pts = np.empty(0), np.empty((0, n))
+    for block in grid_blocks([np.arange(grid)] * n):
+        vals = np.abs(f.eval_float((block + 0.5) / grid))
+        top = np.argsort(vals, kind="stable")[:64]     # the block's own 64
+        vals = np.concatenate((best, vals[top]))
+        pts = np.concatenate((pts, (block[top] + 0.5) / grid))
+        keep = np.argsort(vals, kind="stable")[:64]
+        best, pts = vals[keep], pts[keep]
     grads = f.gradient()
-    for idx in order[:64]:
-        x = pts[idx].astype(float)
+    for x in pts:
         ok = True
         for _ in range(80):
             fx = float(f.eval_float(x[None, :])[0])

@@ -8,17 +8,21 @@ splitting constructions.
 For degree >= 3 only upper-bound certification through verified decompositions
 is offered; no exact algorithm is claimed.
 
-The number theory comes from ``primes``: ``_factorint`` for square classes,
-``_diagonal`` (the Gram matrix diagonalised by congruence over Q) for the
-invariants, ``_valuation`` and ``_jacobi`` for the Hilbert symbols.
+A quadratic form is read as its Gram matrix (``poly.gram_matrix``) and
+diagonalised by congruence over Q (``primes._diagonal``).  A square class is
+any nonzero integer of that class, never reduced: an entry u/v stands as
+u v, a discriminant is the plain product of the entries.  The Hilbert symbols
+and local squares read only the valuation and the unit part
+(``primes._valuation``, ``primes._jacobi``), so every such integer serves,
+and ``primes._factorint`` runs once per entry, to find the places.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
-from .poly import Polynomial
+from .poly import Polynomial, gram_matrix
 from .primes import _diagonal, _factorint, _jacobi, _valuation
 
 
@@ -81,20 +85,6 @@ def linear_count(dec):
 # rational invariants of quadratic forms
 # ---------------------------------------------------------------------------
 
-def squarefree_part(a):
-    """Signed squarefree integer representing the square class of a rational."""
-    a = Fraction(a)
-    if a == 0:
-        return 0
-    m = a.numerator * a.denominator
-    sign = -1 if m < 0 else 1
-    out = sign
-    for p, e in _factorint(abs(m)).items():
-        if e % 2:
-            out *= p
-    return out
-
-
 def hilbert_symbol(a, b, p):
     """Hilbert symbol (a, b)_p for nonzero integers; p prime, or None for R."""
     if a == 0 or b == 0:
@@ -148,18 +138,19 @@ def _isotropic_local(r, d, eps, p):
     return False
 
 
-def _witt_index_local(diag_sf, p):
-    """Witt index over Q_p of the form with squarefree diagonal entries."""
-    r = len(diag_sf)
-    d = squarefree_part(Fraction(prod(diag_sf)))
+def _witt_index_local(entries, p):
+    """Witt index over Q_p of the diagonal form with nonzero integer entries,
+    each standing for its square class."""
+    r, d = len(entries), prod(entries)
     eps = 1
     for i in range(r):
         for j in range(i + 1, r):
-            eps *= hilbert_symbol(diag_sf[i], diag_sf[j], p)
+            eps *= hilbert_symbol(entries[i], entries[j], p)
     w = 0
     while r >= 2 and _isotropic_local(r, d, eps, p):
-        eps *= hilbert_symbol(-1, squarefree_part(Fraction(-d)), p)
-        d = squarefree_part(Fraction(-d))
+        # split off a hyperbolic plane: what is left has discriminant -d
+        d = -d
+        eps *= hilbert_symbol(-1, d, p)
         r -= 2
         w += 1
     return w
@@ -171,8 +162,9 @@ def witt_index(diag):
     Equals the minimum of the local Witt indices over all completions
     (strong Hasse-Minkowski).  Only finitely many places can be extremal:
     the reals, 2, primes dividing an entry, and the generic unramified bound.
+    A rational entry u/v is taken as the integer u v of its square class.
     """
-    entries = [squarefree_part(a) for a in diag if a != 0]
+    entries = [a.numerator * a.denominator for a in map(Fraction, diag) if a]
     r = len(entries)
     if r == 0:
         return 0
@@ -187,8 +179,8 @@ def witt_index(diag):
         w = min(w, _witt_index_local(entries, p))
     # cap from unramified odd primes: reduction mod p over F_p
     if r % 2 == 0:
-        dd = squarefree_part(Fraction(prod(entries) * (-1) ** (r // 2)))
-        w = min(w, r // 2 if dd == 1 else (r - 2) // 2)
+        d = (-1) ** (r // 2) * prod(entries)
+        w = min(w, r // 2 if d > 0 and isqrt(d) ** 2 == d else (r - 2) // 2)
     else:
         w = min(w, (r - 1) // 2)
     return w
@@ -196,11 +188,8 @@ def witt_index(diag):
 
 @dataclass
 class QuadraticFormData:
-    """Invariant record for a rational quadratic form f(x) = x^T gram x.
-
-    ``gram`` is the symmetric matrix with A_ii the coefficient of x_i^2 and
-    A_ij half the coefficient of x_i x_j (so mixed coefficients are 2*A_ij).
-    """
+    """Invariant record for a rational quadratic form f(x) = x^T gram x,
+    ``gram`` its ``poly.gram_matrix``."""
 
     gram: tuple
     rank: int
@@ -209,31 +198,13 @@ class QuadraticFormData:
     h_value: int
 
 
-def gram_matrix(f):
-    """Symmetric rational Gram matrix of a quadratic form."""
-    if f.is_zero():
-        return tuple(tuple(Fraction(0) for _ in range(f.n)) for _ in range(f.n))
-    if not f.is_homogeneous() or f.degree != 2:
-        raise ValueError("need a homogeneous quadratic form")
-    A = [[Fraction(0)] * f.n for _ in range(f.n)]
-    for e, c in f.terms.items():
-        idx = [i for i, k in enumerate(e) for _ in range(k)]
-        i, j = idx
-        if i == j:
-            A[i][i] = Fraction(c)
-        else:
-            A[i][j] = A[j][i] = Fraction(c, 2)
-    return tuple(tuple(row) for row in A)
-
-
 def quadratic_h(f):
     """Exact h-invariant data for a quadratic form: h = rank - Witt index."""
     A = gram_matrix(f)
     diag = _diagonal(A)
-    sf = [squarefree_part(a) for a in diag]
-    rank = len(sf)
-    sp = sum(1 for a in sf if a > 0)
-    w = witt_index(sf)
+    rank = len(diag)
+    sp = sum(1 for a in diag if a > 0)
+    w = witt_index(diag)
     return QuadraticFormData(gram=A, rank=rank, signature=(sp, rank - sp),
                              witt_index=w, h_value=rank - w)
 

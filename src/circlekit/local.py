@@ -27,11 +27,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import exp, gcd, inf, log, prod
+from itertools import product as iproduct
+from math import comb, exp, gcd, inf, log, prod
 from statistics import linear_regression
 
 from .poly import (_BLOCK_ROWS, BudgetExceeded, Polynomial, _charge, _limit,
-                   grid_blocks, histogram_cost, residue_histogram)
+                   gram_matrix, grid_blocks, histogram_cost,
+                   residue_histogram)
 from .primes import _diagonal, _is_prime, _jacobi, _valuation, primes_up_to
 
 
@@ -196,13 +198,15 @@ def _singular_zeros(g, p, units, budget):
 
 def _refine(g, singular, p):
     """(h, c) for each row x0 of ``singular``: h(y) = g(x0 + p y) / p^c,
-    with c the p-adic valuation of the content (infinite when g is zero)."""
-    n = g.n
-    x = [Polynomial.variable(2 * n, i + 1) for i in range(2 * n)]
-    G = g.compose([x[i] + p * x[n + i] for i in range(n)], 2 * n)
-    coeffs = {}     # the coefficient of y^a in g(x0 + p y), a polynomial in x0
-    for e, c in G.terms.items():
-        coeffs.setdefault(e[n:], {})[e[:n]] = c
+    with c the p-adic valuation of the content (infinite when g is zero).
+    By the binomial theorem the coefficient of y^a in g(x0 + p y) is the
+    polynomial in x0 with a term v p^|a| C(e, a) x0^(e - a) for each term
+    v x^e of g with e >= a, C(e, a) = prod_i C(e_i, a_i)."""
+    n, coeffs = g.n, {}
+    for e, v in g.terms.items():
+        for a in iproduct(*(range(m + 1) for m in e)):
+            coeffs.setdefault(a, {})[tuple(m - j for m, j in zip(e, a))] = \
+                v * p ** sum(a) * prod(map(comb, e, a))
     values = [(a, Polynomial._trusted(n, t).eval_int(singular))
               for a, t in coeffs.items()]
     for k in range(len(singular)):
@@ -347,21 +351,15 @@ def _form_count(m, r, e, a, p):
 
 
 def _quadratic_part(b, p):
-    """(M, c) with b = x^T M x + c mod p, M symmetric, p odd, when b is
-    integral and has only terms of degree 2 and 0, at least one of degree 2;
-    None otherwise."""
-    if b.degree != 2 or not b.is_integral():
+    """(M, c) with b = x^T M x + c mod p, p odd, M the ``gram_matrix`` of
+    b's quadratic part mod p, when b is integral and has only terms of
+    degree 2 and 0, at least one of degree 2; None otherwise."""
+    if b.degree != 2 or not b.is_integral() or \
+            any(sum(e) == 1 for e in b.terms):
         return None
-    n, half = b.n, pow(2, -1, p)
-    M, c = [[0] * n for _ in range(n)], b.terms.get((0,) * n, 0)
-    for e, v in b.terms.items():
-        if sum(e) == 1:
-            return None
-        if sum(e) == 2:
-            # x_i x_j, or x_i^2 with i = j
-            i, j = (k for k, x in enumerate(e) for _ in range(x))
-            M[i][j] = M[j][i] = v if i == j else v * half
-    return M, c
+    M = [[a.numerator * pow(a.denominator, -1, p) % p for a in row]
+         for row in gram_matrix(b.top_degree_part())]
+    return M, b.terms.get((0,) * b.n, 0)
 
 
 def _closed_form(b, p, t_max, budget):

@@ -7,7 +7,8 @@ polynomial, so everything here is safe to call from concurrent workers.
 Only batch evaluation, ``grid_blocks`` and the histograms import numpy,
 when first called, so a command that parses or composes polynomials never
 loads it.  ``DEFAULT_ENUM_BUDGET``, ``_charge`` and their exception live
-here, as does ``_histogram_sum``, the one kernel that adds value histograms.
+here, as do ``_histogram_sum``, the one kernel that adds value histograms,
+and ``gram_matrix``, the one reading of a quadratic form as a matrix.
 """
 from __future__ import annotations
 
@@ -465,6 +466,21 @@ def parse_polynomial(text):
 def load_polynomial(path):
     with open(path) as fh:
         return parse_polynomial(fh.read())
+
+
+def gram_matrix(f):
+    """The symmetric rational matrix A with f(x) = x^T A x, for a quadratic
+    form f: A_ii is the coefficient of x_i^2 and A_ij = A_ji half that of
+    x_i x_j.  Every module reads a quadratic form through this one."""
+    if f.is_zero():
+        return tuple(tuple(Fraction(0) for _ in range(f.n)) for _ in range(f.n))
+    if not f.is_homogeneous() or f.degree != 2:
+        raise ValueError("need a homogeneous quadratic form")
+    A = [[Fraction(0)] * f.n for _ in range(f.n)]
+    for e, c in f.terms.items():
+        i, j = (k for k, x in enumerate(e) for _ in range(x))
+        A[i][j] = A[j][i] = Fraction(c) if i == j else Fraction(c, 2)
+    return tuple(tuple(row) for row in A)
 
 
 def grid_blocks(axes):

@@ -298,6 +298,20 @@ class TestRealWitness:
         w = real_nonsingular_witness(f)
         assert w is not None and w.gradient_norm > 1e-3
 
+    def test_grid_walked_in_blocks(self):
+        # x1 x2 - x3 x4 on the 32^4 grid: its mesh and a stacked copy would
+        # take 64 MiB, one block of grid_blocks 4 MiB a copy.  Of the many
+        # exact zeros the first in grid order is kept and polished first.
+        f = parse_polynomial("n=4\n1 1 1 0 0\n-1 0 0 1 1\n")
+        tracemalloc.start()
+        try:
+            w = real_nonsingular_witness(f, grid=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.point == (1 / 64,) * 4 and w.value == 0.0
+        assert peak < 16 * 2 ** 20
+
     def test_grid_charged_before_any_evaluation(self, monkeypatch,
                                                 enum_limit):
         # the cone's 24^3 grid points of 3 coordinates: 41,472

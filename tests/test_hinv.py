@@ -15,10 +15,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
+from circlekit import hinv, poly
 from circlekit.hinv import (Decomposition, a_d_lower, build_gm_fm,
                             gram_matrix, hilbert_symbol, is_local_square,
                             lemma21_check, linear_count, quadratic_h,
-                            squarefree_part, verify_decomposition, witt_index)
+                            verify_decomposition, witt_index)
 from circlekit.poly import Polynomial, parse_polynomial
 from circlekit.primes import (_diagonal, _factorint, _is_prime, _jacobi,
                               _strong_lucas_probable_prime, _valuation)
@@ -148,14 +149,6 @@ class TestNumberTheory:
 
 
 class TestSquareClasses:
-    def test_squarefree_part(self):
-        assert squarefree_part(12) == 3
-        assert squarefree_part(-18) == -2
-        assert squarefree_part(Fraction(4, 9)) == 1
-        assert squarefree_part(Fraction(2, 3)) == 6
-        assert squarefree_part(0) == 0
-        assert squarefree_part(Fraction(-M89 ** 3, 4 * 101)) == -M89 * 101
-
     def test_local_squares(self):
         assert is_local_square(9, None) and not is_local_square(-9, None)
         assert is_local_square(17, 2)            # 17 = 1 mod 8
@@ -250,6 +243,38 @@ class TestWittIndex:
             # whole form by any nonzero rational keeps isotropy structure
             assert witt_index([a * c * c for a in diag]) == witt_index(diag)
 
+    def test_rational_entries_by_square_class(self):
+        # u/v is in the class of u v, and of u v times any rational square
+        rng = random.Random(29)
+        for _ in range(40):
+            diag = [rng.choice([x for x in range(-30, 31) if x])
+                    for _ in range(rng.randint(1, 5))]
+            w = witt_index(diag)
+            assert witt_index([Fraction(1, a) for a in diag]) == w
+            assert witt_index([a * Fraction(rng.randint(1, 9),
+                                            rng.randint(1, 9)) ** 2
+                               for a in diag]) == w
+        assert witt_index([Fraction(1, 3), -3]) == 1
+        assert witt_index([Fraction(2, 3), 6, 0]) == 0
+
+    def test_each_entry_factored_once(self, monkeypatch):
+        # only the places are found by factoring, one call per nonzero
+        # entry; no square class is reduced
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return _factorint(n)
+
+        monkeypatch.setattr(hinv, "_factorint", counted)
+        rng = random.Random(43)
+        for _ in range(60):
+            diag = [Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                    for _ in range(rng.randint(1, 6))]
+            calls.clear()
+            witt_index(diag)
+            assert len(calls) <= sum(1 for a in diag if a), diag
+
 
 class TestQuadraticH:
     def test_known_values(self):
@@ -268,6 +293,7 @@ class TestQuadraticH:
         assert h.rank == 2 and h.signature == (1, 1)
 
     def test_gram_matrix_convention(self):
+        assert gram_matrix is poly.gram_matrix     # one reader, in poly
         f = parse_polynomial("n=2\n1 2 0\n3 1 1\n")
         A = gram_matrix(f)
         assert A[0][0] == 1 and A[0][1] == Fraction(3, 2) == A[1][0]

@@ -215,6 +215,23 @@ class TestUnitSolutionCounts:
             got = nu_count(b, 3, 3)
         assert got.nu == self.brute_nu(b, 3, 3)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 19])
+    def test_refine_matches_compose(self, p):
+        # the coefficients of g(x0 + p y), read by the binomial theorem,
+        # against the composition into the variables y
+        rng = random.Random(p)
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            g = Polynomial(n, {tuple(rng.randint(0, 3) for _ in range(n)):
+                               rng.randint(-30, 30) for _ in range(5)})
+            rows = np.array([[rng.randint(0, p - 1) for _ in range(n)]
+                             for _ in range(4)], dtype=np.int64)
+            y = [Polynomial.variable(n, i + 1) for i in range(n)]
+            want = [local._divided(n, g.compose(
+                [int(x) + p * y[i] for i, x in enumerate(row)], n).terms, p)
+                for row in rows]
+            assert list(local._refine(g, rows, p)) == want, (g, p)
+
 
 class TestLinearVariable:
     """b = A x_j + B: where A(x') is a unit the zero x_j is solved for, not
@@ -664,6 +681,22 @@ class TestClosedForm:
         if p > 2:
             assert local._closed_form(b, p, 6, 10 ** 8) is None
         assert f == today(b, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_quadratic_part_is_b_mod_p(self, p):
+        # x^T M x + c = b(x) mod p at random points, cross terms halved
+        rng = random.Random(p)
+        for blocks in ([1], [2], [3], [2, 1], [4], [3, 2]):
+            b = random_form(rng, blocks)[0]
+            M, c = local._quadratic_part(b, p)
+            for _ in range(20):
+                x = [rng.randint(-50, 50) for _ in range(b.n)]
+                quad = sum(M[i][j] * x[i] * x[j] for i in range(b.n)
+                           for j in range(b.n))
+                assert (quad + c - b.evaluate(x)) % p == 0, (b, p, x)
+        for text in ("n=2\n1 2 0\n1 1 0\n", "n=2\n1/2 2 0\n1 0 2\n",
+                     "n=2\n1 2 1\n", "n=1\n5 0\n"):
+            assert local._quadratic_part(parse_polynomial(text), p) is None
 
     def test_rational_coefficients_are_left_alone(self):
         b = parse_polynomial("n=2\n1/2 2 0\n1 0 2\n-1 0 0\n")
