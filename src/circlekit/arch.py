@@ -429,16 +429,13 @@ def sigma_scaled(b, N, spec=QuadratureSpec()):
         scale=N)
     means, ses = _mean_se(rows)
     v, v16, se = float(means[0]), float(means[1]), float(ses[0])
+    flags = ()
     if v == 0.0 or v16 <= 0.5 * v:
-        return SingularIntegralEstimate(method="measure", value=0.0,
-                                        error_estimate=v16,
-                                        eps_used=eps_rel * N ** d,
-                                        flags=("zero_measure",)
-                                        + _balance_flags(spec))
+        v, se, flags = 0.0, v16, ("zero_measure",)
     return SingularIntegralEstimate(method="measure", value=v,
                                     error_estimate=se,
                                     eps_used=eps_rel * N ** d,
-                                    flags=_balance_flags(spec))
+                                    flags=flags + _balance_flags(spec))
 
 
 @dataclass

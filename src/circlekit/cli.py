@@ -22,19 +22,21 @@ _FLAG_EXIT = 1
 _USAGE_EXIT = 2
 
 
-def _jsonable(obj):
+def _jsonable(obj, flags):
+    """obj as JSON data; adds every ``flags`` list in it to the set flags."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+        return _jsonable(asdict(obj), flags)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        flags.update(obj.get("flags", ()))
+        return {str(k): _jsonable(v, flags) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, flags) for v in obj]
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if type(obj).__module__ == "numpy":     # an array or a scalar
-        return _jsonable(obj.tolist())
+        return _jsonable(obj.tolist(), flags)
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return str(obj)
@@ -48,17 +50,19 @@ def _load_poly(path):
         raise SystemExit(f"error: cannot read polynomial: {exc}") from None
 
 
-def _emit(args, command, poly, config, result, t0, flags=()):
+def _emit(args, command, poly, config, result, t0):
+    """Write the report of ``result``; exit code 1 when it raised a flag."""
     config = {k: v for k, v in config.items()
               if k not in ("func", "output")}
+    flags = set()
     report = {
         "tool": "circlekit",
         "version": __version__,
         "command": command,
         "poly_sha256": poly.sha256() if poly is not None else None,
-        "config": _jsonable(config),
-        "result": _jsonable(result),
-        "flags": sorted(set(flags)),
+        "config": _jsonable(config, set()),
+        "result": _jsonable(result, flags),
+        "flags": sorted(flags),
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -78,20 +82,13 @@ def _spec_from(args):
 # -- subcommand handlers ----------------------------------------------------
 # each imports the modules it runs, so a job loads nothing else
 
-def _warning_flags(factors):
-    """The report flag of each local-factor warning."""
-    return tuple("budget" if "budget" in f.warning else "no_stabilization"
-                 for f in factors if f.warning)
-
-
 def _cmd_predict(args, t0):
     from .count import predict
     b = _load_poly(args.poly)
     rep = predict(b, args.N, prime_bound=args.prime_bound, t_max=args.tmax,
                   spec=_spec_from(args), ground_truth=args.ground_truth,
                   strategy=args.strategy, split=args.split)
-    flags = tuple(rep.sigma.flags) + _warning_flags(rep.factors)
-    return _emit(args, "predict", b, vars(args), rep, t0, flags)
+    return _emit(args, "predict", b, vars(args), rep, t0)
 
 
 def _cmd_count(args, t0):
@@ -119,8 +116,7 @@ def _cmd_local(args, t0):
     from .local import mu_p
     b = _load_poly(args.poly)
     factor = mu_p(b, args.p, t_max=args.tmax)
-    return _emit(args, "local", b, vars(args), factor, t0,
-                 _warning_flags([factor]))
+    return _emit(args, "local", b, vars(args), factor, t0)
 
 
 def _cmd_series(args, t0):
@@ -128,18 +124,15 @@ def _cmd_series(args, t0):
     b = _load_poly(args.poly)
     series, factors = singular_series(b, args.prime_bound, t_max=args.tmax)
     return _emit(args, "series", b, vars(args),
-                 {"series": series, "factors": factors}, t0,
-                 _warning_flags(factors))
+                 {"series": series, "factors": factors}, t0)
 
 
 def _cmd_sigma_inf(args, t0):
     from .arch import sigma_infinity
     b = _load_poly(args.poly)
-    form = b.top_degree_part()
-    mu, meas = sigma_infinity(form, _spec_from(args))
+    mu, meas = sigma_infinity(b.top_degree_part(), _spec_from(args))
     return _emit(args, "sigma-inf", b, vars(args),
-                 {"quadrature": mu, "measure": meas}, t0,
-                 mu.flags + meas.flags)
+                 {"quadrature": mu, "measure": meas}, t0)
 
 
 def _cmd_arcs(args, t0):
@@ -218,8 +211,7 @@ def _cmd_regularity(args, t0):
     from .count import regularity_exponent
     system = [_load_poly(path) for path in args.poly]
     rep = regularity_exponent(system, args.N_list)
-    flags = () if rep.regular else ("not_regular",)
-    return _emit(args, "regularity", system[0], vars(args), rep, t0, flags)
+    return _emit(args, "regularity", system[0], vars(args), rep, t0)
 
 
 # -- argument plumbing ------------------------------------------------------

@@ -203,7 +203,7 @@ class RegularityReport:
     counts: list
     fitted_exponent: float
     reference_exponent: float   # n - D_psi
-    regular: bool               # fitted <= reference + slack
+    flags: tuple                # not_regular: fitted > reference + slack
     slack: float = 0.25
 
 
@@ -238,7 +238,8 @@ def regularity_exponent(system, N_list):
         [math.log(max(c, 1)) for c in counts]).slope
     return RegularityReport(N_values=list(N_list), counts=counts,
                             fitted_exponent=slope, reference_exponent=ref,
-                            regular=slope <= ref + 0.25)
+                            flags=() if slope <= ref + RegularityReport.slack
+                            else ("not_regular",))
 
 
 # ---------------------------------------------------------------------------

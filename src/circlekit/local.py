@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product as iproduct
 from math import comb, exp, gcd, inf, log, prod
 from statistics import linear_regression
@@ -350,16 +350,20 @@ def _form_count(m, r, e, a, p):
     return p ** (m - r) * count
 
 
+@lru_cache(maxsize=1)
+def _gram(b):
+    """(A, c) with b = x^T A x + c, A a ``gram_matrix``, for an integral b
+    with terms of degree 2 and 0 only, at least one of degree 2, else None;
+    read once per b, not at every prime of a series."""
+    if b.degree == 2 and b.is_integral() and all(sum(e) != 1 for e in b.terms):
+        return gram_matrix(b.top_degree_part()), b.terms.get((0,) * b.n, 0)
+
+
 def _quadratic_part(b, p):
-    """(M, c) with b = x^T M x + c mod p, p odd, M the ``gram_matrix`` of
-    b's quadratic part mod p, when b is integral and has only terms of
-    degree 2 and 0, at least one of degree 2; None otherwise."""
-    if b.degree != 2 or not b.is_integral() or \
-            any(sum(e) == 1 for e in b.terms):
-        return None
-    M = [[a.numerator * pow(a.denominator, -1, p) % p for a in row]
-         for row in gram_matrix(b.top_degree_part())]
-    return M, b.terms.get((0,) * b.n, 0)
+    """(M, c) with b = x^T M x + c mod p, p odd: ``_gram`` mod p."""
+    if form := _gram(b):
+        return [[a.numerator * pow(a.denominator, -1, p) % p for a in row]
+                for row in form[0]], form[1]
 
 
 def _closed_form(b, p, t_max, budget):
@@ -478,10 +482,15 @@ class LocalFactor:
     mu_p: Fraction
     stabilized_at: int | None
     nu_values: list = field(default_factory=list)
-    warning: str | None = None
+    flags: tuple = ()           # budget or no_stabilization
+    cut_at: int | None = None   # the level a budget cut stopped at
     # no_solution, nonsingular, quadratic_form, hensel_tree(depth) or
     # hensel_valuation(tau)
     method: str | None = None
+
+    @property
+    def warning(self):      # the flags, as perfbench/trace_job.py counts them
+        return " ".join(self.flags) or None
 
 
 def mu_p(b, p, t_max=6):
@@ -498,8 +507,9 @@ def mu_p(b, p, t_max=6):
     (singular zeros refined d generations deep; d = 0 when the budget stops
     the root) or ``hensel_valuation(tau)`` (a separable b closed by the
     lemma at 2 tau + 1 or before).  A budget cut, or no level proved up to
-    t_max, leaves stabilized_at None, mu(p) the last partial sum, and a
-    warning.
+    t_max, leaves stabilized_at None and mu(p) the last partial sum, and
+    raises the flag ``budget`` (with the level of the cut in ``cut_at``,
+    which may lie past t_max) or ``no_stabilization``.
     """
     nus, closing, method, cut = _levels(b, p, t_max)
     partials = [Fraction(p ** t * nu, (p ** t - p ** (t - 1)) ** b.n)
@@ -509,12 +519,11 @@ def mu_p(b, p, t_max=6):
         return LocalFactor(p=p, partial_sums=partials[:t], mu_p=Fraction(0),
                            stabilized_at=t, nu_values=nus[:t],
                            method="no_solution")
-    warning = (f"enumeration budget hit at level t={cut}" if cut else
-               None if closing else "no stabilization within t_max")
+    flags = ("budget",) if cut else () if closing else ("no_stabilization",)
     mu = partials[-1] if partials else Fraction(0)
     return LocalFactor(p=p, partial_sums=partials, mu_p=mu,
                        stabilized_at=closing, nu_values=nus,
-                       warning=warning,
+                       flags=flags, cut_at=cut,
                        method="nonsingular" if closing == 1 and
                        method != "quadratic_form" else method)
 

@@ -9,12 +9,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
-from circlekit import cli, local
+from circlekit import arch, cli, count, local
 from circlekit.cli import main
 from circlekit.local import LocalFactor
 from circlekit.poly import parse_polynomial
@@ -129,8 +131,8 @@ class TestWarningFlags:
     def test_local_budget(self, poly_file, tmp_path, monkeypatch):
         def over_budget(b, p, t_max):
             return LocalFactor(p=p, partial_sums=[], mu_p=Fraction(0),
-                               stabilized_at=None,
-                               warning="enumeration budget hit at level t=1")
+                               stabilized_at=None, flags=("budget",),
+                               cut_at=1)
         monkeypatch.setattr(local, "mu_p", over_budget)
         pf = poly_file(LINEAR6)
         code, rep = run_json(["local", "--poly", pf, "--p", "3"], tmp_path)
@@ -187,13 +189,70 @@ class TestWarningFlags:
             assert "sobol_unbalanced" not in rep["flags"]
 
     def test_flags_sorted_and_unique(self, tmp_path):
+        # every flags list in the result, at any depth, joins the report's
         out = tmp_path / "out.json"
+        result = {"estimates": [{"flags": ("zero_measure", "nonconvergent")},
+                                {"flags": ["zero_measure"]}],
+                  "clean": {"flags": ()}}
         code = cli._emit(argparse.Namespace(output=str(out)), "sigma-inf",
-                         None, {}, {}, 0.0,
-                         ("zero_measure", "nonconvergent", "zero_measure"))
+                         None, {}, result, 0.0)
         assert code == 1
-        assert json.loads(out.read_text())["flags"] == [
-            "nonconvergent", "zero_measure"]
+        rep = json.loads(out.read_text())
+        assert rep["flags"] == ["nonconvergent", "zero_measure"]
+        assert rep["result"]["estimates"][0]["flags"] == [
+            "zero_measure", "nonconvergent"]
+
+
+def _made_up(result):
+    """result with the flag ``made_up`` raised as well."""
+    return replace(result, flags=result.flags + ("made_up",))
+
+
+class TestEveryFlagCarrier:
+    """A flag any result raises reaches the report's flags and exit code 1,
+    whatever its name."""
+
+    PREDICT = ["predict", "--N", "20", "--prime-bound", "5",
+               "--box-points", "1024"]
+
+    @pytest.mark.parametrize("module, name, argv, text", [
+        (local, "mu_p", ["local", "--p", "5"], LINEAR6),
+        (local, "mu_p", ["series", "--prime-bound", "5"], LINEAR6),
+        (local, "mu_p", PREDICT, LINEAR6),
+        (arch, "sigma_scaled", PREDICT, LINEAR6),
+        (count, "regularity_exponent",
+         ["regularity", "--N-list", "2", "--N-list", "3", "--N-list", "4"],
+         SQUARES3),
+    ], ids=["local", "series", "predict-factor", "predict-sigma",
+            "regularity"])
+    def test_injected_flag(self, module, name, argv, text, poly_file,
+                           tmp_path, monkeypatch):
+        argv = argv[:1] + ["--poly", poly_file(text)] + argv[1:]
+        assert run_json(argv, tmp_path) == (0, ANY)
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: _made_up(fn(*a, **k)))
+        code, rep = run_json(argv, tmp_path)
+        assert code == 1
+        assert rep["flags"] == ["made_up"]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_injected_sigma_infinity_flag(self, which, poly_file, tmp_path,
+                                          monkeypatch):
+        # one flag on the quadrature estimate (0) or on the measure (1)
+        argv = ["sigma-inf", "--poly", poly_file(SQUARES3),
+                "--box-points", "1024"]
+        assert run_json(argv, tmp_path) == (0, ANY)
+        fn = arch.sigma_infinity
+
+        def flagged(*args):
+            out = list(fn(*args))
+            out[which] = _made_up(out[which])
+            return tuple(out)
+        monkeypatch.setattr(arch, "sigma_infinity", flagged)
+        code, rep = run_json(argv, tmp_path)
+        assert code == 1
+        assert rep["flags"] == ["made_up"]
 
 
 def test_cli_import_skips_heavy_modules(poly_file, tmp_path):

@@ -350,19 +350,19 @@ class TestRegularity:
         assert rep.counts == [11, 21, 41, 81]
         assert rep.fitted_exponent == pytest.approx(1.0, abs=0.05)
         assert rep.reference_exponent == 1
-        assert rep.regular
+        assert rep.flags == ()
 
     def test_product_flagged(self):
         p = parse_polynomial("n=2\n1 1 1\n")
         rep = regularity_exponent([p], [5, 10, 20])
         assert rep.counts == [21, 41, 81]
-        assert not rep.regular
+        assert rep.flags == ("not_regular",)
 
     def test_definite_consistent(self):
         p = parse_polynomial("n=2\n1 2 0\n1 0 2\n")
         rep = regularity_exponent([p], [5, 10, 20])
         assert rep.counts == [1, 1, 1]
-        assert rep.regular
+        assert rep.flags == ()
 
     def test_rational_coefficients_not_truncated(self):
         # x1/2 - x2 = 0 needs x1 = 2 x2: 2 floor(N/2) + 1 points in the box

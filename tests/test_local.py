@@ -18,8 +18,8 @@ from circlekit import local
 from circlekit.local import (B_of_q, _linear_split, mu_p, nu_count,
                              singular_series, unit_exp_sum, unit_residues,
                              value_histogram)
-from circlekit.poly import (BudgetExceeded, Polynomial, parse_polynomial,
-                            residue_histogram)
+from circlekit.poly import (BudgetExceeded, Polynomial, gram_matrix,
+                            parse_polynomial, residue_histogram)
 from circlekit.primes import primes_up_to
 
 
@@ -203,10 +203,10 @@ class TestUnitSolutionCounts:
         b = parse_polynomial("n=3\n3 1 1 0\n3 0 0 1\n")
         with enum_limit(80):
             f = mu_p(b, 3, t_max=3)
-        assert f.warning is None and f.method == "hensel_tree(1)"
+        assert f.flags == () and f.method == "hensel_tree(1)"
         assert f.nu_values == [self.brute_nu(b, 3, t) for t in (1, 2, 3)]
         with enum_limit(79):
-            assert mu_p(b, 3, t_max=3).warning is not None
+            assert mu_p(b, 3, t_max=3).flags != ()
 
     def test_lifting_path_agrees(self, enum_limit):
         # a non-separable b takes the tree, even on a small budget
@@ -351,7 +351,7 @@ class TestHenselValuation:
         brute = TestUnitSolutionCounts().brute_nu
         assert f.nu_values == [brute(b, p, t)
                                for t in range(1, len(f.nu_values) + 1)]
-        assert f.stabilized_at is not None and f.warning is None
+        assert f.stabilized_at is not None and f.flags == ()
 
     def test_no_monomial_part_takes_the_tree(self):
         # (x1^3 + 3 x1) + (x2^3 + 3 x2): every zero mod 3 is singular
@@ -368,7 +368,7 @@ class TestHenselValuation:
         with enum_limit(10 ** 5):
             f = mu_p(b, 3)
         assert f.mu_p == Fraction(32769, 32768) and f.stabilized_at == 2
-        assert f.warning is None and f.method == "hensel_valuation(1)"
+        assert f.flags == () and f.method == "hensel_valuation(1)"
 
     @pytest.mark.parametrize("c", [25, 125])
     def test_a_nonsingular_root_takes_the_tree(self, c, monkeypatch):
@@ -380,7 +380,7 @@ class TestHenselValuation:
         monkeypatch.setattr(local, "value_histogram", no_histogram)
         b = parse_polynomial(f"n=2\n{c} 1 0\n1 0 2\n1 0 1\n-2 0 0\n")
         f = mu_p(b, 5)
-        assert f.stabilized_at == 1 and f.warning is None
+        assert f.stabilized_at == 1 and f.flags == ()
         assert f.method == "nonsingular"
         assert f.nu_values == [8 * 5 ** t for t in range(6)]
 
@@ -389,7 +389,7 @@ class TestHenselValuation:
         with enum_limit(300):
             f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3)
         assert f.nu_values == [6, 162, 4374] and f.stabilized_at == 3
-        assert f.method == "hensel_tree(1)" and f.warning is None
+        assert f.method == "hensel_tree(1)" and f.flags == ()
 
     def test_histograms_count_past_a_cut_tree(self, enum_limit):
         # 8 distinct cubes at p = 3 on a budget of 1000: the tree is cut at
@@ -399,12 +399,12 @@ class TestHenselValuation:
             f = mu_p(b, 3, t_max=3)
         assert f.nu_values == [value_histogram(b, 3 ** t)[0] for t in (1, 2)]
         assert f.method == "hensel_valuation(1)" and f.stabilized_at is None
-        assert f.warning == "enumeration budget hit at level t=3"
+        assert f.flags == ("budget",) and f.cut_at == 3
         # with t_max = 2 both levels are there; the cut past t_max is named
         with enum_limit(1000):
             f = mu_p(b, 3, t_max=2)
         assert len(f.nu_values) == 2 and f.stabilized_at is None
-        assert f.warning == "enumeration budget hit at level t=3"
+        assert f.flags == ("budget",) and f.cut_at == 3
 
 
 class TestLocalFactors:
@@ -437,7 +437,7 @@ class TestLocalFactors:
         assert f.partial_sums == [3, 6, 6, Fraction(3, 2), Fraction(3, 2),
                                   Fraction(3, 2)]
         assert f.mu_p == Fraction(3, 2) and f.stabilized_at == 4
-        assert f.warning is None
+        assert f.flags == ()
 
     def test_method_no_solution(self):
         f = mu_p(parse_polynomial("n=1\n1 1\n"), 2)
@@ -457,14 +457,14 @@ class TestLocalFactors:
         with enum_limit(100):
             f = mu_p(parse_polynomial(DISTINCT_CUBES), 3, t_max=3)
         assert f.method == "hensel_tree(0)" and f.nu_values == [6]
-        assert f.stabilized_at is None and "budget" in f.warning
+        assert f.stabilized_at is None and "budget" in f.flags
 
     def test_diagonal_form_closes(self):
         b = cubes(22)
         f = mu_p(b, 3, t_max=4)
         assert f.nu_values == [value_histogram(b, 3 ** t)[0]
                                for t in range(1, 5)]
-        assert f.stabilized_at == 2 and f.warning is None
+        assert f.stabilized_at == 2 and f.flags == ()
         assert f.method == "hensel_valuation(1)"
 
     def test_prime_checked_and_budget_before_allocation(self):
@@ -474,7 +474,7 @@ class TestLocalFactors:
         with pytest.raises(ValueError):
             nu_count(b, 6, 1)
         f = mu_p(b, 10 ** 16 + 61)
-        assert f.partial_sums == [] and "budget" in f.warning
+        assert f.partial_sums == [] and "budget" in f.flags
         with pytest.raises(BudgetExceeded):
             nu_count(b, 10 ** 16 + 61, 1)
 
@@ -597,7 +597,8 @@ def today(b, p, t_max=6):
 
 def same_but_method(f, g):
     return all(getattr(f, k) == getattr(g, k) for k in (
-        "p", "partial_sums", "mu_p", "stabilized_at", "nu_values", "warning"))
+        "p", "partial_sums", "mu_p", "stabilized_at", "nu_values", "flags",
+        "cut_at"))
 
 
 class TestClosedForm:
@@ -662,7 +663,7 @@ class TestClosedForm:
         P = 10 ** 16 + 61
         f = mu_p(parse_polynomial("n=2\n1 1 1\n-1 0 0\n"), P)
         assert f.mu_p == Fraction(P, P - 1)
-        assert f.warning is None and f.stabilized_at == 1
+        assert f.flags == () and f.stabilized_at == 1
         assert f.method == "quadratic_form"
         assert nu_count(parse_polynomial("n=2\n1 1 1\n-1 0 0\n"), P, 2).nu \
             == (P - 1) * P
@@ -698,6 +699,15 @@ class TestClosedForm:
                      "n=2\n1 2 1\n", "n=1\n5 0\n"):
             assert local._quadratic_part(parse_polynomial(text), p) is None
 
+    def test_gram_matrix_read_once_per_series(self, monkeypatch):
+        # one reading of the cone's form serves its 45 odd primes up to 200
+        calls = []
+        monkeypatch.setattr(local, "gram_matrix",
+                            lambda f: calls.append(f) or gram_matrix(f))
+        local._gram.cache_clear()
+        _, factors = singular_series(parse_polynomial(CONE), 200)
+        assert len(factors) == 46 and len(calls) == 1
+
     def test_rational_coefficients_are_left_alone(self):
         b = parse_polynomial("n=2\n1/2 2 0\n1 0 2\n-1 0 0\n")
         for p in (2, 5):
@@ -728,7 +738,7 @@ class TestClosedForm:
         assert local._walk_cost(b, 3, True)[0] == 2 ** 16
         assert local._closed_form(b, 3, 6, 10 ** 8) is None
         f = mu_p(b, 3)
-        assert f.method == "nonsingular" and f.warning is None
+        assert f.method == "nonsingular" and f.flags == ()
         assert f == today(b, 3)
 
     @pytest.mark.parametrize("text, nu, method", [
