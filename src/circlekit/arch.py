@@ -4,7 +4,16 @@ The oscillatory box integral I(eta), its truncated eta-integral J(L), the
 singular integral mu(infinity) via extrapolation in L, and the scale-aware
 epsilon-sausage density used in actual predictions.
 
-All stochastic estimates use low-discrepancy (Sobol) sampling with a recorded
+A form in at most three variables and of degree one in some x_j, f =
+A x_j + B, has its singular integral computed deterministically as the
+fibre integral J = int over [0,1]^(n-1) of 1[0 <= -B/A <= 1] / |A| dx',
+a zero on a face of the box counted half (``_fibre``): nested, globally
+adaptive Gauss-Kronrod quadrature over pieces cut at the roots of A, B and
+A + B.  Everything else is sampled: the singular integral of a form linear
+in no variable or in four or more variables, I(eta), J(L) and the scaled
+density ``sigma_scaled``.
+
+Sampled estimates use low-discrepancy (Sobol) sampling with a recorded
 seed and carry replicate-based error estimates, so results are reproducible.
 The Sobol points are drawn here with numpy and equal scipy's
 ``qmc.Sobol(d, scramble=True, seed=seed).random(n)`` bit for bit: Joe-Kuo
@@ -14,7 +23,9 @@ Gray-code order.  A replicate whose size is not a power of two loses the
 balance of the sequence; estimates then carry the flag ``sobol_unbalanced``.
 The replicates are streamed: each is drawn, evaluated and reduced to one row
 of statistics (sausage densities, J(L) per L) before the next is drawn, so
-memory holds one replicate, and the estimators work on the rows.
+memory holds one replicate, and the estimators work on the rows.  Only the
+sampling estimators import numpy, when first called, so a fibre integral
+loads no numpy.
 
 The eta-integral of I over [-L, L] is done in closed form: integrating
 cos(2 pi eta f(x)) in eta gives the Dirichlet kernel 2L sinc(2L f(x)), so
@@ -32,13 +43,10 @@ the extrapolation bases carry that term alongside the smooth one.
 """
 from __future__ import annotations
 
-import importlib.util
 import math
-import zipfile
-from dataclasses import dataclass
-from pathlib import Path
-
-import numpy as np
+import sys
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 from .poly import _charge, grid_blocks
 
@@ -67,7 +75,7 @@ class QuadratureSpec:
 
 @dataclass
 class SingularIntegralEstimate:
-    method: str                  # "quadrature" | "measure"
+    method: str                  # "quadrature" | "measure" | "fibre"
     value: float
     error_estimate: float
     L_used: float | None = None
@@ -79,6 +87,205 @@ class SingularIntegralEstimate:
         return "divergent" in self.flags
 
 
+# -- the fibre integral ------------------------------------------------------
+
+# Gauss-Kronrod on [-1, 1]: the 15-point Kronrod nodes +-x (0 once) and
+# weights, and the weights of the embedded 7-point Gauss rule
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+       0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+       0.20778495500789848, 0.0)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+       0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+       0.20443294007529889, 0.20948214108472782)
+_WG = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664,
+       0.0, 0.3818300505051189, 0.0, 0.4179591836734694)
+_GK15 = tuple((sign * x, wk, wg) for x, wk, wg in zip(_XK, _WK, _WG)
+              for sign in ((1, -1) if x else (1,)))
+_ROUND = 50 * sys.float_info.epsilon    # rounding, per unit of |integral|
+_FIBRE_TOL = 1e-9                       # error per unit of max(1, |value|)
+_FIBRE_LIMIT = 64                       # parts per adaptive integral
+
+
+def _horner(p, x):
+    """The polynomial with coefficients p (lowest degree first) at x."""
+    v = 0.0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _trim(p):
+    """The coefficients p without their leading zeros."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _roots(p):
+    """The real roots in (0, 1) of the polynomial with coefficients p (lowest
+    degree first, leading one nonzero): in closed form up to degree 2; above
+    that, p is monotone between the roots of p', so each interval between
+    them holds at most one root, found by bisection."""
+    if len(p) < 2:
+        return []
+    if len(p) == 2:
+        roots = [-p[0] / p[1]]
+    elif len(p) == 3:
+        c, b, a = p
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+        roots = [q / a, c / q] if q else [0.0]
+    else:
+        ends = [0.0, *sorted(_roots([k * c for k, c in enumerate(p)][1:])),
+                1.0]
+        roots = []
+        for lo, hi in zip(ends, ends[1:]):
+            f_lo = _horner(p, lo)
+            if f_lo == 0:
+                roots.append(lo)
+            elif f_lo * _horner(p, hi) < 0:
+                while (mid := (lo + hi) / 2) not in (lo, hi):
+                    if (_horner(p, mid) < 0) == (f_lo < 0):
+                        lo = mid
+                    else:
+                        hi = mid
+                roots.append(lo)
+    return [r for r in roots if 0 < r < 1]
+
+
+def _weight(a, b):
+    """1 where the zero -b/a of a x + b lies in (0, 1), 1/2 where it is 0 or
+    1 (a zero on a face of the box counts half, the limit of the sausage
+    density), 0 elsewhere and where a = 0."""
+    if not a:
+        return 0
+    r = -b / a
+    return 1 if 0 < r < 1 else 0.5 if r in (0, 1) else 0
+
+
+def _gk15(g, piece, u0, u1):
+    """(value, error, converged) of the integral of w g over the part u in
+    [u0, u1] of the piece (lo, hi, w), where x = lo + (hi - lo)(3u^2 - 2u^3)
+    maps [0, 1] onto [lo, hi] and removes integrable endpoint singularities
+    such as (x - lo)^(-1/2), by the 15-point Kronrod rule in u.  g(x) gives
+    (value, error, converged); the error is |K15 - G7|, plus the errors g
+    carries, plus ``_ROUND`` times the integral of |g|."""
+    lo, hi, w = piece
+    half = (u1 - u0) / 2
+    k = gauss = mass = carried = 0.0
+    ok = True
+    for xi, wk, wg in _GK15:
+        u, v = u0 + half * (1 + xi), (1 - u1) + half * (1 - xi)   # v = 1 - u
+        d = min(u, v)           # x measured from the nearer end of the piece
+        dx = (hi - lo) * d * d * (3 - 2 * d)
+        val, e, fine = g(lo + dx if u <= v else hi - dx)
+        jac = 6 * u * v
+        k += wk * jac * val
+        gauss += wg * jac * val
+        mass += wk * jac * abs(val)
+        carried += wk * jac * e
+        ok = ok and fine
+    h = w * (hi - lo) * half
+    return h * k, h * (abs(k - gauss) + carried + _ROUND * mass), ok
+
+
+def _adaptive(g, pieces, tol):
+    """(value, error, converged) of the sum over the pieces (lo, hi, w) of
+    the integral of w g over [lo, hi], globally adaptive: each piece is
+    substituted once (``_gk15``), and the part of largest error is bisected
+    in u until the summed error is at most tol * max(1, |value|), a value
+    of g fails to converge, or ``_FIBRE_LIMIT`` parts are reached above
+    tolerance."""
+    parts = [(p, 0.0, 1.0, *_gk15(g, p, 0.0, 1.0)) for p in pieces]
+    while True:
+        value = math.fsum(p[3] for p in parts)
+        error = math.fsum(p[4] for p in parts)
+        if not all(p[5] for p in parts):
+            return value, error, False
+        if error <= tol * max(1.0, abs(value)):
+            return value, error, True
+        if len(parts) >= _FIBRE_LIMIT:
+            return value, error, False
+        worst = max(range(len(parts)), key=lambda i: parts[i][4])
+        piece, u0, u1 = parts.pop(worst)[:3]
+        mid = (u0 + u1) / 2
+        parts += [(piece, u0, mid, *_gk15(g, piece, u0, mid)),
+                  (piece, mid, u1, *_gk15(g, piece, mid, u1))]
+
+
+def _line(alpha, beta, tol):
+    """(value, error, converged) of the integral over t in [0, 1] of
+    _weight(A(t), B(t)) / |A(t)|, A and B the polynomials with coefficients
+    alpha and beta (lowest degree first).  [0, 1] is cut at the roots of A,
+    B and A + B, so the weight is constant on each piece and is read at its
+    midpoint; a constant A is integrated exactly."""
+    alpha, beta = _trim(alpha), _trim(beta)
+    gamma = _trim(a + b for a, b in zip_longest(alpha, beta, fillvalue=0.0))
+    cuts = sorted({0.0, 1.0, *_roots(alpha), *_roots(beta), *_roots(gamma)})
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        w = _weight(_horner(alpha, mid), _horner(beta, mid))
+        if w:
+            pieces.append((lo, hi, w))
+    if len(alpha) == 1:
+        value = math.fsum((hi - lo) * w for lo, hi, w in pieces) \
+            / abs(alpha[0])
+        return value, _ROUND * value, True
+
+    def reciprocal(t):      # a zero of A inside a piece: a singular line
+        a = abs(_horner(alpha, t))
+        return (1 / a, 0.0, True) if a else (0.0, 0.0, False)
+    return _adaptive(reciprocal, pieces, tol)
+
+
+def _fibre(f):
+    """The density of the zero set of f in the unit box by its fibre
+    integral, for f in n <= 3 variables of degree one in some x_j (the
+    first such j); None for any other f.
+
+    With f = A x_j + B, A and B free of x_j, the density is the integral
+    over x' in [0,1]^(n-1) of _weight(A, B) / |A|.  For n = 3 the lines of
+    the inner integral run along a variable A does not contain, where there
+    is one, so that 1/|A| is constant on them; the outer integral and
+    non-constant inner ones are globally adaptive Gauss-Kronrod, the outer
+    error carrying the inner ones.  The worst-case number of evaluations is
+    charged before any work.  A limit reached above tolerance flags the
+    estimate ``divergent``; a density of exactly 0 is flagged
+    ``zero_measure``.
+    """
+    if f.n > 3:
+        return None
+    parts = next(filter(None, map(f.linear_in, range(1, f.n + 1))), None)
+    if parts is None:
+        return None
+    A, B = parts
+    m = A.n
+    _charge((15 * max(3 * f.degree, 2 * _FIBRE_LIMIT)) ** m,
+            f"fibre integral over {m} variables")
+    if m == 0:
+        a, b = A.evaluate(()), B.evaluate(())
+        value, error, ok = float(_weight(a, b) / abs(a)), 0.0, True
+    else:
+        t = A.missing_variable()
+        cA, cB = A.coefficients(t), B.coefficients(t)
+
+        # an inner line's tolerance is a sixteenth of the outer one, so the
+        # inner errors the outer sum carries leave it room to converge
+        def line(*s, tol=_FIBRE_TOL / 16):
+            return _line([float(P.evaluate(s)) for P in cA],
+                         [float(P.evaluate(s)) for P in cB], tol)
+        value, error, ok = (line(tol=_FIBRE_TOL) if m == 1 else
+                            _adaptive(line, [(0.0, 1.0, 1)], _FIBRE_TOL))
+    flags = ("divergent",) if not ok else ("zero_measure",) if not value \
+        else ()
+    return SingularIntegralEstimate(method="fibre", value=value,
+                                    error_estimate=error, flags=flags)
+
+
 _SOBOL_BITS = 30
 _SOBOL_MAXDIM = 21201
 
@@ -88,6 +295,7 @@ def _read_npy_prefix(zf, name, rows, cols=None):
     ``name`` of the open zip ``zf``, decompressing only the bytes that hold
     them: the leading rows of a C-ordered array, the leading columns of a
     Fortran-ordered one."""
+    import numpy as np
     with zf.open(name) as fp:
         version = np.lib.format.read_magic(fp)
         read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
@@ -110,6 +318,10 @@ def _sobol_directions(d):
     Only the prefix of scipy's table that d dimensions use is read: d
     primitive polynomials, and the initial numbers up to their top degree.
     """
+    import importlib.util
+    import zipfile
+    from pathlib import Path
+    import numpy as np
     if d > _SOBOL_MAXDIM:
         raise ValueError(f"Sobol sampling supports at most {_SOBOL_MAXDIM} "
                          "dimensions")
@@ -141,6 +353,7 @@ def _sobol(directions, n, seed):
     over d contiguous rows; the result is the transpose of a (d, n) array,
     whose columns (one coordinate of every point) are contiguous.
     """
+    import numpy as np
     d = len(directions)
     rng = np.random.default_rng(seed)
     powers = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
@@ -198,6 +411,7 @@ def _replicate_rows(f, spec, stats, scale=1.0):
     Each replicate is drawn, evaluated at ``scale`` times its samples and
     reduced by ``stats`` to one row before the next is drawn.
     """
+    import numpy as np
     rows = []
     for block in _replicate_samples(f.n, spec):
         block *= scale
@@ -211,12 +425,14 @@ def _mean_se(rows):
     Each column is reduced as a 1-d array, so its mean has the bits of
     np.mean over that column's replicate values.
     """
+    import numpy as np
     cols = rows.T.copy()
     return cols.mean(axis=1), cols.std(axis=1) / np.sqrt(len(rows))
 
 
 def _densities(v, widths):
     """(2 w)^{-1} * fraction of values with |v| <= w, for each width w."""
+    import numpy as np
     a = np.abs(v)
     return [np.count_nonzero(a <= w) / len(a) / (2 * w) for w in widths]
 
@@ -239,6 +455,7 @@ def _J_row(v, Ls):
     1e-15 of the kernel's scale; its last bits follow the platform's tan,
     so they can differ between CPUs.
     """
+    import numpy as np
     ladder = set(Ls)
     n = len(v)
     J = {}
@@ -288,6 +505,7 @@ def I_eta(f, eta, spec=QuadratureSpec()):
 
     Returns (value, standard_error).
     """
+    import numpy as np
     if not f.is_homogeneous():
         raise ValueError("I(eta) is defined for the top-degree form")
     means = _replicate_rows(
@@ -307,6 +525,7 @@ def J_of_L(f, L, spec=QuadratureSpec()):
 
 def _weighted_fit(cols, y, ses):
     """Weighted lstsq; returns (coeffs, se_of_first_coeff, max_residual)."""
+    import numpy as np
     A = np.vstack(cols).T
     w = 1.0 / np.maximum(np.asarray(ses), 1e-6)
     coef, *_ = np.linalg.lstsq(A * w[:, None], y * w, rcond=None)
@@ -325,8 +544,12 @@ def sigma_measure(f, spec=QuadratureSpec()):
 
     Densities at several widths are extrapolated to width zero with a
     sqrt(eps)*log(eps) edge model.  Sustained growth at very small widths
-    flags a divergent density instead.
+    flags a divergent density instead.  Where the fibre integral applies
+    (``_fibre``), it is returned instead.
     """
+    fibre = _fibre(f)
+    if fibre is not None:
+        return fibre
     widths = _widths(spec)
     measure = _measure(
         _replicate_rows(f, spec, lambda v: _densities(v, widths)), spec)
@@ -336,6 +559,7 @@ def sigma_measure(f, spec=QuadratureSpec()):
 
 def _measure(rows, spec):
     """sigma_measure from the replicate densities at ``_widths(spec)``."""
+    import numpy as np
     ladder = np.array(_widths(spec)[:-1])
     dens, ses = _mean_se(rows)
     values, ses = dens[:-1], ses[:-1]
@@ -368,15 +592,21 @@ def mu_infinity(f, spec=QuadratureSpec()):
     J(L) is fit to mu + a log(L)/sqrt(L) + b/sqrt(L) over a geometric ladder
     of L; the edge terms cover the slow convergence caused by the singular
     locus touching the box.  Divergent densities are flagged via the sausage
-    probe and via J-increments that stop shrinking.
+    probe and via J-increments that stop shrinking.  Where the fibre
+    integral applies (``_fibre``), it is returned instead.
     """
     return sigma_infinity(f, spec)[0]
 
 
 def sigma_infinity(f, spec=QuadratureSpec()):
-    """(mu_infinity(f, spec), sigma_measure(f, spec)) from one set of samples."""
+    """(mu_infinity(f, spec), sigma_measure(f, spec)) from one set of
+    samples, or the fibre integral in both slots where it applies."""
     if not f.is_homogeneous():
         raise ValueError("mu(infinity) is defined for the top-degree form")
+    fibre = _fibre(f)
+    if fibre is not None:
+        return fibre, replace(fibre)
+    import numpy as np
     widths = _widths(spec)
     Ls = np.array([spec.eta_L * s for s in _L_STEPS])
     rows = _replicate_rows(
@@ -455,6 +685,7 @@ def real_nonsingular_witness(f, grid=24, value_tol=1e-12, grad_tol=1e-3):
     then walked in ``grid_blocks``, keeping the 64 least |f| (ties in grid
     order), so memory holds one block.
     """
+    import numpy as np
     n = f.n
     _charge(grid ** n * n, f"witness grid of {grid}^{n} points")
     best, pts = np.empty(0), np.empty((0, n))

@@ -165,10 +165,12 @@ def _exp_sum(b, alpha, axes, weight=None):
 def T_sum(b, alpha, N, table):
     """The sum over prime-power x in [0, N]^n of Lambda(x_1) ...
     Lambda(x_n) e(alpha b(x)), with exact phases (see ``_exp_sum``)."""
+    import numpy as np
     if table.N < N:
         raise ValueError("von Mangoldt table too small")
-    ks = table.values[:N + 1].nonzero()[0]
-    return _exp_sum(b, alpha, [ks] * b.n, table.values)
+    values = np.asarray(table.values, float)
+    ks = values[:N + 1].nonzero()[0]
+    return _exp_sum(b, alpha, [ks] * b.n, values)
 
 
 def T_scan(b, P, N, table):

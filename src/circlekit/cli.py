@@ -92,7 +92,6 @@ def _cmd_predict(args, t0):
 
 
 def _cmd_count(args, t0):
-    import numpy as np
     from .count import MangoldtTable, count_direct, count_mitm, mangoldt_table
     b = _load_poly(args.poly)
     count = (partial(count_mitm, split=args.split)
@@ -101,10 +100,10 @@ def _cmd_count(args, t0):
     out = res = count(b, args.N, table)
     if args.primes_only:
         # the same count with the higher prime powers weighing 0
-        first = table.base == np.arange(args.N + 1)
+        first = [p == k for k, p in enumerate(table.base)]
         only = count(b, args.N, MangoldtTable(
-            args.N, np.where(first, table.values, 0.0),
-            np.where(first, table.base, 0)))
+            args.N, [v if f else 0.0 for v, f in zip(table.values, first)],
+            [p if f else 0 for p, f in zip(table.base, first)]))
         out = {"full": res, "primes_only_value": only.value,
                "primes_only_solutions": only.solution_count,
                "note": "primes-only restricts the standard weighted count "

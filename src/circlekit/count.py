@@ -12,15 +12,14 @@ groups' exact weighted value histograms are added by the one histogram
 kernel (``poly._histogram_sum``), and the last group is matched against the
 target.  A b that is not separable but
 has a variable x_j of degree one, b = A x_j + B, is walked over the other
-variables only, with x_j solved for.
+variables only, with x_j solved for, row by row in Python integers; that
+walk, the table and the support load no numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from itertools import product
-
-import numpy as np
 
 from .poly import _INT64_SAFE, _charge, _histogram_sum, grid_blocks
 from .primes import primes_up_to
@@ -31,8 +30,8 @@ class MangoldtTable:
     """Lambda(k) for 0 <= k <= N: log p at prime powers p^t, 0 elsewhere."""
 
     N: int
-    values: np.ndarray          # float Lambda(k)
-    base: np.ndarray            # prime p at prime powers, 0 elsewhere
+    values: list                # float Lambda(k)
+    base: list                  # prime p at prime powers, 0 elsewhere
 
 
 def mangoldt_table(N):
@@ -41,7 +40,7 @@ def mangoldt_table(N):
     if N < 0:
         raise ValueError("N must be nonnegative")
     primes = primes_up_to(N)
-    values, base = np.zeros(N + 1), np.zeros(N + 1, dtype=np.int64)
+    values, base = [0.0] * (N + 1), [0] * (N + 1)
     for p in primes:
         lp, pk = math.log(p), p
         while pk <= N:
@@ -59,17 +58,29 @@ class CountResult:
     method: str                 # "separable", "linear(x_j)" or "grid"
 
 
-def _support(table, N):
-    """Points 2..N of positive weight, and exact [Lambda(k) 2^53, 1] at
-    each of them; the rows of the other k <= N are never read."""
+def _weights(table, N):
+    """Points 2..N of positive weight, and the exact integer Lambda(k) 2^53
+    at each of them (integral: weights are 0 or at least 1/2)."""
     if table.N < N:
         raise ValueError("von Mangoldt table too small")
-    scaled = table.values[:N + 1] * 2.0 ** 53   # integral: weights 0 or >= 1/2
-    ks = (np.flatnonzero(scaled[2:] > 0) + 2).tolist()
-    if np.any(scaled[ks] % 1):
-        raise ValueError("weights must be 0 or at least 1/2")
+    ks, ws = [], []
+    for k, v in enumerate(table.values[2:N + 1], 2):
+        if v > 0:
+            w = v * 2.0 ** 53
+            if w % 1:
+                raise ValueError("weights must be 0 or at least 1/2")
+            ks.append(k)
+            ws.append(int(w))
+    return ks, ws
+
+
+def _support(table, N):
+    """``_weights`` as rows: exact [Lambda(k) 2^53, 1] at the points of
+    positive weight; the rows of the other k <= N are never read."""
+    import numpy as np
+    ks, ws = _weights(table, N)
     W = np.zeros((N + 1, 2), object)
-    W[ks, 0] = [int(w) for w in scaled[ks].tolist()]
+    W[ks, 0] = ws
     W[ks, 1] = 1
     return ks, W
 
@@ -84,6 +95,7 @@ def _result(N, total, n, strategy, method):
 def _histogram(g, ks, W, keep=None):
     """The values of g on the prime-power grid of its own variables, each
     with its exact [weight, count]; only the values in ``keep`` if given."""
+    import numpy as np
     values, wc = [np.empty(0, np.int64)], [np.empty((0, 2), object)]
     for block in grid_blocks([ks] * g.n):
         v = g.eval_int(block)
@@ -100,6 +112,7 @@ def _reduce(groups, const, table, N, strategy, method):
     consecutive blocks of variables.  The groups' grids are charged to the
     budget before any work, and each fold, at its real size, before it is
     done."""
+    import numpy as np
     if not all(g.is_integral() for g in groups) or not isinstance(const, int):
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)
@@ -122,29 +135,63 @@ def _reduce(groups, const, table, N, strategy, method):
 
 def _solve_linear(A, B, j, table, N):
     """Exact M_b(N) for b = A x_j + B, A and B free of x_j, walking only the
-    other variables x'.  Where A(x') != 0, x_j = -B(x') / A(x') counts when
-    it is an integer of positive weight in [2, N]; where A(x') = B(x') = 0,
-    every x_j counts, with the summed weight of the support."""
+    other variables x', in Python integers.  Where A(x') != 0, x_j =
+    -B(x') / A(x') counts when it is an integer of positive weight in
+    [2, N]; where A(x') = B(x') = 0, every x_j counts, with the summed
+    weight of the support.
+
+    x' is walked in rows along one inner variable, one that A does not
+    contain where there is one, so that A is one integer per row.  Each
+    head (the other variables of x') reduces A and B to coefficients in the
+    inner variable, evaluated along the row from the support's power lists;
+    B's row is reused while its coefficients repeat."""
     if not (A.is_integral() and B.is_integral()):
         raise ValueError("need integer coefficients")
-    ks, W = _support(table, N)
-    _charge(len(ks) ** A.n, "prime-power grid")
-    weighted = np.zeros(N + 1, bool)
-    weighted[ks] = True
-    free = W[ks].sum(axis=0)    # [summed weight, |ks|] of a free x_j
-    total = np.zeros(2, object)
-    for block in grid_blocks([ks] * A.n):
-        a, c = A.eval_int(block), B.eval_int(block)
-        total += W[block[(a == 0) & (c == 0)]].prod(axis=1).sum(axis=0) * free
-        hit = a != 0
-        block, a, c = block[hit], a[hit], c[hit]
-        hit = c % a == 0
-        block, x = block[hit], -c[hit] // a[hit]
-        hit = (x >= 2) & (x <= N)
-        block, x = block[hit], x[hit].astype(np.int64)
-        hit = weighted[x]
-        total += (W[block[hit]].prod(axis=1) * W[x[hit]]).sum(axis=0)
-    return _result(N, total, A.n + 1, "direct", f"linear(x_{j})")
+    ks, ws = _weights(table, N)
+    m = A.n
+    _charge(len(ks) ** m, "prime-power grid")
+    weight = dict(zip(ks, ws))
+    t = A.missing_variable()
+    cA, cB = A.coefficients(t), B.coefficients(t)
+    powers = [[y ** k for y in ks] for k in range(max(len(cA), len(cB)))]
+
+    def along(coeffs):      # sum of c_k y^k at each point y of the row
+        out = [0] * len(ks)
+        for c, pw in zip(coeffs, powers):
+            if c:
+                out = [v + c * p for v, p in zip(out, pw)]
+        return out
+
+    free_w, free_n = sum(ws), len(ks)
+    total_w = total_n = 0
+    last = bs = None
+    for head in product(range(len(ks)), repeat=m - 1):
+        point = [ks[i] for i in head]
+        b = [P.evaluate(point) for P in cB]
+        if b != last:
+            last, bs = b, along(b)
+        a = [P.evaluate(point) for P in cA]
+        row_sum = row_n = 0         # the row's exact [weight, count]
+        if len(a) == 1 and a[0]:
+            a = a[0]
+            for k in [k for k, v in enumerate(bs) if not v % a]:
+                x = weight.get(-bs[k] // a)
+                if x:
+                    row_sum += ws[k] * x
+                    row_n += 1
+        else:
+            for k, (u, v) in enumerate(zip(along(a), bs)):
+                if u:
+                    x = 0 if v % u else weight.get(-v // u)
+                    if x:
+                        row_sum += ws[k] * x
+                        row_n += 1
+                elif not v:
+                    row_sum += ws[k] * free_w
+                    row_n += free_n
+        total_w += math.prod(ws[i] for i in head) * row_sum
+        total_n += row_n
+    return _result(N, (total_w, total_n), m + 1, "direct", f"linear(x_{j})")
 
 
 def count_direct(b, N, table):
@@ -181,6 +228,7 @@ def count_via_histogram(b, N, table):
     reverse tuple order), then reduces the zero bucket through the same
     exact weight sum.  Must agree with count_direct to the last bit.
     """
+    import numpy as np
     if not b.is_integral():
         raise ValueError("need integer coefficients")
     ks, W = _support(table, N)

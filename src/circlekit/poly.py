@@ -341,20 +341,30 @@ class Polynomial:
         return Polynomial._trusted(
             self.n, {e: c for e, c in self.terms.items() if e[i - 1] == 0})
 
+    def coefficients(self, j):
+        """[P_0, ..., P_k] with self = P_0 + P_1 x_j + ... + P_k x_j^k, k the
+        degree of self in x_j and each P_i a polynomial in the other n - 1
+        variables (x_j's position dropped).  j is 1-based."""
+        if not 1 <= j <= self.n:
+            raise IndexError(f"variable index {j} out of range 1..{self.n}")
+        k = j - 1
+        parts = [{} for _ in range(max((e[k] for e in self.terms),
+                                       default=0) + 1)]
+        for e, c in self.terms.items():
+            parts[e[k]][e[:k] + e[k + 1:]] = c
+        return [Polynomial._trusted(self.n - 1, t) for t in parts]
+
+    def missing_variable(self):
+        """The first j (1-based) with x_j in no term of self, else n."""
+        return next((i + 1 for i in range(self.n)
+                     if not any(e[i] for e in self.terms)), self.n)
+
     def linear_in(self, j):
         """(A, B) with self = A x_j + B, both polynomials in the other n - 1
         variables (x_j's position dropped); None when x_j occurs squared or
         not at all.  j is 1-based."""
-        if not 1 <= j <= self.n:
-            raise IndexError(f"variable index {j} out of range 1..{self.n}")
-        k = j - 1
-        if any(e[k] > 1 for e in self.terms) or \
-                all(e[k] == 0 for e in self.terms):
-            return None
-        parts = ({}, {})
-        for e, c in self.terms.items():
-            parts[1 - e[k]][e[:k] + e[k + 1:]] = c
-        return tuple(Polynomial._trusted(self.n - 1, t) for t in parts)
+        parts = self.coefficients(j)
+        return (parts[1], parts[0]) if len(parts) == 2 else None
 
     def additive_split(self, sizes):
         """(parts, const) with self = const + parts[0] + parts[1] + ...,

@@ -109,7 +109,7 @@ class TestSobol:
             assert len(list(_replicate_samples(3, spec))) == 8
 
     def test_unbalanced_replicates_are_flagged(self):
-        f = parse_polynomial("n=2\n1 1 0\n-1 0 1\n")     # x1 - x2
+        f = parse_polynomial("n=2\n1 2 0\n1 0 2\n")      # x1^2 + x2^2
         odd = QuadratureSpec(box_points=1000)
         mu, meas = sigma_infinity(f, odd)
         for est in (mu, meas, sigma_measure(f, odd), sigma_scaled(f, 10, odd)):
@@ -205,7 +205,7 @@ class TestJLadder:
 def test_replicates_are_streamed():
     # one replicate's samples and values at a time: about 8 MiB at the
     # default 2^20 points, against 37 MiB with all eight held at once
-    f = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+    f = parse_polynomial("n=3\n1 2 0 0\n1 0 2 0\n-1 0 0 2\n")  # x1^2+x2^2-x3^2
     tracemalloc.start()
     try:
         sigma_infinity(f, QuadratureSpec())
@@ -278,6 +278,81 @@ class TestScaledDensity:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             sigma_scaled(parse_polynomial("n=1\n1 1\n"), 0, SPEC)
+
+
+class TestFibreIntegral:
+    """Forms of degree one in some variable, in at most three variables:
+    the density is the exact fibre integral, with a bounding error."""
+
+    CASES = [
+        ("n=3\n1 1 1 0\n-1 0 0 2\n", 2.0),                 # the cone
+        ("n=3\n1 1 1 0\n1 0 1 1\n-1 0 0 2\n",             # x1x2+x2x3-x3^2
+         2 * math.log(2)),
+        ("n=3\n1 1 1 0\n1 1 0 1\n-1 0 1 1\n",             # x1(x2+x3)-x2x3
+         2 * math.log(2)),
+        ("n=2\n1 1 0\n-1 0 1\n", 1.0),                      # x1 - x2
+        ("n=2\n3 1 0\n-1 0 1\n", 1 / 3),                    # 3 x1 - x2
+        # x1 alone: its zero set is a face of the box, which counts half
+        ("n=1\n1 1\n", 0.5),
+        ("n=2\n1 1 0\n", 0.5),
+    ]
+
+    @pytest.mark.parametrize("text, exact", CASES)
+    def test_exact_within_its_error(self, text, exact):
+        for est in sigma_infinity(parse_polynomial(text)):
+            assert est.method == "fibre" and est.flags == ()
+            assert abs(est.value - exact) <= est.error_estimate <= 1e-6
+
+    @pytest.mark.parametrize("text, exact", [
+        # x1 - 8 x2 (x2 - 1/2)(x2 - 1): a cubic B, whose root 1/2 is
+        # isolated between the roots of its derivative
+        ("n=2\n1 1 0\n-8 0 3\n12 0 2\n-4 0 1\n", 0.5),
+        # x1 (1 + x2) - x2: 1/|A| = 1/(1 + x2) by adaptive quadrature
+        ("n=2\n1 1 0\n1 1 1\n-1 0 1\n", math.log(2)),
+    ])
+    def test_inhomogeneous_density(self, text, exact):
+        est = sigma_measure(parse_polynomial(text))
+        assert est.method == "fibre" and est.flags == ()
+        assert abs(est.value - exact) <= est.error_estimate <= 1e-6
+
+    @pytest.mark.parametrize("text", ["n=2\n1 1 1\n",          # x1 x2
+                                      "n=3\n1 1 1 0\n-1 1 0 1\n"])
+    def test_divergent_flag(self, text):
+        for est in sigma_infinity(parse_polynomial(text)):
+            assert est.method == "fibre" and est.diverged
+
+    def test_no_zero_set_inside(self):
+        # x1 + x2 vanishes in the box only at the corner
+        est = mu_infinity(parse_polynomial("n=2\n1 1 0\n1 0 1\n"))
+        assert (est.value, est.flags) == (0.0, ("zero_measure",))
+
+    @pytest.mark.parametrize("text", [text for text, _ in CASES[:5]])
+    def test_every_estimator_agrees(self, text):
+        f = parse_polynomial(text)
+        mu, meas = sigma_infinity(f)
+        assert mu == meas == mu_infinity(f) == sigma_measure(f)
+        assert mu is not meas
+
+    def test_charged_before_any_evaluation(self, monkeypatch, enum_limit):
+        # the cone: at most 15 (2 * 64) evaluations per level, two levels
+        f = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the budget check")
+
+        monkeypatch.setattr(arch, "_line", fail)
+        with enum_limit(1920 ** 2 - 1), pytest.raises(
+                BudgetExceeded, match=f"costs {1920 ** 2}, over budget"):
+            sigma_infinity(f)
+        monkeypatch.undo()
+        with enum_limit(1920 ** 2):
+            assert sigma_infinity(f)[0].value == pytest.approx(2.0)
+
+    def test_four_variables_are_sampled(self):
+        f = parse_polynomial("n=4\n1 1 1 0 0\n-1 0 0 1 1\n")
+        spec = QuadratureSpec(box_points=1 << 12)
+        assert {est.method for est in sigma_infinity(f, spec)} == \
+            {"quadrature", "measure"}
 
 
 class TestRealWitness:

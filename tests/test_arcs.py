@@ -183,9 +183,9 @@ class TestWeightedSum:
         t = mangoldt_table(43)
         ks = np.flatnonzero(t.values[:44])
         assert len(ks) ** 4 > _BLOCK_ROWS
-        total = math.fsum(t.values[ks]) ** 4
+        total = math.fsum(np.asarray(t.values)[ks]) ** 4
         alphas = [0.0, 0.05, 0.5, 0.613]
-        want = exact_phase_sums(b, alphas, [ks] * 4, t.values)
+        want = exact_phase_sums(b, alphas, [ks] * 4, np.asarray(t.values))
         for alpha, w in zip(alphas, want):
             assert abs(T_sum(b, alpha, 43, t) - w) <= 1e-14 * total, alpha
 
@@ -199,8 +199,8 @@ class TestWeightedSum:
         b, t = parse_polynomial(text), mangoldt_table(N)
         ks = np.flatnonzero(t.values[:N + 1])
         alphas = [1 / 16, 0.1, 0.3183, 0.77, 2.5e-9, Fraction(3, 7)]
-        want = exact_phase_sums(b, alphas, [ks] * b.n, t.values)
-        peak = math.fsum(t.values[ks]) ** b.n
+        want = exact_phase_sums(b, alphas, [ks] * b.n, np.asarray(t.values))
+        peak = math.fsum(np.asarray(t.values)[ks]) ** b.n
         for alpha, w in zip(alphas, want):
             assert abs(T_sum(b, alpha, N, t) - w) <= 1e-14 * peak, alpha
 
@@ -212,11 +212,12 @@ class TestWeightedSum:
         ks = np.flatnonzero(t.values[:N + 1])
         assert len(ks) ** 5 > DEFAULT_ENUM_BUDGET
         one = exact_phase_sums(parse_polynomial("n=1\n1 2\n"), [alpha],
-                               [ks], t.values)[0]
+                               [ks], np.asarray(t.values))[0]
         m, r = Fraction(alpha).as_integer_ratio()
         want = cmath.exp(-2j * math.pi * (12005 * m % r / r)) * one ** 5
         got = T_sum(parse_polynomial(FIVE_SQUARES), alpha, N, t)
-        assert abs(got - want) <= 1e-14 * math.fsum(t.values[ks]) ** 5
+        assert abs(got - want) <= \
+            1e-14 * math.fsum(np.asarray(t.values)[ks]) ** 5
 
     def test_grid_budget_checked_before_any_evaluation(self, monkeypatch):
         # the cone is not separable: 1,280^3 prime-power tuples at N = 10^4
@@ -256,7 +257,7 @@ class TestScan:
         b, t = parse_polynomial(text), mangoldt_table(N)
         ks = np.flatnonzero(t.values[:N + 1])
         want = exact_phase_sums(b, [Fraction(k, P) for k in range(P)],
-                                [ks] * b.n, t.values)
+                                [ks] * b.n, np.asarray(t.values))
         got = T_scan(b, P, N, t)
         assert len(got) == P
         err = max(abs(g - w) for g, w in zip(got, want))

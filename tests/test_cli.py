@@ -179,7 +179,7 @@ class TestWarningFlags:
 
     def test_sobol_unbalanced(self, poly_file, tmp_path):
         # 1000 / 8 points per replicate is not a power of two
-        pf = poly_file("n=2\n1 1 0\n-1 0 1\n")      # x1 - x2
+        pf = poly_file("n=2\n1 2 0\n1 0 2\n")       # x1^2 + x2^2
         for argv in (["sigma-inf"], ["predict", "--N", "20"]):
             argv = argv + ["--poly", pf, "--box-points"]
             code, rep = run_json(argv + ["1000"], tmp_path)
@@ -358,6 +358,28 @@ def test_closed_form_factors_load_no_numpy(argv, poly_file, tmp_path):
     factors = json.loads(out.read_text())["result"]
     factors = factors.get("factors", [factors])
     assert {f["method"] for f in factors if f["p"] > 2} == {"quadratic_form"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["sigma-inf"], {"arch", "poly"}),
+    (["count", "--N", "1500"], {"count", "primes", "poly"})],
+    ids=["sigma-inf", "count"])
+def test_cone_jobs_load_no_numpy(argv, modules, poly_file, tmp_path):
+    # the cone is of degree one in x1: its singular integral is the fibre
+    # integral and its count solves for x1 in Python integers
+    out = tmp_path / "out.json"
+    argv = [argv[0], "--poly", poly_file("n=3\n1 1 1 0\n-1 0 0 2\n"),
+            *argv[1:], "--output", str(out)]
+    code = f"from circlekit.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, tmp_path) == \
+        _BASE | {f"circlekit.{m}" for m in modules}
+    result = json.loads(out.read_text())["result"]
+    if argv[0] == "count":
+        assert (result["solution_count"], result["value"]) == \
+            (327, 60729.88372867206)
+    else:
+        assert [result[k]["method"] for k in ("quadrature", "measure")] == \
+            ["fibre", "fibre"]
 
 
 def test_package_import_loads_no_submodule(tmp_path):
@@ -605,8 +627,8 @@ class TestSubcommands:
          "arc centres"),
         ("n=3\n1 1 1 0\n-1 0 0 2\n",
          ["series", "--prime-bound", "10000000000"], "sieve to"),
-        ("n=3\n1 1 1 0\n-1 0 0 2\n",
-         ["sigma-inf", "--box-points", "8000000000"], "Sobol replicate"),
+        (SQUARES3, ["sigma-inf", "--box-points", "8000000000"],
+         "Sobol replicate"),
         ("n=2\n1 2 0\n1 0 2\n-5 0 0\n",
          ["regularity", "--N-list", "5", "--N-list", "5", "--N-list", "5"],
          "got [5, 5, 5]"),

@@ -3,6 +3,7 @@ counts, the histogram cross-check, growth diagnostics, and prediction
 assembly.
 """
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -305,6 +306,54 @@ class TestLinearSolve:
         r = count_direct(squares, 20, t)
         assert r.method == "grid"
         assert (r.value, r.solution_count) == brute_force(squares, 20, t)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_forms_match_the_histogram(self, seed):
+        # random b of degree one in x_j and not separable, in 2 to 4
+        # variables: the row walk is bit for bit the histogram's count
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        j = rng.randrange(n)
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            e = [rng.randint(0, 2) for _ in range(n)]
+            e[j] = rng.randint(0, 1)
+            terms[tuple(e)] = rng.randint(-4, 4)
+        cross = [rng.randint(0, 1) for _ in range(n)]
+        cross[j] = cross[(j + 1) % n] = 1
+        terms[tuple(cross)] = rng.choice([-3, -1, 1, 2])
+        b = Polynomial(n, terms)
+        N = {2: 60, 3: 30, 4: 12}[n]
+        t = mangoldt_table(N)
+        r, want = count_direct(b, N, t), count_via_histogram(b, N, t)
+        assert r.method.startswith("linear(")
+        assert (r.value, r.solution_count) == \
+            (want.value, want.solution_count)
+
+    def test_rows_with_A_and_B_zero_in_four_variables(self):
+        # (x2 - x3)(x1 + x4): A = x2 - x3 and B = (x2 - x3) x4 vanish on
+        # the rows x2 = x3, where every x1 counts
+        b = parse_polynomial("n=4\n1 1 1 0 0\n-1 1 0 1 0\n"
+                             "1 0 1 0 1\n-1 0 0 1 1\n")
+        t = mangoldt_table(12)
+        r = count_direct(b, 12, t)
+        assert r.method == "linear(x_1)"
+        assert (r.value, r.solution_count) == brute_force(b, 12, t)
+        assert r.solution_count == 8 ** 3
+
+    def test_non_dyadic_weight_is_rejected(self):
+        b = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+        t = mangoldt_table(13)
+        values = list(t.values)
+        values[9] = 0.1
+        with pytest.raises(ValueError, match="at least 1/2"):
+            count_direct(b, 13, MangoldtTable(13, values, t.base))
+
+    def test_cone_at_1500(self):
+        b = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+        r = count_direct(b, 1500, mangoldt_table(1500))
+        assert (r.value, r.solution_count, r.method) == \
+            (60729.88372867206, 327, "linear(x_1)")
 
     def test_budget_charges_the_other_variables(self):
         # about 1229^4 points x' = (x2..x5): refused before any work

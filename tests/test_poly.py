@@ -251,6 +251,18 @@ class TestStructure:
         with pytest.raises(IndexError):
             p.linear_in(4)
 
+    def test_coefficients_and_missing_variable(self):
+        # x1 x2 - x3^2 + 2 x2 in powers of x3: (x1 x2 + 2 x2) + 0 x3 - x3^2
+        p = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n2 0 1 0\n")
+        assert p.coefficients(3) == [parse_polynomial("n=2\n1 1 1\n2 0 1\n"),
+                                     Polynomial.zero(2),
+                                     Polynomial.constant(2, -1)]
+        assert [c.n for c in p.coefficients(1)] == [2, 2]
+        assert p.missing_variable() == 3
+        assert parse_polynomial("n=3\n1 1 0 1\n").missing_variable() == 2
+        with pytest.raises(IndexError):
+            p.coefficients(0)
+
     def test_arithmetic_normalizes_coefficients(self):
         # results are built from trusted keys but still normalized
         half = parse_polynomial("n=1\n1/2 1\n")
