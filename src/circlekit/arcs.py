@@ -3,9 +3,9 @@
 Major/minor arc geometry on the torus, von-Mangoldt-weighted and plain
 exponential sums, normalized full-residue sums, rational classification of
 frequencies by exact continued-fraction convergents, and the degeneracy
-diagnostics z_R / fitted g_d, counted exactly as kernels of the multilinear
-differencing operator.  Only the exponential sums need numpy, and import
-it when called.
+diagnostics z_R / fitted g_d, counted exactly as kernels of f's polar
+tensor (its multilinear difference) read off f's terms.  Only the
+exponential sums need numpy, and import it when called.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .poly import _charge, grid_blocks, residue_histogram, weyl_difference
+from .poly import _charge, grid_blocks, residue_histogram
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +183,15 @@ def T_scan(b, P, N, table):
     checked before any work.
     """
     import numpy as np
-    from .count import _support
+    from .count import _weights
     if P < 1:
         raise ValueError("need at least one point")
     D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
     q = D * P
     _charge(q, f"residues mod {q}")
-    ks, W = _support(table, N)
+    ks, ws = _weights(table, N)
     weight = np.zeros(q, object)
-    np.add.at(weight, np.array(ks, np.int64) % q, W[ks, 0])
+    np.add.at(weight, np.array(ks, np.int64) % q, np.array(ws, object))
     hist = residue_histogram(b * D, q, weight)
     scale = 2 ** (53 * b.n)
     return np.fft.ifft([int(h) / scale for h in hist],
@@ -291,11 +291,10 @@ def _kernel(A):
             for c in [math.lcm(*(v.denominator for v in e))]], free
 
 
-def _kernel_count(A, R):
-    """Number of y in [-R, R]^n with A y = 0: only the free coordinates of
-    ``_kernel`` are walked, (2 R + 1)^free points that the caller prices,
-    and each pivot coordinate y_p is tested in integers."""
-    eqs, free = _kernel(A)
+def _kernel_count(eqs, free, R):
+    """Number of y in [-R, R]^n with A y = 0, given A's ``_kernel``: only the
+    free coordinates are walked, (2 R + 1)^free points that the caller
+    prices, and each pivot coordinate y_p is tested in integers."""
     count = 0
     for y in product(range(-R, R + 1), repeat=len(free)):
         dots = ((c, sum(u * v for u, v in zip(a, y))) for c, a in eqs)
@@ -307,12 +306,14 @@ def z_count(f, d, R):
     """Number of (d-1)-tuples in [-R, R]^{n(d-1)} on which the differencing
     operator of f contracts to zero against every basis vector.
 
-    Each head (h_1, ..., h_{d-2}) fixes the exact matrix A_ij =
-    weyl_difference(f, d, head + [e_j, e_i]), and the last slot ranges
-    over the kernel of A, counted by ``_kernel_count``.  Everything is
-    priced before any kernel is walked: the heads up front, then each
-    head's (2 R + 1)^free added to a running total as its matrix is
-    eliminated, and only then are the kernels walked.
+    That operator is f's polar tensor T_k = d^d f / dx_k1 ... dx_kd, read
+    off f's terms: c x^e puts c prod e_i! at each arrangement k of e's
+    indices.  Each head (h_1, ..., h_{d-2}) contracts it to the exact matrix
+    A_ij = sum T_(k, j, i) h_1[k_1] ... h_{d-2}[k_{d-2}], eliminated once by
+    ``_kernel``; the last slot ranges over A's kernel, counted by
+    ``_kernel_count``.  Everything is priced before any kernel is walked:
+    the heads up front, then each head's (2 R + 1)^free added to a running
+    total as its matrix is eliminated; only then are the kept kernels walked.
     """
     if d < 2 or not f.is_homogeneous() or f.degree != d:
         raise ValueError(f"need a homogeneous form of degree d >= 2, got "
@@ -320,24 +321,29 @@ def z_count(f, d, R):
     n = f.n
     if R < 0:
         raise ValueError(f"need R >= 0, got R = {R}")
-    # a head builds n^2 entries from 2^d points of n coordinates, each the
-    # sum of up to d vectors, at which f's terms are evaluated; it is built
-    # twice, once to price its kernel walk and once to walk it
-    cost = (2 * R + 1) ** (n * (d - 2)) * \
-        2 * n ** 3 * 2 ** d * (d + len(f.terms))
+    # a head takes up to d factors per entry of T, then one elimination
+    size = sum(math.factorial(d) // math.prod(map(math.factorial, e))
+               for e in f.terms)
+    cost = (2 * R + 1) ** (n * (d - 2)) * (d * size + n ** 3)
     _charge(cost, "heads of the tuple grid")
-    e = [[int(i == j) for j in range(n)] for i in range(n)]
-    box = range(-R, R + 1)      # for d = 2 the only head is the empty tuple
-
-    def matrices():
-        for head in product(*(product(box, repeat=n) for _ in range(d - 2))):
-            yield [[weyl_difference(f, d, [*head, e[j], e[i]])
-                    for j in range(n)] for i in range(n)]
-
-    for A in matrices():
-        cost += (2 * R + 1) ** len(_kernel(A)[1])
+    T = [((), e, c) for e, c in f.terms.items()]
+    for _ in range(d):          # d derivatives, one index at a time
+        T = [(k + (i,), e[:i] + (m - 1,) + e[i + 1:], c * m)
+             for k, e, c in T for i, m in enumerate(e) if m]
+    z, kernels = 0, []
+    # the heads concatenated, one flat tuple; for d = 2 it is empty
+    for h in product(range(-R, R + 1), repeat=n * (d - 2)):
+        A = [[0] * n for _ in range(n)]
+        for (*ks, j, i), _, v in T:
+            A[i][j] += v * math.prod(h[s * n + k] for s, k in enumerate(ks))
+        eqs, free = _kernel(A)
+        cost += (2 * R + 1) ** len(free)
         _charge(cost, "heads and kernel walks")
-    return sum(_kernel_count(A, R) for A in matrices())
+        if free:
+            kernels.append((eqs, free))
+        else:
+            z += 1                  # the kernel is {0}
+    return z + sum(_kernel_count(eqs, free, R) for eqs, free in kernels)
 
 
 def estimate_gd(f, d, R_list):

@@ -229,10 +229,11 @@ class Polynomial:
             raise ValueError(f"point length {len(point)} != {self.n} variables")
         if not self.is_integral():
             raise ValueError("modular evaluation needs integer coefficients")
-        import numpy as np
+        if any(int(x) != x for x in point):
+            raise ValueError(f"modular evaluation needs an integer point, "
+                             f"got {list(point)}")
         # Python ints, so no product of residues can overflow whatever q is
-        cols = np.array([[int(x) % q] for x in point], dtype=object)
-        return int(self._eval_columns(cols.reshape(self.n, 1), q)[0])
+        return self.evaluate([int(x) % q for x in point]) % q
 
     def eval_float(self, points):
         """Vectorized float evaluation; ``points`` has shape (m, n)."""
@@ -251,12 +252,16 @@ class Polynomial:
         coordinate bound keeps them below 2^62, Python ints (object array)
         otherwise.  With ``q`` they are reduced into [0, q), once under that
         bound and else at every step, which needs q^2 < 2^63 so that no
-        product of two residues overflows.
+        product of two residues overflows.  Points that are not of an
+        integer dtype must equal their int64 conversion.
         """
         if not self.is_integral():
             raise ValueError("integer evaluation needs integer coefficients")
         import numpy as np
-        pts = np.asarray(points, dtype=np.int64)
+        given = np.asarray(points)
+        pts = given.astype(np.int64, copy=False)
+        if given.dtype.kind not in "iu" and (pts != given).any():
+            raise ValueError("integer evaluation needs integer points")
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
         if q is not None:
@@ -274,7 +279,7 @@ class Polynomial:
         return self._eval_columns(cols % q, q)
 
     def _eval_columns(self, cols, q=None):
-        """The batch evaluator behind eval_float, eval_int and evaluate_mod.
+        """The batch evaluator behind eval_float and eval_int.
 
         ``cols`` has shape (n, m), row i the x_i of m points (float, int64
         or Python ints); the values come back reduced into [0, q) when q is

@@ -11,9 +11,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from circlekit import arcs
+from circlekit import arcs, poly
 from circlekit.arcs import (ArcDissection, E_normalized, RationalFreq, S_sum,
-                            T_scan, T_sum, _kernel_count, build_arcs,
+                            T_scan, T_sum, _kernel, _kernel_count, build_arcs,
                             classify_alpha, estimate_gd, z_count)
 from circlekit.count import mangoldt_table
 from circlekit.poly import (_BLOCK_ROWS, DEFAULT_ENUM_BUDGET, BudgetExceeded,
@@ -582,38 +582,39 @@ class TestDegeneracyCounts:
             z_count(f, 3, 200)
 
     def test_heads_and_kernels_charged_not_the_grid(self, enum_limit):
-        # x1 x2 + x3 x4 at R = 50: one head, built twice (16 entries, 4
-        # points of 4 coordinates, d + 2 terms: 2 * 4^3 * 2^2 * 4 = 2048),
-        # and a trivial kernel (one point), where the grid has 101^4 tuples
+        # x1 x2 + x3 x4 at R = 50: one head, read off a tensor of 2 * 2
+        # entries and eliminated once (d * 4 + 4^3 = 72), and a trivial
+        # kernel (one point), where the grid has 101^4 tuples
         f = parse_polynomial("n=4\n1 1 1 0 0\n1 0 0 1 1\n")
-        with enum_limit(2049):
+        with enum_limit(73):
             assert z_count(f, 2, 50) == 1
-        with enum_limit(2048), pytest.raises(
-                BudgetExceeded, match="heads and kernel walks costs 2049"):
+        with enum_limit(72), pytest.raises(
+                BudgetExceeded, match="heads and kernel walks costs 73"):
             z_count(f, 2, 50)
-        with enum_limit(2047), pytest.raises(
-                BudgetExceeded, match="heads of the tuple grid costs 2048"):
+        with enum_limit(71), pytest.raises(
+                BudgetExceeded, match="heads of the tuple grid costs 72"):
             z_count(f, 2, 50)
 
     def test_every_walk_priced_before_any_walk(self, monkeypatch,
                                                enum_limit):
-        # x1^3 in 4 variables at R = 1: 3^4 heads at 2 * 4^3 * 2^3 * 4 =
-        # 4096 each, and a kernel of 3 free coordinates (h_1 != 0, 54
-        # heads) or 4 (h_1 = 0, 27 heads): 54 * 27 + 27 * 81 = 3645 points
+        # x1^3 in 4 variables at R = 1: 3^4 heads at 3 * 1 + 4^3 = 67 each
+        # (a tensor of one entry), and a kernel of 3 free coordinates
+        # (h_1 != 0, 54 heads) or 4 (h_1 = 0, 27 heads): 54 * 27 + 27 * 81
+        # = 3645 points
         f = parse_polynomial("n=4\n1 3 0 0 0\n")
         walks = []
 
-        def count(A, R):
-            walks.append(A)
-            return _kernel_count(A, R)
+        def count(eqs, free, R):
+            walks.append(free)
+            return _kernel_count(eqs, free, R)
 
         monkeypatch.setattr(arcs, "_kernel_count", count)
-        with enum_limit(81 * 4096 + 3645 - 1), pytest.raises(
+        with enum_limit(81 * 67 + 3645 - 1), pytest.raises(
                 BudgetExceeded, match="heads and kernel walks costs "
-                                      f"{81 * 4096 + 3645}"):
+                                      f"{81 * 67 + 3645}"):
             z_count(f, 3, 1)
         assert walks == []
-        with enum_limit(81 * 4096 + 3645):
+        with enum_limit(81 * 67 + 3645):
             # h_1 y_1 = 0 on [-1, 1]^8: (9 - 4) 3^6 pairs
             assert z_count(f, 3, 1) == 5 * 3 ** 6
         assert len(walks) == 81
@@ -642,7 +643,7 @@ class TestDegeneracyCounts:
             brute = sum(all(sum(a * y for a, y in zip(row, ys)) == 0
                             for row in A)
                         for ys in product(range(-R, R + 1), repeat=n))
-            assert _kernel_count(A, R) == brute, (A, R)
+            assert _kernel_count(*_kernel(A), R) == brute, (A, R)
 
     def test_rational_coefficients(self):
         # (x1^2 + x2^2) / 5 has the kernel of x1^2 + x2^2; a float test
@@ -651,6 +652,46 @@ class TestDegeneracyCounts:
         g = parse_polynomial("n=2\n1 2 0\n1 0 2\n")
         assert [z_count(f, 2, R) for R in (2, 4, 8)] == \
             [z_count(g, 2, R) for R in (2, 4, 8)] == [1, 1, 1]
+
+    def test_random_forms_match_brute(self):
+        # d = 2, 3 and 4, some coefficients rational; the sizes keep the
+        # brute tuple grid at 729 points or fewer
+        rng = random.Random(30)
+        shapes = [(n, d, R) for n in (1, 2, 3) for d in (2, 3, 4)
+                  for R in (1, 2) if (2 * R + 1) ** (n * (d - 1)) <= 729]
+        for trial in range(20):
+            n, d, R = shapes[trial % len(shapes)]
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0] * n
+                for i in rng.choices(range(n), k=d):
+                    e[i] += 1
+                terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
+                                           rng.choice([1, 1, 1, 2, 3]))
+            f = Polynomial(n, terms)
+            assert z_count(f, d, R) == self.brute_z(f, d, R), (f, R)
+
+    def test_no_weyl_difference_evaluation(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("weyl_difference was evaluated")
+
+        monkeypatch.setattr(poly, "weyl_difference", boom)
+        assert not hasattr(arcs, "weyl_difference")
+        f = parse_polynomial("n=3\n1 1 1 1\n")
+        assert z_count(f, 3, 3) == 1153
+
+    def test_each_head_eliminated_once(self, monkeypatch):
+        # x1 x2 x3 at R = 2: 5^3 heads, each one matrix, eliminated once
+        calls = []
+
+        def kernel(A):
+            calls.append(A)
+            return _kernel(A)
+
+        monkeypatch.setattr(arcs, "_kernel", kernel)
+        f = parse_polynomial("n=3\n1 1 1 1\n")
+        assert z_count(f, 3, 2) == self.brute_z(f, 3, 2)
+        assert len(calls) == 5 ** 3
 
     def test_negative_radius_is_refused(self):
         f = parse_polynomial("n=2\n1 2 0\n")

@@ -156,6 +156,22 @@ class TestEvaluation:
             assert p.eval_int(x, 5).tolist() == want
             assert x.tolist() == pts
 
+    def test_non_integral_points_are_refused(self):
+        # each was truncated to an integer point: x1^2 at 1.5 read 1, and
+        # at 2.9 mod 7 read 4
+        p = parse_polynomial("n=1\n1 2\n")
+        for pts, q in ((np.array([[1.5]]), None), ([[2.9]], 7),
+                       ([[Fraction(3, 2)]], None)):
+            with pytest.raises(ValueError, match="integer points"):
+                p.eval_int(pts, q)
+        for pt in ([1.5], [Fraction(3, 2)]):
+            with pytest.raises(ValueError, match="integer point"):
+                p.evaluate_mod(pt, 7)
+        # integral values of any type still evaluate
+        assert p.eval_int([[3.0]], 7).tolist() == [2]
+        assert p.evaluate_mod([Fraction(4)], 7) == p.evaluate_mod([3.0], 7) == 2
+        assert p.evaluate_mod([np.int64(10 ** 9)], 10 ** 30 + 57) == 10 ** 18
+
     def test_evaluate_mod_takes_any_modulus(self):
         # wider than eval_int's q^2 < 2^63, and q = 1
         p = parse_polynomial("n=2\n7 3 0\n-5 1 2\n12 0 0\n")
@@ -428,13 +444,13 @@ class TestEnumerationBudget:
     """One limit, ``poly.DEFAULT_ENUM_BUDGET``, read by every check."""
 
     def test_one_limit_is_seen_by_every_module(self, enum_limit):
-        # the cone walks 16^2 rows x' at N = 30 (count), one head built
-        # twice (2 * 3^3 * 2^2 * 4 = 864) and one kernel point at radius 10
-        # (arcs) and 6^3 unit tuples mod 7 (local)
+        # the cone walks 16^2 rows x' at N = 30 (count), one head read off
+        # a tensor of 3 entries (2 * 3 + 3^3 = 33) and one kernel point at
+        # radius 10 (arcs) and 6^3 unit tuples mod 7 (local)
         cone = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
         table = mangoldt_table(30)
         runs = [(lambda: count_direct(cone, 30, table), 256),
-                (lambda: z_count(cone, 2, 10), 865),
+                (lambda: z_count(cone, 2, 10), 34),
                 (lambda: value_histogram(cone, 7), 216)]
         for run, cost in runs:
             run()
