@@ -7,13 +7,12 @@ the main-term prediction against ground truth.
 Each Lambda(k) is a float of at least log 2 > 1/2, so Lambda(k) * 2^53 is an
 integer.  Every count sums exact integer products of those and divides once
 by 2^(53 n): the correctly rounded true sum in any order, so all strategies
-agree bit for bit.  b is split into additive groups of variables, the
-groups' exact weighted value histograms are added by the one histogram
-kernel (``poly._histogram_sum``), and the last group is matched against the
-target.  A b that is not separable but
-has a variable x_j of degree one, b = A x_j + B, is walked over the other
-variables only, with x_j solved for, row by row in Python integers; that
-walk, the table and the support load no numpy.
+agree bit for bit.  b's additive groups of variables are folded in two
+halves in Python integers, keeping only the sums that can still reach 0,
+and matched by lookup (meet in the middle; Horowitz and Sahni, J. ACM 21,
+1974).  A b that is not separable but has a variable x_j of degree one,
+b = A x_j + B, is walked over the other variables with x_j solved for.
+Only a group in several variables loads numpy, for ``eval_int``.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .poly import _INT64_SAFE, _charge, _histogram_sum, grid_blocks
+from .poly import _charge, grid_blocks
 from .primes import primes_up_to
 
 
@@ -74,17 +73,6 @@ def _weights(table, N):
     return ks, ws
 
 
-def _support(table, N):
-    """``_weights`` as rows: exact [Lambda(k) 2^53, 1] at the points of
-    positive weight; the rows of the other k <= N are never read."""
-    import numpy as np
-    ks, ws = _weights(table, N)
-    W = np.zeros((N + 1, 2), object)
-    W[ks, 0] = ws
-    W[ks, 1] = 1
-    return ks, W
-
-
 def _result(N, total, n, strategy, method):
     """Round an exact [weight, count] sum over n coordinates once."""
     return CountResult(N=N, value=int(total[0]) / 2 ** (53 * n),
@@ -92,45 +80,80 @@ def _result(N, total, n, strategy, method):
                        method=method)
 
 
-def _histogram(g, ks, W, keep=None):
-    """The values of g on the prime-power grid of its own variables, each
-    with its exact [weight, count]; only the values in ``keep`` if given."""
-    import numpy as np
-    values, wc = [np.empty(0, np.int64)], [np.empty((0, 2), object)]
-    for block in grid_blocks([ks] * g.n):
-        v = g.eval_int(block)
-        if keep is not None:
-            hit = np.isin(v, keep)
-            block, v = block[hit], v[hit]
-        values.append(v)
-        wc.append(W[block].prod(axis=1))
-    return np.concatenate(values), np.concatenate(wc)
+def _enclosure(g, N):
+    """[lo, hi] holding every value of g on [2, N]^n, where each monomial
+    grows with each coordinate."""
+    ends = [sorted((c * 2 ** sum(e), c * N ** sum(e)))
+            for e, c in g.terms.items()]
+    return sum(a for a, _ in ends), sum(z for _, z in ends)
 
 
-def _reduce(groups, const, table, N, strategy, method):
+def _histogram(g, ks, ws, lo, hi):
+    """g's values in [lo, hi] on the prime-power grid of its variables, each
+    with its exact (weight, count): point by point in one variable, else by
+    ``eval_int`` over ``grid_blocks``, the other values dropped in numpy."""
+    if g.n == 1:
+        pairs = [(v, w) for k, w in zip(ks, ws)
+                 if lo <= (v := g.evaluate([k])) <= hi]
+    else:
+        weight, pairs = dict(zip(ks, ws)), []
+        for block in grid_blocks([ks] * g.n):
+            v = g.eval_int(block)
+            hit = (lo <= v) & (v <= hi)
+            pairs += zip(v[hit].tolist(), [math.prod(map(weight.get, x))
+                                           for x in block[hit].tolist()])
+    hist = {}
+    for v, w in pairs:
+        u, c = hist.get(v, (0, 0))
+        hist[v] = u + w, c + 1
+    return hist
+
+
+def _reduce(groups, const, cut, table, N, strategy, method):
     """Exact M_b(N) for b = const + the sum of the groups, polynomials in
-    consecutive blocks of variables.  The groups' grids are charged to the
-    budget before any work, and each fold, at its real size, before it is
-    done."""
-    import numpy as np
+    consecutive blocks of variables: the constant and groups[:cut] are
+    folded into one half, the rest into the other, and each sum of the
+    smaller half is looked up in the larger.  A group keeps its values v
+    with -v in the range of the others (``_enclosure`` until built), a half
+    after each fold the sums that can still reach 0 against the groups not
+    in it.  The grids are charged first, each fold before it runs."""
     if not all(g.is_integral() for g in groups) or not isinstance(const, int):
         raise ValueError("need integer coefficients")
-    ks, W = _support(table, N)
+    ks, ws = _weights(table, N)
     _charge(used := sum(len(ks) ** g.n for g in groups), "prime-power grid")
-    # histogram of the groups so far: distinct values, summed [weight, count]
-    bound = abs(const) + sum(sum(map(abs, g.terms.values())) * N ** g.degree
-                             for g in groups)
-    values = np.full(1, const, np.int64 if bound < _INT64_SAFE else object)
-    wc = np.array([[1, 1]], object)
-    zero = np.zeros(1, values.dtype), wc     # the histogram of 0
-    for g in groups[:-1]:
-        v, w = _histogram_sum(*zero, *_histogram(g, ks, W))
-        used += len(values) * len(v)
-        _charge(used, "value convolution")
-        values, wc = _histogram_sum(values, wc, v, w)
-    v, w = _histogram(groups[-1], ks, W, keep=-values)
-    total = (wc[np.searchsorted(values, -v)] * w).sum(axis=0)
-    return _result(N, total, sum(g.n for g in groups), strategy, method)
+    n, ids = sum(g.n for g in groups), set(range(len(groups) + 1))
+    hists = [{const: (1, 1)}] + [{}] * len(groups)
+    spans = [(const, const)] + [_enclosure(g, N) for g in groups]
+
+    def reach(rest):    # [lo, hi]: the sums s that -rest can still meet
+        return -sum(spans[j][1] for j in rest), -sum(spans[j][0] for j in rest)
+
+    for i in sorted(ids - {0}, key=lambda i: groups[i - 1].n != 1):
+        hists[i] = _histogram(groups[i - 1], ks, ws, *reach(ids - {i}))
+        if not hists[i]:    # no value of this group can reach 0
+            return _result(N, (0, 0), n, strategy, method)
+        spans[i] = min(hists[i]), max(hists[i])
+    halves = []
+    for half in range(cut + 1), range(cut + 1, len(hists)):
+        partial, rest = {0: (1, 1)}, set(ids)
+        for i in half:
+            used += len(partial) * len(hists[i])
+            _charge(used, "value convolution")
+            rest.discard(i)
+            (lo, hi), out = reach(rest), {}
+            for s, (w, c) in partial.items():
+                for v, (x, m) in hists[i].items():
+                    if lo <= (t := s + v) <= hi:
+                        u, k = out.get(t, (0, 0))
+                        out[t] = u + w * x, k + c * m
+            partial = out
+        halves.append(partial)
+    small, large = sorted(halves, key=len)
+    total_w = total_n = 0
+    for s, (w, c) in small.items():
+        x, m = large.get(-s, (0, 0))
+        total_w, total_n = total_w + w * x, total_n + c * m
+    return _result(N, (total_w, total_n), n, strategy, method)
 
 
 def _solve_linear(A, B, j, table, N):
@@ -196,49 +219,50 @@ def _solve_linear(A, B, j, table, N):
 
 def count_direct(b, N, table):
     """Exact M_b(N): von-Mangoldt-weighted count of the prime-power points
-    of b = 0 in [0, N]^n.  A separable b is reduced one variable at a time;
+    of b = 0 in [0, N]^n.  A separable b is folded one variable at a time;
     a b of degree one in some x_j has x_j solved for (the first such j);
     any other b is walked whole and only its zeros are weighted."""
     split = b.variable_split()
     if split and b.n:       # with no variable there is no group to reduce
-        return _reduce(*split, table, N, "direct", "separable")
+        return _reduce(*split, b.n // 2, table, N, "direct", "separable")
     for j in range(1, b.n + 1):
         parts = b.linear_in(j)
         if parts:
             return _solve_linear(*parts, j, table, N)
-    return _reduce([b], 0, table, N, "direct", "grid")
+    return _reduce([b], 0, 1, table, N, "direct", "grid")
 
 
 def count_mitm(b, N, table, split=None):
     """Meet-in-the-middle M_b(N) for b = g(x_1..x_split) + h(the rest), split
-    n // 2 by default: the exact histogram of g is matched against h."""
+    n // 2 by default: the sums of g are matched against those of h, each
+    folded from b's one-variable parts when b is separable."""
     split = b.n // 2 if split is None else split
     if not 1 <= split < b.n:
         raise ValueError("split must leave variables on both sides")
-    groups = b.additive_split([split, b.n - split])
+    groups = b.variable_split() or b.additive_split([split, b.n - split])
     if groups is None:
         raise ValueError(f"polynomial is not additively separable at {split}")
-    return _reduce(*groups, table, N, "mitm", "separable")
+    cut = split if len(groups[0]) == b.n else 1     # one group a side
+    return _reduce(*groups, cut, table, N, "mitm", "separable")
 
 
 def count_via_histogram(b, N, table):
     """Independent cross-check of count_direct through a value histogram.
 
     Buckets all prime-power tuples by their scalar b-value (traversed in the
-    reverse tuple order), then reduces the zero bucket through the same
-    exact weight sum.  Must agree with count_direct to the last bit.
+    reverse tuple order), then sums the exact weights of the zero bucket.
+    Must agree with count_direct to the last bit.
     """
-    import numpy as np
     if not b.is_integral():
         raise ValueError("need integer coefficients")
-    ks, W = _support(table, N)
+    ks, ws = _weights(table, N)
     _charge(len(ks) ** b.n, "prime-power grid")
-    buckets = {}
+    weight, buckets = dict(zip(ks, ws)), {}
     for pt in product(reversed(ks), repeat=b.n):
         buckets.setdefault(b.evaluate(pt), []).append(pt)
-    zeros = np.array(buckets.get(0, []), np.int64).reshape(-1, b.n)
-    return _result(N, W[zeros].prod(axis=1).sum(axis=0), b.n, "direct",
-                   "grid")
+    zeros = buckets.get(0, [])
+    return _result(N, (sum(math.prod(map(weight.get, pt)) for pt in zeros),
+                       len(zeros)), b.n, "direct", "grid")
 
 
 # ---------------------------------------------------------------------------

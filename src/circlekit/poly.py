@@ -4,11 +4,11 @@ Variables are indexed 1..n.  Terms are stored as a map from exponent tuples
 (0-based positions, length n) to nonzero exact coefficients (int or Fraction).
 All values are immutable after construction; every operation returns a new
 polynomial, so everything here is safe to call from concurrent workers.
-Only batch evaluation, ``grid_blocks`` and the histograms import numpy,
-when first called, so a command that parses or composes polynomials never
-loads it.  ``DEFAULT_ENUM_BUDGET``, ``_charge`` and their exception live
-here, as do ``_histogram_sum``, the one kernel that adds value histograms,
-and ``gram_matrix``, the one reading of a quadratic form as a matrix.
+Only batch evaluation, ``grid_blocks`` and the residue histograms import
+numpy, when first called, so a command that parses or composes polynomials
+never loads it.  ``DEFAULT_ENUM_BUDGET``, ``_charge`` and their exception
+live here, as do ``_histogram_sum``, which adds residue histograms (one
+weight per key), and ``gram_matrix``, the one reading of a quadratic form.
 """
 from __future__ import annotations
 
@@ -252,16 +252,16 @@ class Polynomial:
         coordinate bound keeps them below 2^62, Python ints (object array)
         otherwise.  With ``q`` they are reduced into [0, q), once under that
         bound and else at every step, which needs q^2 < 2^63 so that no
-        product of two residues overflows.  Points that are not of an
-        integer dtype must equal their int64 conversion.
+        product of two residues overflows.  Points that are not of a
+        signed integer dtype must equal their int64 conversion.
         """
         if not self.is_integral():
             raise ValueError("integer evaluation needs integer coefficients")
         import numpy as np
         given = np.asarray(points)
         pts = given.astype(np.int64, copy=False)
-        if given.dtype.kind not in "iu" and (pts != given).any():
-            raise ValueError("integer evaluation needs integer points")
+        if given.dtype.kind != "i" and (pts != given).any():
+            raise ValueError("integer evaluation needs int64 integer points")
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
         if q is not None:
@@ -539,16 +539,15 @@ def _histogram_sum(a, wa, b, wb, q=None):
     """The exact histogram of x + y, mod q if given, for independent x, y
     with histograms (a, wa) and (b, wb): keys (a's sorted and distinct, b's
     may repeat, so raw values folded into the histogram of 0 make one) and
-    rows of positive int64 or Python-int weights, such as [weight, count].
-    Returns the sorted distinct sums with the summed products of their
-    pairs' weights: by convolving the key windows when they hold at most
-    ``_DENSE_RATIO`` times the pairs of keys, else pair by pair.  Both
-    branches are exact, so they agree bit for bit.
-    """
+    one positive int64 or Python-int weight per key.  Returns the sorted
+    distinct sums with the summed products of their pairs' weights: by
+    convolving the key windows when they hold at most ``_DENSE_RATIO``
+    times the pairs of keys, else pair by pair.  Both branches are exact,
+    so they agree bit for bit."""
     import numpy as np
-    dtype, cols = np.result_type(wa, wb), wa.shape[1]
+    dtype = np.result_type(wa, wb)
     if not len(a) or not len(b):
-        return a[:0], np.zeros((0, cols), dtype)
+        return a[:0], np.zeros(0, dtype)
     lo_a, lo_b = int(a[0]), int(b.min())
     span_a, span_b = int(a[-1]) - lo_a + 1, int(b.max()) - lo_b + 1
     if span_a * span_b > _DENSE_RATIO * len(a) * len(b):
@@ -565,27 +564,24 @@ def _histogram_sum(a, wa, b, wb, q=None):
         step = max(1, _BLOCK_ROWS // len(b))
         rows = [slice(s, s + step) for s in range(0, len(a), step)]
         out = distinct(np.concatenate([distinct(sums(r)) for r in rows]))
-        acc = np.zeros((len(out), cols), dtype)
+        acc = np.zeros(len(out), dtype)
         for r in rows:
             s = sums(r)
             order = np.argsort(s)       # sorted keys are found in cache
             idx = np.empty_like(order)
             idx[order] = np.searchsorted(out, s[order])
-            np.add.at(acc, idx, (wa[r, None] * wb).reshape(-1, cols))
+            np.add.at(acc, idx, np.multiply.outer(wa[r], wb).ravel())
         return out, acc
     # np.convolve of the key windows, the keys lo, lo + 1, ... folded mod q
-    x, y = np.zeros((span_a, cols), dtype), np.zeros((span_b, cols), dtype)
+    x, y = np.zeros(span_a, dtype), np.zeros(span_b, dtype)
     x[np.asarray(a - lo_a, np.int64)] = wa
     np.add.at(y, np.asarray(b - lo_b, np.int64), wb)
-    full = np.empty((span_a + span_b - 1, cols), dtype)
-    for j in range(cols):
-        full[:, j] = np.convolve(x[:, j], y[:, j])
-    lo = lo_a + lo_b
+    full, lo = np.convolve(x, y), lo_a + lo_b
     if q:
-        ext = np.zeros((-(-(lo % q + len(full)) // q) * q, cols), dtype)
+        ext = np.zeros(-(-(lo % q + len(full)) // q) * q, dtype)
         ext[lo % q:lo % q + len(full)] = full
-        full, lo = ext.reshape(-1, q, cols).sum(axis=0), 0
-    hit = np.flatnonzero(full[:, 0])    # weights > 0: the sums that occur
+        full, lo = ext.reshape(-1, q).sum(axis=0), 0
+    hit = np.flatnonzero(full)      # weights > 0: the sums that occur
     return hit.astype(np.result_type(a, b)) + lo, full[hit]
 
 
@@ -621,13 +617,13 @@ def residue_histogram(b, q, weight):
             np.add.at(hist, b.eval_int(block, q), w[block].prod(axis=1))
         return hist
     parts, const = split
-    zero = np.zeros(1, np.int64), np.ones((1, 1), w.dtype)  # histogram of 0
+    zero = np.zeros(1, np.int64), np.ones(1, w.dtype)   # histogram of 0
     own = {g: _histogram_sum(*zero, g.eval_int(support[:, None], q),
-                             w[support, None], q) for g in set(parts)}
+                             w[support], q) for g in set(parts)}
     keys, sums = own[parts[0]]
     for part in parts[1:]:
         keys, sums = _histogram_sum(keys, sums, *own[part], q)
-    hist[(keys + const % q) % q] = sums[:, 0]
+    hist[(keys + const % q) % q] = sums
     return hist
 
 

@@ -302,7 +302,7 @@ _IMPORTS = {
     "local": {"local", "primes", "poly", "numpy"},
     "series": {"local", "primes", "poly", "numpy"},
     "sigma-inf": {"arch", "poly", "numpy"},
-    "count": {"count", "primes", "poly", "numpy"},
+    "count": {"count", "primes", "poly"},
     "regularity": {"count", "primes", "poly", "numpy"},
     "weyl-scan": {"arcs", "count", "primes", "poly", "numpy"},
     "zcount": {"arcs", "poly"},

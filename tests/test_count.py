@@ -90,12 +90,20 @@ class TestDirectCount:
         assert count_direct(b, 30, t).value == pytest.approx(expect, rel=1e-12)
 
     def test_budget_checked_before_work(self):
-        # about 18,000 prime powers a variable: the second convolution alone
-        # has 18,000^2 entries, refused before it is formed
+        # about 18,000 prime powers a variable, and x1 + x2 + x3 + x4 - x5
+        # is indefinite, so no range cut helps: the fold of x2 alone pairs
+        # 18,000^2 sums, refused before it is formed
+        t = mangoldt_table(2 * 10 ** 5)
+        b = parse_polynomial("n=5\n1 1 0 0 0 0\n1 0 1 0 0 0\n1 0 0 1 0 0\n"
+                             "1 0 0 0 1 0\n-1 0 0 0 0 1\n")
+        with pytest.raises(BudgetExceeded, match="value convolution"):
+            count_direct(b, 2 * 10 ** 5, t)
+        # x1 + ... + x5 is at least 10 on prime powers, so the range cut
+        # leaves nothing of x1 - 5 to fold
         b = parse_polynomial("n=5\n1 1 0 0 0 0\n1 0 1 0 0 0\n1 0 0 1 0 0\n"
                              "1 0 0 0 1 0\n1 0 0 0 0 1\n-5 0 0 0 0 0\n")
-        with pytest.raises(BudgetExceeded):
-            count_direct(b, 2 * 10 ** 5, mangoldt_table(2 * 10 ** 5))
+        r = count_direct(b, 2 * 10 ** 5, t)
+        assert (r.value, r.solution_count) == (0.0, 0)
 
     def test_grid_budget_checked_before_any_evaluation(self, monkeypatch,
                                                        enum_limit):
@@ -129,20 +137,47 @@ class TestDirectCount:
         assert peak < 20 * 2 ** 20
 
     def test_budget_charges_real_convolution_sizes(self, enum_limit):
-        # five squares at N=30: 16 prime powers a variable, at most 816
-        # distinct sums of three squares, so the convolutions cost about
-        # 15,500, not the 16^2 + 16^3 + 16^4 of the grid products
+        # five squares - 2045 at N=30: 16 prime powers a variable, so the
+        # grids cost 5 * 16; the first half folds the constant, x1 and x2
+        # at 1 + 16 + 16^2, the second x3, x4 and x5 at 16 + 16^2 + 122 * 16,
+        # 122 the sums x3^2 + x4^2 that can still reach 0: 2,577 in all
         b = parse_polynomial("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n"
                              "1 0 0 0 2 0\n1 0 0 0 0 2\n-2045 0 0 0 0 0\n")
         t = mangoldt_table(30)
         expect = count_mitm(b, 30, t, 2)
-        with enum_limit(20_000):
+        with enum_limit(2577):
             got = count_direct(b, 30, t)
         assert (got.value, got.solution_count) == \
             (expect.value, expect.solution_count)
         assert got.solution_count == 850
-        with enum_limit(10_000), pytest.raises(BudgetExceeded):
+        with enum_limit(2576), pytest.raises(BudgetExceeded):
             count_direct(b, 30, t)
+
+    def test_five_squares_at_2000(self):
+        # the range cut keeps only x_i^2 <= 12005: the count is that of
+        # N = 110, within the default budget
+        b = parse_polynomial("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n"
+                             "1 0 0 0 2 0\n1 0 0 0 0 2\n-12005 0 0 0 0 0\n")
+        got = count_direct(b, 2000, mangoldt_table(2000))
+        want = count_direct(b, 110, mangoldt_table(110))
+        assert got.solution_count == want.solution_count == 13791
+        assert got.value == want.value
+
+    def test_grid_stays_on_the_block_walk(self, monkeypatch):
+        # x1^2 x2^2 - x3^2 is walked by eval_int over grid blocks, never
+        # point by point
+        b = parse_polynomial("n=3\n1 2 2 0\n-1 0 0 2\n")
+        t = mangoldt_table(30)
+        want = brute_force(b, 30, t)
+        assert want[1] > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated point by point")
+
+        monkeypatch.setattr(Polynomial, "evaluate", refuse)
+        r = count_direct(b, 30, t)
+        assert r.method == "grid"
+        assert (r.value, r.solution_count) == want
 
 
 class TestMitm:
@@ -188,6 +223,8 @@ class TestExactReduction:
         # sums of three of them do not
         ("n=4\n%d 1 0 0 0\n%d 0 1 0 0\n%d 0 0 1 0\n%d 0 0 0 1\n"
          % (2 ** 58, 2 ** 58, 2 ** 58, -2 ** 58), 11, 2),
+        # 2^60 (x1 x2 - x3 x4): each half's grid values need Python ints
+        ("n=4\n%d 1 1 0 0\n%d 0 0 1 1\n" % (2 ** 60, -2 ** 60), 11, 2),
     ]
 
     @pytest.mark.parametrize("text,N,split", CASES)
@@ -198,6 +235,32 @@ class TestExactReduction:
         assert want[1] > 0
         for r in (count_direct(b, N, t), count_mitm(b, N, t, split),
                   count_via_histogram(b, N, t)):
+            assert (r.value, r.solution_count) == want
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_separable_forms(self, seed):
+        # c + sum of a_i x_i^d (+ e_i x_i), d = 2 or 3, signs mixed, c set
+        # so that a random prime-power point is a zero
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        N = {2: 60, 3: 30, 4: 15}[n]
+        t = mangoldt_table(N)
+        d = rng.choice([2, 3])
+        terms = {}
+        for i in range(n):
+            e = [0] * n
+            e[i] = d
+            terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+            e[i] = 1
+            terms[tuple(e)] = rng.choice([0, 0, -5, 4])
+        b = Polynomial(n, terms)
+        ks = [k for k in range(N + 1) if t.values[k] > 0]
+        b = b - b.evaluate([rng.choice(ks) for _ in range(n)])
+        want = brute_force(b, N, t)
+        assert want[1] > 0
+        results = [count_direct(b, N, t), count_via_histogram(b, N, t)]
+        results += [count_mitm(b, N, t, s) for s in range(1, n)]
+        for r in results:
             assert (r.value, r.solution_count) == want
 
     def test_empty_support(self):
