@@ -7,8 +7,8 @@ polynomial, so everything here is safe to call from concurrent workers.
 Only batch evaluation, ``grid_blocks`` and the residue histograms import
 numpy, when first called, so a command that parses or composes polynomials
 never loads it.  ``DEFAULT_ENUM_BUDGET``, ``_charge`` and their exception
-live here, as do ``_histogram_sum``, which adds residue histograms (one
-weight per key), and ``gram_matrix``, the one reading of a quadratic form.
+live here, as do ``_cyclic``, which adds residue histograms held as dense
+length-q vectors, and ``gram_matrix``, the one reading of a quadratic form.
 """
 from __future__ import annotations
 
@@ -259,8 +259,11 @@ class Polynomial:
             raise ValueError("integer evaluation needs integer coefficients")
         import numpy as np
         given = np.asarray(points)
-        pts = given.astype(np.int64, copy=False)
-        if given.dtype.kind != "i" and (pts != given).any():
+        try:        # a Python int beyond int64 has no int64 conversion
+            pts = given.astype(np.int64, copy=False)
+        except OverflowError:
+            pts = None
+        if pts is None or given.dtype.kind != "i" and (pts != given).any():
             raise ValueError("integer evaluation needs int64 integer points")
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
@@ -535,54 +538,31 @@ def grid_blocks(axes):
 
 # -- exact value histograms -------------------------------------------------
 
-def _histogram_sum(a, wa, b, wb, q=None):
-    """The exact histogram of x + y, mod q if given, for independent x, y
-    with histograms (a, wa) and (b, wb): keys (a's sorted and distinct, b's
-    may repeat, so raw values folded into the histogram of 0 make one) and
-    one positive int64 or Python-int weight per key.  Returns the sorted
-    distinct sums with the summed products of their pairs' weights: by
-    convolving the key windows when they hold at most ``_DENSE_RATIO``
-    times the pairs of keys, else pair by pair.  Both branches are exact,
-    so they agree bit for bit."""
+def _cyclic(x, y, q):
+    """The histogram mod q of the sum of independent residues with dense
+    length-q histograms x and y (exact weights >= 0, int64 or Python ints):
+    entry r sums x[i] y[j] over i + j = r mod q.  It convolves the windows
+    of nonzero entries and wraps the result while they hold at most
+    ``_DENSE_RATIO`` times their pairs, else adds the pairs in row slices
+    of about ``_BLOCK_ROWS``, so memory never holds every pair.  Both
+    branches are exact, so they agree bit for bit."""
     import numpy as np
-    dtype = np.result_type(wa, wb)
+    out = np.zeros(q, np.result_type(x, y))
+    a, b = np.flatnonzero(x), np.flatnonzero(y)
     if not len(a) or not len(b):
-        return a[:0], np.zeros(0, dtype)
-    lo_a, lo_b = int(a[0]), int(b.min())
-    span_a, span_b = int(a[-1]) - lo_a + 1, int(b.max()) - lo_b + 1
+        return out
+    span_a, span_b = int(a[-1] - a[0]) + 1, int(b[-1] - b[0]) + 1
     if span_a * span_b > _DENSE_RATIO * len(a) * len(b):
-        # pairs in row slices of about _BLOCK_ROWS: their distinct sums
-        # first, then the weights into those, so memory never holds every pair
-        def sums(r):
-            s = np.add.outer(a[r], b).ravel()
-            return s % q if q else s
-
-        def distinct(s):    # one sort: np.unique hashes, many times slower
-            s = np.sort(s)
-            return s[np.concatenate(([True], s[1:] != s[:-1]))]
-
         step = max(1, _BLOCK_ROWS // len(b))
-        rows = [slice(s, s + step) for s in range(0, len(a), step)]
-        out = distinct(np.concatenate([distinct(sums(r)) for r in rows]))
-        acc = np.zeros(len(out), dtype)
-        for r in rows:
-            s = sums(r)
-            order = np.argsort(s)       # sorted keys are found in cache
-            idx = np.empty_like(order)
-            idx[order] = np.searchsorted(out, s[order])
-            np.add.at(acc, idx, np.multiply.outer(wa[r], wb).ravel())
-        return out, acc
-    # np.convolve of the key windows, the keys lo, lo + 1, ... folded mod q
-    x, y = np.zeros(span_a, dtype), np.zeros(span_b, dtype)
-    x[np.asarray(a - lo_a, np.int64)] = wa
-    np.add.at(y, np.asarray(b - lo_b, np.int64), wb)
-    full, lo = np.convolve(x, y), lo_a + lo_b
-    if q:
-        ext = np.zeros(-(-(lo % q + len(full)) // q) * q, dtype)
-        ext[lo % q:lo % q + len(full)] = full
-        full, lo = ext.reshape(-1, q).sum(axis=0), 0
-    hit = np.flatnonzero(full)      # weights > 0: the sums that occur
-    return hit.astype(np.result_type(a, b)) + lo, full[hit]
+        for s in range(0, len(a), step):
+            r = a[s:s + step]
+            np.add.at(out, np.add.outer(r, b).ravel() % q,
+                      np.multiply.outer(x[r], y[b]).ravel())
+        return out
+    lo, size = int(a[0] + b[0]) % q, span_a + span_b - 1
+    full = np.zeros(-(-(lo + size) // q) * q, out.dtype)
+    full[lo:lo + size] = np.convolve(x[a[0]:a[-1] + 1], y[b[0]:b[-1] + 1])
+    return full.reshape(-1, q).sum(axis=0)
 
 
 def histogram_cost(n, q, m, separable):
@@ -597,11 +577,12 @@ def histogram_cost(n, q, m, separable):
 def residue_histogram(b, q, weight):
     """Entry r: the sum of weight[a_1] ... weight[a_n] over a in (Z/q)^n
     with b(a) = r mod q; b integral, ``weight`` q exact integers >= 0.  A
-    separable b = c + f_1(x_1) + ... + f_n(x_n) adds its distinct parts'
-    histograms on the m residues of nonzero weight; any other b walks the
-    m^n tuples.  ``histogram_cost`` is checked before any work.  Entries
-    are exact: int64 while (sum of the weights)^n is below 2^62, Python
-    ints otherwise."""
+    separable b = c + f_1(x_1) + ... + f_n(x_n) fills one length-q
+    histogram per distinct part from its m residues of nonzero weight,
+    folds the parts together with ``_cyclic`` and shifts the result by c;
+    any other b walks the m^n tuples.  ``histogram_cost`` is checked
+    before any work.  Entries are exact: int64 while (sum of the
+    weights)^n is below 2^62, Python ints otherwise."""
     import numpy as np
     if not b.is_integral():
         raise ValueError("histogram needs integer coefficients")
@@ -611,20 +592,19 @@ def residue_histogram(b, q, weight):
             f"histogram mod {q}")
     size = int(np.sum(weight)) ** n
     w = np.asarray(weight, np.int64 if size < _INT64_SAFE else object)
-    hist = np.zeros(q, w.dtype)
     if split is None:
+        hist = np.zeros(q, w.dtype)
         for block in grid_blocks([support] * n):
             np.add.at(hist, b.eval_int(block, q), w[block].prod(axis=1))
         return hist
     parts, const = split
-    zero = np.zeros(1, np.int64), np.ones(1, w.dtype)   # histogram of 0
-    own = {g: _histogram_sum(*zero, g.eval_int(support[:, None], q),
-                             w[support], q) for g in set(parts)}
-    keys, sums = own[parts[0]]
+    own = {g: np.zeros(q, w.dtype) for g in parts}
+    for g, h in own.items():
+        np.add.at(h, g.eval_int(support[:, None], q), w[support])
+    hist = own[parts[0]]
     for part in parts[1:]:
-        keys, sums = _histogram_sum(keys, sums, *own[part], q)
-    hist[(keys + const % q) % q] = sums
-    return hist
+        hist = _cyclic(hist, own[part], q)
+    return hist[(np.arange(q) - const % q) % q]
 
 
 # -- Weyl differencing ------------------------------------------------------

@@ -298,6 +298,25 @@ class TestScan:
         with pytest.raises(ValueError):
             T_scan(parse_polynomial(CONE), 0, 10, mangoldt_table(10))
 
+    def test_separable_scan_at_scale(self):
+        # 61 prime powers squared spread over the 4096 residues, so every
+        # fold of the five parts adds its pairs in the sparse branch
+        N, P = 200, 4096
+        t = mangoldt_table(N)
+        got = T_scan(parse_polynomial(FIVE_SQUARES), P, N, t)
+        lam = {x: v for x, v in enumerate(t.values) if v}
+        psi = math.fsum(lam.values())
+        assert abs(got[0] - psi ** 5) <= 1e-15 * got[0].real
+        for k in (1, 7, 1024, 2047):
+            # e(-12005 k / P) (sum of Lambda(x) e(k x^2 / P))^5, each phase
+            # reduced exactly
+            phases = [(w, 2 * math.pi * (k * x * x % P) / P)
+                      for x, w in lam.items()]
+            s = complex(math.fsum(w * math.cos(ph) for w, ph in phases),
+                        math.fsum(w * math.sin(ph) for w, ph in phases))
+            want = cmath.exp(2j * math.pi * (-12005 * k % P) / P) * s ** 5
+            assert abs(got[k] - want) <= 1e-15 * got[0].real, k
+
 
 class TestLatticeSum:
     def test_geometric_series(self):

@@ -181,6 +181,16 @@ class TestEvaluation:
             p.eval_int(pts)
         assert p.eval_int(pts[1:]).tolist() == [3]
 
+    @pytest.mark.parametrize("pts", [
+        [[2 ** 70]], [[-2 ** 63 - 1]], np.array([[2 ** 63 + 5]], dtype=object)])
+    def test_python_ints_past_int64_are_refused(self, pts):
+        # each raised OverflowError from the int64 conversion, not the
+        # ValueError of every other point that is not an int64 integer
+        p = parse_polynomial("n=1\n1 1\n")
+        for q in (None, 7):
+            with pytest.raises(ValueError, match="integer points"):
+                p.eval_int(pts, q)
+
     def test_evaluate_mod_takes_any_modulus(self):
         # wider than eval_int's q^2 < 2^63, and q = 1
         p = parse_polynomial("n=2\n7 3 0\n-5 1 2\n12 0 0\n")
@@ -335,6 +345,8 @@ class TestResidueHistogram:
         ("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n1 0 0 0 3 0\n"
          "2 0 0 0 0 1\n", 4),
         ("n=3\n1 1 1 0\n1 0 0 1\n", 6),           # x1 x2 + x3: walks
+        # a constant past int64 shifts the folded histogram mod 7
+        (f"n=2\n1 2 0\n3 0 1\n{-2 ** 70 - 3} 0 0\n", 7),
     ])
     @pytest.mark.parametrize("big", [False, True])
     def test_matches_brute_force(self, text, q, big):
@@ -372,38 +384,69 @@ class TestResidueHistogram:
         assert got.tolist() == self.brute(b, 7, weight)
 
 
-class TestHistogramSum:
-    """The dense and the sparse branch of the one histogram kernel."""
+class TestCyclic:
+    """The dense and the sparse branch of the one histogram kernel, each
+    forced through ``_DENSE_RATIO``, against a brute-force cyclic sum."""
 
-    @pytest.mark.parametrize("q", [None, 7, 64])
-    def test_branches_agree(self, q, monkeypatch):
-        rng = np.random.default_rng(5)
-        hi = q or 500
-        a = np.unique(rng.integers(0, hi, 40))
-        b = rng.integers(0, hi, 60)             # raw: keys repeat
-        wa = rng.integers(1, 2 ** 40, len(a)).astype(object)
-        wb = rng.integers(1, 2 ** 40, len(b)).astype(object)
-        want = {}
-        for x, u in zip(a.tolist(), wa.tolist()):
-            for y, v in zip(b.tolist(), wb.tolist()):
-                k = (x + y) % q if q else x + y
-                want[k] = want.get(k, 0) + u * v
+    @staticmethod
+    def brute(x, y, q):
+        out = [0] * q
+        for i, u in enumerate(x):
+            for j, v in enumerate(y):
+                out[(i + j) % q] += u * v
+        return out
+
+    @staticmethod
+    def vectors(q, dtype, seed=5):
+        # a third of the entries zero; the rest weigh up to 2^20 in int64
+        # and 2^70 as Python ints, and the last entry of each weighs that
+        # most, so the nonzero windows' sums wrap past q
+        top = 2 ** 20 if dtype is np.int64 else 2 ** 70
+        rng = np.random.default_rng(seed)
+        x, y = ([int(rng.integers(1, 2 ** 40)) * top // 2 ** 40 + 1
+                 if rng.random() > 1 / 3 else 0 for _ in range(q)]
+                for _ in range(2))
+        x[-1] = y[-1] = top
+        return np.array(x, dtype), np.array(y, dtype)
+
+    @pytest.mark.parametrize("q", [1, 7, 64])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_branches_match_brute_force(self, q, dtype, monkeypatch):
+        x, y = self.vectors(q, dtype)
+        want = self.brute(x.tolist(), y.tolist(), q)
+        assert max(want) > 2 ** 64 or dtype is np.int64
         for ratio in (0, 10 ** 9):      # always sparse, always dense
             monkeypatch.setattr(poly, "_DENSE_RATIO", ratio)
-            keys, w = poly._histogram_sum(a, wa, b, wb, q)
-            assert keys.tolist() == sorted(want)
-            assert w.tolist() == [want[k] for k in sorted(want)]
+            got = poly._cyclic(x, y, q)
+            assert got.dtype == dtype
+            assert got.tolist() == want
 
-    def test_int64_weights_stay_exact(self, monkeypatch):
-        # the dense branch convolves int64 entries near 2^61 exactly
-        a, b = np.arange(3), np.arange(4)
-        wa = np.full(3, 2 ** 30, np.int64)
-        wb = np.full(4, 2 ** 30 + 1, np.int64)
-        monkeypatch.setattr(poly, "_DENSE_RATIO", 10 ** 9)
-        keys, w = poly._histogram_sum(a, wa, b, wb)
-        assert keys.tolist() == list(range(6))
-        assert w.tolist() == [k * 2 ** 30 * (2 ** 30 + 1)
-                                    for k in (1, 2, 3, 3, 2, 1)]
+    def test_int64_entries_stay_exact(self, monkeypatch):
+        # three products near 2^60 land on each entry mod 3: the entries
+        # near 2^61.6 come out exact in int64, in either branch
+        x = np.full(3, 2 ** 30, np.int64)
+        y = np.array([2 ** 30 + 1, 2 ** 30 + 3, 2 ** 30 + 5], np.int64)
+        want = self.brute(x.tolist(), y.tolist(), 3)
+        assert min(want) > 3 * 2 ** 60
+        for ratio in (0, 10 ** 9):
+            monkeypatch.setattr(poly, "_DENSE_RATIO", ratio)
+            got = poly._cyclic(x, y, 3)
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_sparse_slices_give_the_same_sum(self, dtype, monkeypatch):
+        # with 3 rows of pairs a slice, the pairs go in many slices
+        x, y = self.vectors(64, dtype, seed=11)
+        monkeypatch.setattr(poly, "_DENSE_RATIO", 0)
+        whole = poly._cyclic(x, y, 64)
+        monkeypatch.setattr(poly, "_BLOCK_ROWS", 3 * np.count_nonzero(y))
+        assert poly._cyclic(x, y, 64).tolist() == whole.tolist()
+        assert whole.tolist() == self.brute(x.tolist(), y.tolist(), 64)
+
+    def test_a_zero_vector_gives_zeros(self):
+        x = np.zeros(6, object)
+        got = poly._cyclic(x, np.arange(6, dtype=np.int64), 6)
+        assert got.dtype == object and got.tolist() == [0] * 6
 
 
 class TestDifferencing:
