@@ -5,7 +5,8 @@ exponential sums, normalized full-residue sums, rational classification of
 frequencies by exact continued-fraction convergents, and the degeneracy
 diagnostics z_R / fitted g_d, counted exactly as kernels of f's polar
 tensor (its multilinear difference) read off f's terms.  Only the
-exponential sums need numpy, and import it when called.
+exponential sums need numpy, and import it when called; a scan ``T_scan``
+of at most ``poly._SMALL_STEPS`` terms and its histogram run without it.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .poly import _charge, grid_blocks, residue_histogram
+from .poly import _charge, _small, grid_blocks, residue_histogram
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +179,34 @@ def T_scan(b, P, N, table):
 
     With D the common denominator of b and q = D P, H is the
     ``residue_histogram`` of D b mod q, each residue weighted by the exact
-    Lambda(x) 2^53 of its prime powers x <= N, divided once by 2^(53 n);
-    one inverse FFT gives every T(k/P).  q and the histogram's cost are
-    checked before any work.
+    Lambda(x) 2^53 of its prime powers x <= N, divided once by 2^(53 n).
+    While P times the number of nonzero H(r) is ``_small``, each T(k/P) is
+    a ``math.fsum`` over those r with the exact phase (k r mod q) / q,
+    rounded once; above it one inverse FFT gives every T(k/P).  q and the
+    histogram's cost are checked before any work.
     """
-    import numpy as np
     from .count import _weights
     if P < 1:
         raise ValueError("need at least one point")
     D = math.lcm(*(Fraction(c).denominator for c in b.terms.values()))
     q = D * P
     _charge(q, f"residues mod {q}")
-    ks, ws = _weights(table, N)
-    weight = np.zeros(q, object)
-    np.add.at(weight, np.array(ks, np.int64) % q, np.array(ws, object))
+    weight = [0] * q
+    for k, w in zip(*_weights(table, N)):
+        weight[k % q] += w
     hist = residue_histogram(b * D, q, weight)
     scale = 2 ** (53 * b.n)
-    return np.fft.ifft([int(h) / scale for h in hist],
-                       norm="forward")[:P].tolist()
+    if not _small(P * (q - hist.count(0))):
+        import numpy as np
+        return np.fft.ifft([h / scale for h in hist],
+                           norm="forward")[:P].tolist()
+    terms = [(r, h / scale) for r, h in enumerate(hist) if h]
+    out = []
+    for k in range(P):
+        phases = [(h, 2 * math.pi * (k * r % q) / q) for r, h in terms]
+        out.append(complex(math.fsum(h * math.cos(t) for h, t in phases),
+                           math.fsum(h * math.sin(t) for h, t in phases)))
+    return out
 
 
 def S_sum(psi, alpha, box, P):

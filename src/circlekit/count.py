@@ -12,7 +12,8 @@ halves in Python integers, keeping only the sums that can still reach 0,
 and matched by lookup (meet in the middle; Horowitz and Sahni, J. ACM 21,
 1974).  A b that is not separable but has a variable x_j of degree one,
 b = A x_j + B, is walked over the other variables with x_j solved for.
-Only a group in several variables loads numpy, for ``eval_int``.
+Only a group in several variables, and a regularity grid of more than
+``poly._SMALL_STEPS`` points, load numpy, for ``eval_int``.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .poly import _charge, grid_blocks
+from .poly import _charge, _small, grid_blocks
 from .primes import primes_up_to
 
 
@@ -282,7 +283,9 @@ class RegularityReport:
 def regularity_exponent(system, N_list):
     """Fit the growth exponent of the integer zero count of a polynomial
     system on [-N, N]^n, every scale's grid charged before any is walked,
-    and compare with the regular-growth bound n - D."""
+    and compare with the regular-growth bound n - D.  Grids of ``_small``
+    total size are walked point by point in Python integers, larger ones
+    by ``eval_int`` over ``grid_blocks``."""
     import statistics   # loads decimal, about 3 ms that count never needs
     if not system:
         raise ValueError("empty system")
@@ -296,11 +299,17 @@ def regularity_exponent(system, N_list):
     N_list = sorted(N_list)
     if len(set(N_list)) < 3 or N_list[0] < 1:
         raise ValueError(f"need 3 or more distinct N >= 1, got {N_list}")
-    _charge(sum((2 * N + 1) ** n for N in N_list), "zero-count grids")
+    cost = sum((2 * N + 1) ** n for N in N_list)
+    _charge(cost, "zero-count grids")
     counts = []
     for N in N_list:
+        box = [range(-N, N + 1)] * n
+        if _small(cost):
+            counts.append(sum(all(p.evaluate(x) == 0 for p in system)
+                              for x in product(*box)))
+            continue
         count = 0
-        for block in grid_blocks([range(-N, N + 1)] * n):
+        for block in grid_blocks(box):
             for p in system:
                 block = block[p.eval_int(block) == 0]
             count += len(block)

@@ -17,9 +17,13 @@ Where every unit zero mod p is provably nonsingular (``_closed_form``: a
 quadratic form plus a constant at an odd p not dividing det(2 A), or any b
 at p = 2 with an odd partial derivative at (1, ..., 1)), nu_1 is read
 without enumeration, from Legendre-symbol counts of the principal minors
-at an odd p.  Only the histograms and the tree's walks import numpy, when
-called, so a closed-form factor and the singular series load none.
-The complex B(q) path is a floating-point cross-check.
+at an odd p.  A diagonal quadratic form plus a constant with an odd
+coefficient has every level at p = 2 read from b(1, ..., 1) mod 8, as odd
+squares are 1 mod 8.  Value histograms are lists of Python ints; only a
+histogram over ``poly._SMALL_STEPS`` steps and the tree's walks import
+numpy, when called, so a closed-form factor, a small histogram and the
+singular series load none.  The complex B(q) path is a floating-point
+cross-check.
 """
 from __future__ import annotations
 
@@ -52,16 +56,14 @@ def unit_residues(q):
 
 
 def value_histogram(b, q):
-    """Counts of b(x) mod q over x in U_q^n, exact: the
+    """Counts of b(x) mod q over x in U_q^n, a list of exact ints: the
     ``residue_histogram`` of weight 1 on the units."""
-    import numpy as np
     q = int(q)
     if q < 1:
         raise ValueError("q must be >= 1")
     _charge(q, f"residues mod {q}")     # before the q residues are allocated
-    weight = np.zeros(q, dtype=np.int64)
-    weight[unit_residues(q)] = 1
-    return residue_histogram(b, q, weight)
+    # gcd(0, 1) = 1: U_1 = {0}
+    return residue_histogram(b, q, [int(gcd(r, q) == 1) for r in range(q)])
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +244,7 @@ def _hensel_valuation(b, p, t_max, tau, budget):
         top += 1
     if top:
         hist = value_histogram(b, p ** top)
-        nus = [int(hist[::p ** t].sum()) // p ** (n * (top - t))
+        nus = [sum(hist[::p ** t]) // p ** (n * (top - t))
                for t in range(1, top + 1)]
     if top < T and (not nus or nus[-1]):
         return nus[:t_max], None, method, top + 1
@@ -368,11 +370,14 @@ def _quadratic_part(b, p):
 
 def _closed_form(b, p, t_max, budget):
     """(nus, 1, method, None) where every unit zero of b mod p is provably
-    nonsingular, so nu_t = nu_1 p^((n-1)(t-1)) for every t; None elsewhere.
+    nonsingular, so nu_t = nu_1 p^((n-1)(t-1)) for every t; at p = 2 also
+    ``_dyadic_quadratic``'s levels; None elsewhere.
 
     At p = 2 the one unit point is 1 = (1, ..., 1): for an integral b, no
     zero if b(1) is odd, one nonsingular zero if b(1) is even and some
-    db/dx_i(1) is odd (``nonsingular``).  At an odd p, b = Q(x) + c with Q
+    db/dx_i(1) is odd (``nonsingular``); else a diagonal quadratic form
+    plus a constant with an odd coefficient is counted by
+    ``_dyadic_quadratic``.  At an odd p, b = Q(x) + c with Q
     a quadratic form x^T A x and p not dividing det(2 A) (so A has rank n
     mod p): grad Q = 2 A x is not 0 mod p at a unit x.  Then nu_1 is the
     inclusion-exclusion sum over T of (-1)^(n - |T|) N_p(Q_T = -c), Q_T the
@@ -394,7 +399,7 @@ def _closed_form(b, p, t_max, budget):
         elif any(g.evaluate(one) % 2 for g in b.gradient()):
             nu = 1
         else:
-            return None
+            return _dyadic_quadratic(b, t_max)
         method = "nonsingular"
     else:
         form = _quadratic_part(b, p)
@@ -424,11 +429,42 @@ def _closed_form(b, p, t_max, budget):
     return [nu * p ** ((n - 1) * t) for t in range(t_max)], 1, method, None
 
 
+def _dyadic_quadratic(b, t_max):
+    """(nus, closing, "dyadic_quadratic", None) at p = 2 for b = a_1 x_1^2 +
+    ... + a_n x_n^2 + c with some a_i odd and no other term; None for any
+    other b.
+
+    An odd x has x^2 = 1 mod 8, and as x runs over the units mod 2^t, x^2
+    hits each class 1 + 8 y mod 2^t four times.  So b = r + 8 sum a_i y_i
+    mod 2^t, r = c + sum a_i, and with a_i odd the y_i solve it in
+    2^((t - 3)(n - 1)) ways: nu_t = 2^((t - 1) n) for t <= 3 if 2^t divides
+    r, nu_t = 4^n 2^((t - 3)(n - 1)) for t >= 3 if 8 divides r, and 0
+    otherwise.  ``closing`` follows ``_hensel_valuation``'s rule, with T =
+    3 the level from which the counts grow by 2^(n - 1).
+    """
+    n, a = b.n, [0] * b.n
+    for e, c in b.terms.items():
+        if any(e):
+            if sum(e) != 2 or 2 not in e:
+                return None
+            a[e.index(2)] = c
+    if all(c % 2 == 0 for c in a):
+        return None
+    r = b.terms.get((0,) * n, 0) + sum(a)
+    nus = [0 if r % 2 ** min(t, 3) else
+           2 ** ((t - 1) * n) if t <= 3 else 4 ** n * 2 ** ((t - 3) * (n - 1))
+           for t in range(1, max(3, t_max) + 1)]
+    s = 3
+    while s > 1 and nus[s - 1] == nus[s - 2] * 2 ** (n - 1):
+        s -= 1
+    return nus[:t_max], s if s <= t_max else None, "dyadic_quadratic", None
+
+
 def _levels(b, p, t_max, budget=None):
     """(nus, closing, method, cut) of b at p, within ``_limit(budget)``.
 
     ``_closed_form`` takes a b whose unit zeros mod p are all provably
-    nonsingular.  Hensel's valuation lemma takes a b with a ``_lemma_tau``
+    nonsingular, and a diagonal quadratic form at p = 2.  Hensel's valuation lemma takes a b with a ``_lemma_tau``
     when its histogram mod p^(2 tau + 1) fits the budget, unless a walk of
     the zeros mod p (``_singular_zeros``) that costs no more finds none
     singular.  The Hensel tree takes the rest; where a cut stops it short
@@ -484,8 +520,8 @@ class LocalFactor:
     nu_values: list = field(default_factory=list)
     flags: tuple = ()           # budget or no_stabilization
     cut_at: int | None = None   # the level a budget cut stopped at
-    # no_solution, nonsingular, quadratic_form, hensel_tree(depth) or
-    # hensel_valuation(tau)
+    # no_solution, nonsingular, quadratic_form, dyadic_quadratic,
+    # hensel_tree(depth) or hensel_valuation(tau)
     method: str | None = None
 
     @property
@@ -503,7 +539,9 @@ def mu_p(b, p, t_max=6):
     ``nonsingular`` (no singular zero mod p: constant from t = 1),
     ``quadratic_form`` (b = Q(x) + c at an odd p not dividing det(2 A): no
     unit zero is singular, and nu_1 is a sum of Legendre-symbol counts, no
-    enumeration), ``hensel_tree(d)``
+    enumeration), ``dyadic_quadratic`` (a diagonal quadratic form plus a
+    constant at p = 2, every level read from b(1, ..., 1) mod 8),
+    ``hensel_tree(d)``
     (singular zeros refined d generations deep; d = 0 when the budget stops
     the root) or ``hensel_valuation(tau)`` (a separable b closed by the
     lemma at 2 tau + 1 or before).  A budget cut, or no level proved up to

@@ -4,17 +4,19 @@ Variables are indexed 1..n.  Terms are stored as a map from exponent tuples
 (0-based positions, length n) to nonzero exact coefficients (int or Fraction).
 All values are immutable after construction; every operation returns a new
 polynomial, so everything here is safe to call from concurrent workers.
-Only batch evaluation, ``grid_blocks`` and the residue histograms import
-numpy, when first called, so a command that parses or composes polynomials
-never loads it.  ``DEFAULT_ENUM_BUDGET``, ``_charge`` and their exception
-live here, as do ``_cyclic``, which adds residue histograms held as dense
-length-q vectors, and ``gram_matrix``, the one reading of a quadratic form.
+Only batch evaluation, ``grid_blocks`` and residue histograms of more than
+``_SMALL_STEPS`` steps import numpy, when first called, so a command that
+parses or composes polynomials, or enumerates a little, never loads it.
+``DEFAULT_ENUM_BUDGET``, ``_charge`` and their exception live here, as do
+``_cyclic``, which adds residue histograms held as dense length-q vectors,
+and ``gram_matrix``, the one reading of a quadratic form.
 """
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
 from itertools import accumulate, product as iproduct
+from math import prod
 
 _INT64_SAFE = 2 ** 62
 # the most an exact enumeration may cost, read by _charge at every check
@@ -25,6 +27,11 @@ _BLOCK_ROWS = 1 << 17
 _EVAL_ROWS = 1 << 13
 # a histogram sum convolves while its key windows hold at most 8x its pairs
 _DENSE_RATIO = 8
+# an exact enumeration of at most this many steps runs in Python integers:
+# at about 2.5 us a step (the three-term cone walked point by point, 2-vCPU
+# Xeon VM) that is at most 85 ms, less than the 130 ms a fresh process
+# there pays to import numpy
+_SMALL_STEPS = 1 << 15
 
 
 class BudgetExceeded(RuntimeError):
@@ -40,6 +47,12 @@ def _charge(cost, what, budget=None):
     """Refuse ``what``, before any of its work, if ``cost`` is over budget."""
     if cost > (limit := _limit(budget)):
         raise BudgetExceeded(f"{what} costs {cost}, over budget {limit}")
+
+
+def _small(cost):
+    """Whether an enumeration of ``cost`` steps runs in Python integers,
+    without numpy: ``_SMALL_STEPS`` as it is at the call."""
+    return cost <= _SMALL_STEPS
 
 
 def _norm_coeff(c):
@@ -577,20 +590,55 @@ def histogram_cost(n, q, m, separable):
 def residue_histogram(b, q, weight):
     """Entry r: the sum of weight[a_1] ... weight[a_n] over a in (Z/q)^n
     with b(a) = r mod q; b integral, ``weight`` q exact integers >= 0.  A
-    separable b = c + f_1(x_1) + ... + f_n(x_n) fills one length-q
-    histogram per distinct part from its m residues of nonzero weight,
-    folds the parts together with ``_cyclic`` and shifts the result by c;
-    any other b walks the m^n tuples.  ``histogram_cost`` is checked
-    before any work.  Entries are exact: int64 while (sum of the
-    weights)^n is below 2^62, Python ints otherwise."""
-    import numpy as np
+    separable b = c + f_1(x_1) + ... + f_n(x_n) fills one histogram per
+    distinct part from its m residues of nonzero weight, folds the parts
+    together and shifts the result by c; any other b walks the m^n tuples.
+    ``histogram_cost`` is checked before any work.  A cost that is
+    ``_small`` runs in Python integers, folding dicts and walking with
+    ``Polynomial.evaluate``; a larger one in numpy arrays, folding dense
+    vectors with ``_cyclic``.  Either way the result is a list of q exact
+    Python ints."""
     if not b.is_integral():
         raise ValueError("histogram needs integer coefficients")
-    n, support = b.n, np.flatnonzero(weight)
+    weight = [int(w) for w in weight]
+    n, support = b.n, [r for r, w in enumerate(weight) if w]
     split = b.variable_split() if n else None
-    _charge(histogram_cost(n, q, len(support), split is not None),
-            f"histogram mod {q}")
-    size = int(np.sum(weight)) ** n
+    cost = histogram_cost(n, q, len(support), split is not None)
+    _charge(cost, f"histogram mod {q}")
+    if not _small(cost):
+        return _numpy_histogram(b, q, weight, support, split).tolist()
+    hist = [0] * q
+    if split is None:
+        for a in iproduct(support, repeat=n):
+            hist[b.evaluate(a) % q] += prod(weight[x] for x in a)
+        return hist
+    parts, const = split
+    own = {g: {} for g in parts}
+    for g, h in own.items():
+        for x in support:
+            r = g.evaluate((x,)) % q
+            h[r] = h.get(r, 0) + weight[x]
+    acc = {const % q: 1}
+    for g in parts:
+        out = {}
+        for s, w in acc.items():
+            for r, v in own[g].items():
+                t = (s + r) % q
+                out[t] = out.get(t, 0) + w * v
+        acc = out
+    for r, w in acc.items():
+        hist[r] = w
+    return hist
+
+
+def _numpy_histogram(b, q, weight, support, split):
+    """``residue_histogram`` in numpy arrays: one dense length-q vector per
+    distinct part, folded by ``_cyclic``, or the tuples walked in
+    ``grid_blocks``.  Entries are int64 while (sum of the weights)^n is
+    below 2^62, Python ints otherwise."""
+    import numpy as np
+    n, support = b.n, np.array(support, np.int64)
+    size = sum(weight) ** n
     w = np.asarray(weight, np.int64 if size < _INT64_SAFE else object)
     if split is None:
         hist = np.zeros(q, w.dtype)

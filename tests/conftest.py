@@ -24,5 +24,19 @@ def enum_limit(monkeypatch):
     return limit
 
 
+@pytest.fixture
+def each_path(monkeypatch):
+    """``for steps in each_path():`` runs its body twice: with
+    ``poly._SMALL_STEPS`` 0, which sends every histogram, scan and
+    regularity grid to numpy, then with 2^40, which keeps them all in
+    Python integers."""
+    def paths():
+        for steps in (0, 1 << 40):
+            with monkeypatch.context() as m:
+                m.setattr(poly, "_SMALL_STEPS", steps)
+                yield steps
+    return paths
+
+
 def text_poly(s):
     return parse_polynomial(s)

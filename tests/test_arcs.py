@@ -284,8 +284,21 @@ class TestScan:
 
         monkeypatch.setattr(Polynomial, "eval_int", fail)
         monkeypatch.setattr(Polynomial, "eval_float", fail)
+        monkeypatch.setattr(Polynomial, "evaluate", fail)
         with enum_limit(1000), pytest.raises(BudgetExceeded):
             T_scan(b, 16 if text == CONE else 32, 200, t)
+
+    @pytest.mark.parametrize("text,P", [(CONE, 16), (CONE, 64),
+                                        (FIVE_SQUARES, 64),
+                                        (FIVE_SQUARES, 1024)])
+    def test_python_and_numpy_paths_agree(self, text, P, each_path):
+        # numpy's histogram and FFT, then Python's dicts and fsum
+        b, t = parse_polynomial(text), mangoldt_table(200)
+        scans = [T_scan(b, P, 200, t) for _ in each_path()]
+        assert [len(s) for s in scans] == [P, P]
+        assert all(type(v) is complex for s in scans for v in s)
+        err = max(abs(u - v) for u, v in zip(*scans))
+        assert err <= 1e-15 * scans[0][0].real
 
     def test_zero_frequency_is_psi_to_the_n(self):
         t = mangoldt_table(200)

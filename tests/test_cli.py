@@ -290,7 +290,9 @@ def _loaded_after(code, tmp_path):
 
 
 # what each job imports: numpy only where it computes with arrays, and
-# no module of another subcommand
+# no module of another subcommand.  series, regularity and weyl-scan
+# enumerate less than poly._SMALL_STEPS here, in Python integers; local's
+# 3 x1 + 3 x2 - 18 at p = 3 still walks its singular zeros in numpy
 _BASE = {"circlekit", "circlekit.cli"}
 _IMPORTS = {
     "--version": set(),
@@ -300,11 +302,11 @@ _IMPORTS = {
     "gm-split": {"hinv", "primes", "poly"},
     "arcs": {"arcs", "poly"},
     "local": {"local", "primes", "poly", "numpy"},
-    "series": {"local", "primes", "poly", "numpy"},
+    "series": {"local", "primes", "poly"},
     "sigma-inf": {"arch", "poly", "numpy"},
     "count": {"count", "primes", "poly"},
-    "regularity": {"count", "primes", "poly", "numpy"},
-    "weyl-scan": {"arcs", "count", "primes", "poly", "numpy"},
+    "regularity": {"count", "primes", "poly"},
+    "weyl-scan": {"arcs", "count", "primes", "poly"},
     "zcount": {"arcs", "poly"},
     "predict": {"count", "local", "primes", "arch", "poly", "numpy"},
 }
@@ -314,6 +316,7 @@ _IMPORTS = {
 def test_each_command_imports_only_what_it_runs(command, poly_file,
                                                  tmp_path):
     sq, lin = poly_file(SQUARES3, "sq.txt"), poly_file(LINEAR6, "lin.txt")
+    lin18 = poly_file(LINEAR18, "lin18.txt")
     hyp = poly_file("n=4\n1 1 1 0 0\n1 0 0 1 1\n", "hyp.txt")
     dec = poly_file("n=4\n1 1 0 0 0\n---\nn=4\n1 0 1 0 0\n---\n"
                     "n=4\n1 0 0 1 0\n---\nn=4\n1 0 0 0 1\n", "dec.txt")
@@ -321,7 +324,7 @@ def test_each_command_imports_only_what_it_runs(command, poly_file,
         "hinv": ["--poly", sq],
         "gm-split": ["--poly", hyp, "--dec", dec, "--M", "1"],
         "arcs": ["--N", "100", "--d", "2"],
-        "local": ["--poly", lin, "--p", "7"],
+        "local": ["--poly", lin18, "--p", "3"],
         "series": ["--poly", lin, "--prime-bound", "10"],
         "sigma-inf": ["--poly", sq, "--box-points", "1024"],
         "count": ["--poly", lin, "--N", "20"],
@@ -380,6 +383,45 @@ def test_cone_jobs_load_no_numpy(argv, modules, poly_file, tmp_path):
     else:
         assert [result[k]["method"] for k in ("quadrature", "measure")] == \
             ["fibre", "fibre"]
+
+
+FIVE_SQUARES = ("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n1 0 0 0 2 0\n"
+                "1 0 0 0 0 2\n-12005 0 0 0 0 0\n")
+
+
+@pytest.mark.parametrize("argv, text, modules", [
+    (["series", "--prime-bound", "200"], FIVE_SQUARES,
+     {"local", "primes", "poly"}),
+    (["weyl-scan", "--N", "200", "--points", "16"], "n=3\n1 1 1 0\n-1 0 0 2\n",
+     {"arcs", "count", "primes", "poly"}),
+    (["weyl-scan", "--N", "20", "--points", "4"], FIVE_SQUARES,
+     {"arcs", "count", "primes", "poly"}),
+    (["regularity", "--N-list", "5", "--N-list", "10", "--N-list", "20"],
+     "n=2\n1 2 0\n1 0 2\n-5 0 0\n", {"count", "primes", "poly"})],
+    ids=["five-squares-series", "cone-weyl-scan", "five-squares-weyl-scan",
+         "regularity"])
+def test_small_enumerations_load_no_numpy(argv, text, modules, poly_file,
+                                          tmp_path):
+    # five squares' factor at 2 is read from b(1, ..., 1) mod 8, and the
+    # scans' histograms and sums and the regularity grids cost less than
+    # poly._SMALL_STEPS, so they run in Python integers
+    out = tmp_path / "out"
+    argv = [argv[0], "--poly", poly_file(text), *argv[1:],
+            "--output", str(out)]
+    code = f"from circlekit.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, tmp_path) == \
+        _BASE | {f"circlekit.{m}" for m in modules}
+    if argv[0] == "weyl-scan":
+        points = int(argv[argv.index("--points") + 1])
+        assert len(out.read_text().splitlines()) == points + 1
+        return
+    result = json.loads(out.read_text())["result"]
+    if argv[0] == "regularity":
+        assert result["counts"] == [8, 8, 8]
+    else:
+        assert [(f["p"], f["mu_p"], f["method"])
+                for f in result["factors"][:1]] == \
+            [(2, "8/1", "dyadic_quadratic")]
 
 
 def test_package_import_loads_no_submodule(tmp_path):

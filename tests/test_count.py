@@ -513,6 +513,33 @@ class TestRegularity:
                 BudgetExceeded, match="costs 2243, over budget 2242"):
             regularity_exponent([p], [5, 10, 20])
 
+    @pytest.mark.parametrize("texts, counts", [
+        (["n=2\n1 2 0\n1 0 2\n-5 0 0\n"], [8, 8, 8]),
+        # x1^2 + x2^2 - x3^2 with x1 = x3: the points (t, 0, t)
+        (["n=3\n1 2 0 0\n1 0 2 0\n-1 0 0 2\n", "n=3\n1 1 0 0\n-1 0 0 1\n"],
+         [11, 21, 41]),
+    ])
+    def test_python_and_numpy_walks_agree(self, texts, counts, each_path):
+        system = [parse_polynomial(t) for t in texts]
+        reps = [regularity_exponent(system, [5, 10, 20]) for _ in each_path()]
+        assert [rep.counts for rep in reps] == [counts, counts]
+        assert reps[0] == reps[1]
+
+    def test_grids_charged_before_either_walk(self, monkeypatch, enum_limit,
+                                              each_path):
+        # x1^2 + x2^2 - 5 at N = 5, 10 and 20: 11^2 + 21^2 + 41^2 = 2,243
+        p = parse_polynomial("n=2\n1 2 0\n1 0 2\n-5 0 0\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked before the budget check")
+
+        monkeypatch.setattr(Polynomial, "eval_int", refuse)
+        monkeypatch.setattr(Polynomial, "evaluate", refuse)
+        for _ in each_path():
+            with enum_limit(2242), pytest.raises(
+                    BudgetExceeded, match="costs 2243, over budget 2242"):
+                regularity_exponent([p], [5, 10, 20])
+
     def test_needs_scales(self):
         with pytest.raises(ValueError):
             regularity_exponent([parse_polynomial("n=1\n1 1\n")], [5, 10])

@@ -571,7 +571,7 @@ def unit_zeros(b, blocks, p):
     hist = np.zeros(p, dtype=object)
     hist[const % p] = 1
     for part in parts:
-        h = value_histogram(part, p).astype(object)
+        h = np.array(value_histogram(part, p), dtype=object)
         hist = np.array([sum(hist[r] * h[(s - r) % p] for r in range(p))
                          for s in range(p)], dtype=object)
     return int(hist[0])
@@ -745,7 +745,8 @@ class TestClosedForm:
         ("n=2\n1 2 0\n1 0 2\n1 0 0\n", 0, "no_solution"),   # b(1) = 3
         (CONE, 1, "nonsingular"),                          # d/dx1 = x2 = 1
         ("n=2\n1 3 0\n1 0 1\n-2 0 0\n", 1, "nonsingular"),  # x1^3 + x2 - 2
-        ("n=2\n1 2 0\n1 0 2\n-2 0 0\n", None, None),        # even gradient
+        # even gradient, and x1^4 is no square: neither closed form applies
+        ("n=2\n1 4 0\n1 0 2\n-2 0 0\n", None, None),
     ])
     def test_at_two(self, text, nu, method):
         b = parse_polynomial(text)
@@ -759,3 +760,68 @@ class TestClosedForm:
                           "nonsingular", None)
         assert f.method == method
         assert f.mu_p == 2 * nu
+
+
+def diagonal_form(rng, n, r):
+    """a_1 x_1^2 + ... + a_n x_n^2 + c with b(1, ..., 1) = r mod 8: some
+    a_i odd, the others odd, even or 0 (a variable that is missing)."""
+    a = [rng.choice([-7, -3, -1, 1, 3, 5, 9, -6, -2, 2, 4, 8, 0])
+         for _ in range(n)]
+    a[rng.randrange(n)] = rng.choice([-5, -1, 1, 3, 7])
+    c = r - sum(a) + 8 * rng.randint(-20, 20)
+    terms = {tuple(2 * (k == i) for k in range(n)): v for i, v in enumerate(a)}
+    terms[(0,) * n] = c
+    return Polynomial(n, terms)
+
+
+class TestDyadicQuadratic:
+    """Every level of a diagonal quadratic form plus a constant at p = 2,
+    read from b(1, ..., 1) mod 8 (``local._dyadic_quadratic``)."""
+
+    # r = b(1, ..., 1) mod 8 in every class that matters: 8 | r, 4 || r,
+    # 2 || r and r odd
+    FORMS = [diagonal_form(random.Random(s), 1 + s % 5,
+                           (0, 4, 2, 1, 0, 6)[s % 6]) for s in range(30)]
+
+    def test_forms_cover_the_cases(self):
+        a = [[b.terms.get(tuple(2 * (k == i) for k in range(b.n)), 0)
+              for i in range(b.n)] for b in self.FORMS]
+        r = [b.evaluate((1,) * b.n) for b in self.FORMS]
+        assert any(0 in row for row in a)
+        assert any(c % 2 == 0 and c for row in a for c in row)
+        assert {x % 8 for x in r} >= {0, 1, 2, 4, 6}
+
+    def test_levels_equal_the_counts(self, monkeypatch):
+        for b in self.FORMS:
+            nus, closing, method, cut = local._dyadic_quadratic(b, 6)
+            assert (method, cut) == ("dyadic_quadratic", None)
+            assert nus == [value_histogram(b, 2 ** t)[0] for t in range(1, 7)]
+            with monkeypatch.context() as m:
+                m.setattr(local, "_closed_form", lambda *args: None)
+                assert nus == [nu_count(b, 2, t).nu for t in range(1, 7)], b
+
+    def test_factors_equal_the_lemma_and_tree(self):
+        for b in self.FORMS:
+            for t_max in (2, 3, 6):
+                f, g = mu_p(b, 2, t_max), today(b, 2, t_max)
+                assert same_but_method(f, g), (b, t_max, f, g)
+                if f.mu_p:
+                    assert f.method == "dyadic_quadratic"
+
+    @pytest.mark.parametrize("text", ["n=2\n1 2 0\n1 0 2\n-2 0 0\n",
+                                      "n=2\n3 2 0\n2 0 2\n-5 0 0\n"])
+    def test_closes_at_three(self, text):
+        # x1^2 + x2^2 - 2 and 3 x1^2 + 2 x2^2 - 5: 8 | b(1, 1) = 0
+        f = mu_p(parse_polynomial(text), 2)
+        assert f.nu_values == [1, 4, 16, 32, 64, 128]
+        assert f.stabilized_at == 3 and f.mu_p == 8    # 2^3 16 / 2^(2 2)
+        assert f.method == "dyadic_quadratic"
+
+    @pytest.mark.parametrize("text", [
+        "n=2\n2 2 0\n4 0 2\n-6 0 0\n",      # no odd coefficient
+        "n=2\n1 2 0\n1 0 2\n1 1 0\n-3 0 0\n",  # a linear term
+        "n=2\n1 2 0\n1 1 1\n-2 0 0\n",      # a cross term
+        "n=2\n1 4 0\n1 0 2\n-2 0 0\n",      # x1^4
+    ])
+    def test_other_b_fall_through(self, text):
+        assert local._dyadic_quadratic(parse_polynomial(text), 6) is None

@@ -349,39 +349,48 @@ class TestResidueHistogram:
         (f"n=2\n1 2 0\n3 0 1\n{-2 ** 70 - 3} 0 0\n", 7),
     ])
     @pytest.mark.parametrize("big", [False, True])
-    def test_matches_brute_force(self, text, q, big):
+    def test_matches_brute_force(self, text, q, big, each_path):
         b = parse_polynomial(text)
         # every third residue weighs nothing; big weights overflow int64
         weight = [0 if r % 3 == 1 else (2 ** 61 if big else 1) + r
                   for r in range(q)]
-        got = residue_histogram(b, q, np.array(weight, dtype=object))
-        assert got.dtype == (object if big else np.int64)
-        assert got.tolist() == self.brute(b, q, weight)
+        want = self.brute(b, q, weight)
+        assert max(want) > 2 ** 64 if big else max(want) < 2 ** 62
+        for _ in each_path():           # numpy, then Python integers
+            got = residue_histogram(b, q, np.array(weight, dtype=object))
+            assert [type(h) for h in got] == [int] * q
+            assert got == want
 
-    def test_budget_before_any_evaluation(self, monkeypatch, enum_limit):
+    def test_budget_before_any_evaluation(self, monkeypatch, enum_limit,
+                                          each_path):
         def fail(*args, **kwargs):
             raise AssertionError("evaluated before the budget check")
 
         monkeypatch.setattr(Polynomial, "eval_int", fail)
+        monkeypatch.setattr(Polynomial, "evaluate", fail)
         b = parse_polynomial("n=3\n1 1 1 0\n1 0 0 1\n")
-        with enum_limit(999), pytest.raises(BudgetExceeded):  # 10^3 tuples
-            residue_histogram(b, 10, np.ones(10, np.int64))
+        for _ in each_path():
+            with enum_limit(999), pytest.raises(BudgetExceeded):  # 10^3 tuples
+                residue_histogram(b, 10, np.ones(10, np.int64))
 
     def test_needs_integer_coefficients(self):
         with pytest.raises(ValueError):
             residue_histogram(parse_polynomial("n=1\n1/2 1\n"), 4,
                               np.ones(4, np.int64))
 
-    def test_separable_never_walked(self, monkeypatch):
-        # the parts' histograms are folded; no tuple of the grid is formed
+    def test_separable_never_walked(self, monkeypatch, each_path):
+        # the parts' histograms are folded; no tuple of the grid is formed,
+        # by grid_blocks (numpy) or by itertools.product (Python integers)
         def walk(*args, **kwargs):
             raise AssertionError("walked the grid")
 
         monkeypatch.setattr(poly, "grid_blocks", walk)
+        monkeypatch.setattr(poly, "iproduct", walk)
         b = parse_polynomial("n=2\n1 2 0\n3 0 1\n-1 0 0\n")
         weight = [0 if r % 3 == 1 else 1 + r for r in range(7)]
-        got = residue_histogram(b, 7, np.array(weight, np.int64))
-        assert got.tolist() == self.brute(b, 7, weight)
+        for _ in each_path():
+            got = residue_histogram(b, 7, np.array(weight, np.int64))
+            assert got == self.brute(b, 7, weight)
 
 
 class TestCyclic:
