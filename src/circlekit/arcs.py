@@ -282,24 +282,38 @@ class WeylReport:
     gamma_d_prime: float
 
 
+def _primitive(row):
+    """``row`` divided by the gcd of its entries (all zero: unchanged)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def _kernel(A):
-    """(eqs, free) for A y = 0, A an exact n x n matrix: each row of A's
-    reduced row echelon form over Q, denominators cleared, is a pair (c, a)
+    """(eqs, free) for A y = 0, A an exact n x n matrix: Gauss-Jordan
+    elimination in integers, each row of A first scaled by the lcm of its
+    denominators and every row kept primitive (divided by the gcd of its
+    entries).  Each pivot row, its pivot made positive, is a pair (c, a)
     that reads c y_p = -a . y_free for a pivot coordinate p, and ``free``
-    lists the free coordinates."""
-    rows, eqs, free = [[Fraction(v) for v in r] for r in A], [], []
+    lists the free coordinates.  A primitive row with a positive pivot is
+    the reduced row echelon form's row over Q scaled by the lcm of its
+    denominators, so (c, a) is the same either way."""
+    rows = [_primitive([int(v * d) for v in r])
+            for r in A for d in [math.lcm(*(v.denominator for v in r))]]
+    eqs, pivots, free = [], [], []
     for col in range(len(A)):
         piv = next((r for r in rows if r[col]), None)
         if piv is None:
             free.append(col)
             continue
         rows.remove(piv)
-        piv = [v / piv[col] for v in piv]
-        rows, eqs = ([[u - r[col] * v for u, v in zip(r, piv)] for r in rs]
-                     for rs in (rows, eqs))
+        if piv[col] < 0:
+            piv = [-v for v in piv]
+        c = piv[col]
+        rows, eqs = ([_primitive([c * u - r[col] * v for u, v in zip(r, piv)])
+                      if r[col] else r for r in rs] for rs in (rows, eqs))
         eqs.append(piv)
-    return [(c, [int(e[j] * c) for j in free]) for e in eqs
-            for c in [math.lcm(*(v.denominator for v in e))]], free
+        pivots.append(col)
+    return [(e[p], [e[j] for j in free]) for e, p in zip(eqs, pivots)], free
 
 
 def _kernel_count(eqs, free, R):

@@ -13,15 +13,15 @@ changing.  A separable b with a monomial part a x_i^d may take Hensel's
 valuation lemma instead (``_levels``): it fixes every level from
 T = 2 v_p(a d) + 1 on, and one histogram mod p^T gives the levels before,
 so a diagonal form costs one histogram, not one node per singular zero.
+Whether the tree would close at its root instead is decided by an
+identity on the residues of the parts (``_singular_unit_zero``).
 Where every unit zero mod p is provably nonsingular (``_closed_form``: a
 quadratic form plus a constant at an odd p not dividing det(2 A), or any b
 at p = 2 with an odd partial derivative at (1, ..., 1)), nu_1 is read
 without enumeration, from Legendre-symbol counts of the principal minors
-at an odd p.  A diagonal quadratic form plus a constant with an odd
-coefficient has every level at p = 2 read from b(1, ..., 1) mod 8, as odd
-squares are 1 mod 8.  Value histograms are lists of Python ints; only a
-histogram over ``poly._SMALL_STEPS`` steps and the tree's walks import
-numpy, when called, so a closed-form factor, a small histogram and the
+at an odd p.  Value histograms are lists of Python ints; only a histogram
+over ``poly._SMALL_STEPS`` steps and the tree's walks import numpy, when
+called, so a closed-form factor, the lemma on a small histogram and the
 singular series load none.  The complex B(q) path is a floating-point
 cross-check.
 """
@@ -224,6 +224,21 @@ def _lemma_tau(b, p):
     return min(taus, default=None)
 
 
+def _singular_unit_zero(b, p):
+    """Whether a separable b = c + f_1(x_1) + ... + f_n(x_n) has a unit
+    zero mod p at which every f_i' vanishes: whether 0 lies in c + f_1(S_1)
+    + ... + f_n(S_n) mod p, S_i the units s with f_i'(s) = 0 mod p.  The
+    residue sets are folded one part at a time, at most n p^2 steps."""
+    parts, c = b.variable_split()
+    sums = {c % p}
+    for f in parts:
+        df = f.gradient()[0]
+        values = {f.evaluate_mod((s,), p) for s in range(1, p)
+                  if df.evaluate_mod((s,), p) == 0}
+        sums = {(r + v) % p for r in sums for v in values}
+    return 0 in sums
+
+
 def _hensel_valuation(b, p, t_max, tau, budget):
     """(nus, closing, method, cut) for a b with ``_lemma_tau`` tau.
 
@@ -370,14 +385,11 @@ def _quadratic_part(b, p):
 
 def _closed_form(b, p, t_max, budget):
     """(nus, 1, method, None) where every unit zero of b mod p is provably
-    nonsingular, so nu_t = nu_1 p^((n-1)(t-1)) for every t; at p = 2 also
-    ``_dyadic_quadratic``'s levels; None elsewhere.
+    nonsingular, so nu_t = nu_1 p^((n-1)(t-1)) for every t; None elsewhere.
 
     At p = 2 the one unit point is 1 = (1, ..., 1): for an integral b, no
     zero if b(1) is odd, one nonsingular zero if b(1) is even and some
-    db/dx_i(1) is odd (``nonsingular``); else a diagonal quadratic form
-    plus a constant with an odd coefficient is counted by
-    ``_dyadic_quadratic``.  At an odd p, b = Q(x) + c with Q
+    db/dx_i(1) is odd (``nonsingular``).  At an odd p, b = Q(x) + c with Q
     a quadratic form x^T A x and p not dividing det(2 A) (so A has rank n
     mod p): grad Q = 2 A x is not 0 mod p at a unit x.  Then nu_1 is the
     inclusion-exclusion sum over T of (-1)^(n - |T|) N_p(Q_T = -c), Q_T the
@@ -394,12 +406,9 @@ def _closed_form(b, p, t_max, budget):
         return None
     if p == 2:
         one = (1,) * n
-        if b.evaluate(one) % 2:
-            nu = 0
-        elif any(g.evaluate(one) % 2 for g in b.gradient()):
-            nu = 1
-        else:
-            return _dyadic_quadratic(b, t_max)
+        nu = 1 - b.evaluate(one) % 2
+        if nu and not any(g.evaluate(one) % 2 for g in b.gradient()):
+            return None     # the one unit point is a singular zero
         method = "nonsingular"
     else:
         form = _quadratic_part(b, p)
@@ -429,47 +438,18 @@ def _closed_form(b, p, t_max, budget):
     return [nu * p ** ((n - 1) * t) for t in range(t_max)], 1, method, None
 
 
-def _dyadic_quadratic(b, t_max):
-    """(nus, closing, "dyadic_quadratic", None) at p = 2 for b = a_1 x_1^2 +
-    ... + a_n x_n^2 + c with some a_i odd and no other term; None for any
-    other b.
-
-    An odd x has x^2 = 1 mod 8, and as x runs over the units mod 2^t, x^2
-    hits each class 1 + 8 y mod 2^t four times.  So b = r + 8 sum a_i y_i
-    mod 2^t, r = c + sum a_i, and with a_i odd the y_i solve it in
-    2^((t - 3)(n - 1)) ways: nu_t = 2^((t - 1) n) for t <= 3 if 2^t divides
-    r, nu_t = 4^n 2^((t - 3)(n - 1)) for t >= 3 if 8 divides r, and 0
-    otherwise.  ``closing`` follows ``_hensel_valuation``'s rule, with T =
-    3 the level from which the counts grow by 2^(n - 1).
-    """
-    n, a = b.n, [0] * b.n
-    for e, c in b.terms.items():
-        if any(e):
-            if sum(e) != 2 or 2 not in e:
-                return None
-            a[e.index(2)] = c
-    if all(c % 2 == 0 for c in a):
-        return None
-    r = b.terms.get((0,) * n, 0) + sum(a)
-    nus = [0 if r % 2 ** min(t, 3) else
-           2 ** ((t - 1) * n) if t <= 3 else 4 ** n * 2 ** ((t - 3) * (n - 1))
-           for t in range(1, max(3, t_max) + 1)]
-    s = 3
-    while s > 1 and nus[s - 1] == nus[s - 2] * 2 ** (n - 1):
-        s -= 1
-    return nus[:t_max], s if s <= t_max else None, "dyadic_quadratic", None
-
-
 def _levels(b, p, t_max, budget=None):
     """(nus, closing, method, cut) of b at p, within ``_limit(budget)``.
 
     ``_closed_form`` takes a b whose unit zeros mod p are all provably
-    nonsingular, and a diagonal quadratic form at p = 2.  Hensel's valuation lemma takes a b with a ``_lemma_tau``
-    when its histogram mod p^(2 tau + 1) fits the budget, unless a walk of
-    the zeros mod p (``_singular_zeros``) that costs no more finds none
-    singular.  The Hensel tree takes the rest; where a cut stops it short
-    of a proof, the lemma's histograms count what they can, and the longer
-    count is kept.
+    nonsingular.  Hensel's valuation lemma takes a b with a ``_lemma_tau``
+    when its histogram mod p^(2 tau + 1) fits the budget, unless tau > 0,
+    b has no singular unit zero mod p (``_singular_unit_zero``, decided
+    without a walk) and the tree's root walk (``_walk_cost``) costs no
+    more than that histogram: the tree then proves level 1 at its root.
+    The Hensel tree takes the rest; where a cut stops it short of a proof,
+    the lemma's histograms count what they can, and the longer count is
+    kept.
     """
     if not _is_prime(p) or t_max < 1:
         raise ValueError(f"p = {p} must be prime and t_max = {t_max} >= 1")
@@ -480,14 +460,9 @@ def _levels(b, p, t_max, budget=None):
     if tau is not None:
         q = p ** (2 * tau + 1)      # the histogram mod q on phi(q) units
         cost = histogram_cost(b.n, q, q - q // p, True)
-        lemma = cost <= budget
-        if lemma and tau > 0:   # with tau = 0 every zero mod p is nonsingular
-            try:
-                singular = _singular_zeros(b, p, True, cost)[1]
-                lemma = singular is None or len(singular) > 0
-            except BudgetExceeded:      # the walk costs more than the lemma
-                pass
-        if lemma:
+        # with tau = 0 every zero mod p is nonsingular
+        if cost <= budget and (tau == 0 or _walk_cost(b, p, True)[0] > cost
+                               or _singular_unit_zero(b, p)):
             return _hensel_valuation(b, p, t_max, tau, budget)
     tree = _hensel_tree(b, p, t_max, budget)
     if tau is None or tree[1] is not None or tree[3] is None:
@@ -520,8 +495,8 @@ class LocalFactor:
     nu_values: list = field(default_factory=list)
     flags: tuple = ()           # budget or no_stabilization
     cut_at: int | None = None   # the level a budget cut stopped at
-    # no_solution, nonsingular, quadratic_form, dyadic_quadratic,
-    # hensel_tree(depth) or hensel_valuation(tau)
+    # no_solution, nonsingular, quadratic_form, hensel_tree(depth) or
+    # hensel_valuation(tau)
     method: str | None = None
 
     @property
@@ -539,15 +514,13 @@ def mu_p(b, p, t_max=6):
     ``nonsingular`` (no singular zero mod p: constant from t = 1),
     ``quadratic_form`` (b = Q(x) + c at an odd p not dividing det(2 A): no
     unit zero is singular, and nu_1 is a sum of Legendre-symbol counts, no
-    enumeration), ``dyadic_quadratic`` (a diagonal quadratic form plus a
-    constant at p = 2, every level read from b(1, ..., 1) mod 8),
-    ``hensel_tree(d)``
-    (singular zeros refined d generations deep; d = 0 when the budget stops
-    the root) or ``hensel_valuation(tau)`` (a separable b closed by the
-    lemma at 2 tau + 1 or before).  A budget cut, or no level proved up to
-    t_max, leaves stabilized_at None and mu(p) the last partial sum, and
-    raises the flag ``budget`` (with the level of the cut in ``cut_at``,
-    which may lie past t_max) or ``no_stabilization``.
+    enumeration), ``hensel_tree(d)`` (singular zeros refined d generations
+    deep; d = 0 when the budget stops the root) or ``hensel_valuation(tau)``
+    (a separable b closed by the lemma at 2 tau + 1 or before, a diagonal
+    quadratic form at p = 2 among them).  A budget cut, or no level proved
+    up to t_max, leaves stabilized_at None and mu(p) the last partial sum,
+    and raises the flag ``budget`` (with the level of the cut in
+    ``cut_at``, which may lie past t_max) or ``no_stabilization``.
     """
     nus, closing, method, cut = _levels(b, p, t_max)
     partials = [Fraction(p ** t * nu, (p ** t - p ** (t - 1)) ** b.n)

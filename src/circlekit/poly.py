@@ -13,7 +13,6 @@ and ``gram_matrix``, the one reading of a quadratic form.
 """
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from itertools import accumulate, product as iproduct
 from math import prod
@@ -464,6 +463,7 @@ class Polynomial:
         return "\n".join(lines) + "\n"
 
     def sha256(self):
+        import hashlib      # about 4 ms to load, paid only by a report
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 

@@ -551,6 +551,24 @@ class TestClassification:
                 assert dis.contains(alpha) is None
 
 
+def rational_kernel(A):
+    """``arcs._kernel`` by Gauss-Jordan elimination over Q: each row of the
+    reduced row echelon form, its denominators cleared, is (c, a)."""
+    rows, eqs, free = [[Fraction(v) for v in r] for r in A], [], []
+    for col in range(len(A)):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            free.append(col)
+            continue
+        rows.remove(piv)
+        piv = [v / piv[col] for v in piv]
+        rows, eqs = ([[u - r[col] * v for u, v in zip(r, piv)] for r in rs]
+                     for rs in (rows, eqs))
+        eqs.append(piv)
+    return [(c, [int(e[j] * c) for j in free]) for e in eqs
+            for c in [math.lcm(*(v.denominator for v in e))]], free
+
+
 class TestDegeneracyCounts:
     def brute_z(self, f, d, R):
         n = f.n
@@ -676,6 +694,24 @@ class TestDegeneracyCounts:
                             for row in A)
                         for ys in product(range(-R, R + 1), repeat=n))
             assert _kernel_count(*_kernel(A), R) == brute, (A, R)
+
+    def test_kernel_equals_elimination_over_q(self):
+        # integer elimination with primitive rows gives the (c, a) of the
+        # reduced row echelon form over Q, denominators cleared
+        rng = random.Random(7)
+        for trial in range(3000):
+            n, rank = rng.randint(1, 4), rng.randint(0, 4)
+            B = [[rng.randint(-6, 6) for _ in range(rank)] for _ in range(n)]
+            C = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rank)]
+            A = [[sum(u * v for u, v in zip(row, col)) for col in zip(*C)]
+                 if rank else [0] * n for row in B]
+            if trial % 3 == 0:
+                A = [[rng.choice([0, 0, 1, -2, 3, 7]) for _ in range(n)]
+                     for _ in range(n)]
+            if trial % 5 == 0:
+                A = [[Fraction(v, rng.choice([1, 2, 3, 5])) for v in row]
+                     for row in A]
+            assert _kernel(A) == rational_kernel(A), A
 
     def test_rational_coefficients(self):
         # (x1^2 + x2^2) / 5 has the kernel of x1^2 + x2^2; a float test

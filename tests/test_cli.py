@@ -291,8 +291,9 @@ def _loaded_after(code, tmp_path):
 
 # what each job imports: numpy only where it computes with arrays, and
 # no module of another subcommand.  series, regularity and weyl-scan
-# enumerate less than poly._SMALL_STEPS here, in Python integers; local's
-# 3 x1 + 3 x2 - 18 at p = 3 still walks its singular zeros in numpy
+# enumerate less than poly._SMALL_STEPS here, in Python integers, and
+# local's 3 x1 + 3 x2 - 18 at p = 3 takes Hensel's valuation lemma, chosen
+# without a walk, from a histogram mod 27 in Python integers
 _BASE = {"circlekit", "circlekit.cli"}
 _IMPORTS = {
     "--version": set(),
@@ -301,7 +302,7 @@ _IMPORTS = {
     "hinv": {"hinv", "primes", "poly"},
     "gm-split": {"hinv", "primes", "poly"},
     "arcs": {"arcs", "poly"},
-    "local": {"local", "primes", "poly", "numpy"},
+    "local": {"local", "primes", "poly"},
     "series": {"local", "primes", "poly"},
     "sigma-inf": {"arch", "poly", "numpy"},
     "count": {"count", "primes", "poly"},
@@ -392,19 +393,22 @@ FIVE_SQUARES = ("n=5\n1 2 0 0 0 0\n1 0 2 0 0 0\n1 0 0 2 0 0\n1 0 0 0 2 0\n"
 @pytest.mark.parametrize("argv, text, modules", [
     (["series", "--prime-bound", "200"], FIVE_SQUARES,
      {"local", "primes", "poly"}),
+    (["local", "--p", "3"], LINEAR18, {"local", "primes", "poly"}),
     (["weyl-scan", "--N", "200", "--points", "16"], "n=3\n1 1 1 0\n-1 0 0 2\n",
      {"arcs", "count", "primes", "poly"}),
     (["weyl-scan", "--N", "20", "--points", "4"], FIVE_SQUARES,
      {"arcs", "count", "primes", "poly"}),
     (["regularity", "--N-list", "5", "--N-list", "10", "--N-list", "20"],
      "n=2\n1 2 0\n1 0 2\n-5 0 0\n", {"count", "primes", "poly"})],
-    ids=["five-squares-series", "cone-weyl-scan", "five-squares-weyl-scan",
-         "regularity"])
+    ids=["five-squares-series", "lin18-local", "cone-weyl-scan",
+         "five-squares-weyl-scan", "regularity"])
 def test_small_enumerations_load_no_numpy(argv, text, modules, poly_file,
                                           tmp_path):
-    # five squares' factor at 2 is read from b(1, ..., 1) mod 8, and the
-    # scans' histograms and sums and the regularity grids cost less than
-    # poly._SMALL_STEPS, so they run in Python integers
+    # five squares' factor at 2 and 3 x1 + 3 x2 - 18's at 3 come from
+    # Hensel's valuation lemma, its histogram mod 8 or 27 taken without a
+    # walk of the zeros mod p, and the scans' histograms and sums and the
+    # regularity grids cost less than poly._SMALL_STEPS, so they run in
+    # Python integers
     out = tmp_path / "out"
     argv = [argv[0], "--poly", poly_file(text), *argv[1:],
             "--output", str(out)]
@@ -419,9 +423,25 @@ def test_small_enumerations_load_no_numpy(argv, text, modules, poly_file,
     if argv[0] == "regularity":
         assert result["counts"] == [8, 8, 8]
     else:
-        assert [(f["p"], f["mu_p"], f["method"])
-                for f in result["factors"][:1]] == \
-            [(2, "8/1", "dyadic_quadratic")]
+        factor = result["factors"][0] if argv[0] == "series" else result
+        assert (factor["p"], factor["mu_p"], factor["method"]) == \
+            ((2, "8/1") if text == FIVE_SQUARES else (3, "9/2")) + \
+            ("hensel_valuation(1)",)
+
+
+def test_hensel_tree_walk_loads_numpy(poly_file, tmp_path):
+    # x1 x2 x3 - 1 at p = 3 is not separable: the tree walks its root's
+    # unit points in numpy; its 4 zeros there are nonsingular, so mu(3) is
+    # 3 * 4 / 2^3
+    out = tmp_path / "out.json"
+    argv = ["local", "--poly", poly_file("n=3\n1 1 1 1\n-1 0 0 0\n"),
+            "--p", "3", "--output", str(out)]
+    code = f"from circlekit.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, tmp_path) == \
+        _BASE | {"circlekit.local", "circlekit.primes", "circlekit.poly",
+                 "numpy"}
+    factor = json.loads(out.read_text())["result"]
+    assert (factor["method"], factor["mu_p"]) == ("nonsingular", "3/2")
 
 
 def test_package_import_loads_no_submodule(tmp_path):

@@ -454,6 +454,22 @@ class TestHistogramCrossCheck:
         with enum_limit(256):
             assert count_via_histogram(b, 30, t).value == expect.value
 
+    def test_memory_does_not_grow_with_the_grid(self):
+        # the cone at N = 60 walks 25^3 = 15,625 prime-power tuples; keeping
+        # each of them, as a bucketed walk does, peaks near 1.5 MB
+        b = parse_polynomial("n=3\n1 1 1 0\n-1 0 0 2\n")
+        t = mangoldt_table(60)
+        expect = count_direct(b, 60, t)
+        tracemalloc.start()
+        try:
+            got = count_via_histogram(b, 60, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.value, got.solution_count) == \
+            (expect.value, expect.solution_count)
+        assert peak < 2 ** 18
+
 
 class TestRegularity:
     def test_linear_form(self):

@@ -774,9 +774,22 @@ def diagonal_form(rng, n, r):
     return Polynomial(n, terms)
 
 
+def dyadic_levels(b, t_max):
+    """nu_1, ..., nu_t_max of b = a_1 x_1^2 + ... + a_n x_n^2 + c at p = 2,
+    some a_i odd: an odd x has x^2 = 1 mod 8, and x^2 hits each class
+    1 + 8 y mod 2^t four times, so with r = b(1, ..., 1), nu_t = 2^((t-1) n)
+    for t <= 3 if 2^t | r, nu_t = 4^n 2^((t-3)(n-1)) for t >= 3 if 8 | r,
+    and 0 otherwise."""
+    n, r = b.n, b.evaluate((1,) * b.n)
+    return [0 if r % 2 ** min(t, 3) else
+            2 ** ((t - 1) * n) if t <= 3 else 4 ** n * 2 ** ((t - 3) * (n - 1))
+            for t in range(1, t_max + 1)]
+
+
 class TestDyadicQuadratic:
-    """Every level of a diagonal quadratic form plus a constant at p = 2,
-    read from b(1, ..., 1) mod 8 (``local._dyadic_quadratic``)."""
+    """A diagonal quadratic form plus a constant at p = 2, taken by Hensel's
+    valuation lemma (tau = 1, histograms mod 8), against the 2-adic count
+    ``dyadic_levels`` read from b(1, ..., 1) mod 8."""
 
     # r = b(1, ..., 1) mod 8 in every class that matters: 8 | r, 4 || r,
     # 2 || r and r odd
@@ -793,8 +806,11 @@ class TestDyadicQuadratic:
 
     def test_levels_equal_the_counts(self, monkeypatch):
         for b in self.FORMS:
-            nus, closing, method, cut = local._dyadic_quadratic(b, 6)
-            assert (method, cut) == ("dyadic_quadratic", None)
+            nus, closing, method, cut = local._levels(b, 2, 6)
+            assert cut is None and closing is not None
+            assert method == ("nonsingular" if b.evaluate((1,) * b.n) % 2
+                              else "hensel_valuation(1)")
+            assert nus == dyadic_levels(b, 6)
             assert nus == [value_histogram(b, 2 ** t)[0] for t in range(1, 7)]
             with monkeypatch.context() as m:
                 m.setattr(local, "_closed_form", lambda *args: None)
@@ -805,8 +821,13 @@ class TestDyadicQuadratic:
             for t_max in (2, 3, 6):
                 f, g = mu_p(b, 2, t_max), today(b, 2, t_max)
                 assert same_but_method(f, g), (b, t_max, f, g)
+                assert f.nu_values == dyadic_levels(b, t_max)[
+                    :len(f.nu_values)]
                 if f.mu_p:
-                    assert f.method == "dyadic_quadratic"
+                    assert f.method == "hensel_valuation(1)"
+                    assert f.stabilized_at == (3 if t_max >= 3 else None)
+                    assert f.mu_p == Fraction(2 ** t_max * f.nu_values[-1],
+                                              2 ** ((t_max - 1) * b.n))
 
     @pytest.mark.parametrize("text", ["n=2\n1 2 0\n1 0 2\n-2 0 0\n",
                                       "n=2\n3 2 0\n2 0 2\n-5 0 0\n"])
@@ -815,13 +836,34 @@ class TestDyadicQuadratic:
         f = mu_p(parse_polynomial(text), 2)
         assert f.nu_values == [1, 4, 16, 32, 64, 128]
         assert f.stabilized_at == 3 and f.mu_p == 8    # 2^3 16 / 2^(2 2)
-        assert f.method == "dyadic_quadratic"
+        assert f.method == "hensel_valuation(1)"
 
-    @pytest.mark.parametrize("text", [
-        "n=2\n2 2 0\n4 0 2\n-6 0 0\n",      # no odd coefficient
-        "n=2\n1 2 0\n1 0 2\n1 1 0\n-3 0 0\n",  # a linear term
-        "n=2\n1 2 0\n1 1 1\n-2 0 0\n",      # a cross term
-        "n=2\n1 4 0\n1 0 2\n-2 0 0\n",      # x1^4
+
+class TestSingularUnitZero:
+    """``local._singular_unit_zero`` decides, without a walk, whether a
+    separable b has a singular unit zero mod p."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_agrees_with_the_walk(self, p):
+        rng = random.Random(100 + p)
+        found = set()
+        for _ in range(60):
+            b = random_separable(rng, p)
+            singular = local._singular_zeros(b, p, True, 10 ** 8)[1]
+            assert local._singular_unit_zero(b, p) == (len(singular) > 0), b
+            found.add(len(singular) > 0)
+        assert found == {False, True}
+
+    @pytest.mark.parametrize("text, p", [
+        (FIVE_SQUARES, 2),
+        ("n=2\n3 1 0\n3 0 1\n-18 0 0\n", 3),      # 3 x1 + 3 x2 - 18
+        (DISTINCT_CUBES, 3),
     ])
-    def test_other_b_fall_through(self, text):
-        assert local._dyadic_quadratic(parse_polynomial(text), 6) is None
+    def test_lemma_chosen_without_a_walk(self, text, p, monkeypatch):
+        def walk(*args):
+            raise AssertionError("zeros mod p walked")
+        monkeypatch.setattr(local, "_singular_zeros", walk)
+        monkeypatch.setattr(local, "_zero_candidates", walk)
+        nus, closing, method, cut = local._levels(parse_polynomial(text), p, 6)
+        assert method == "hensel_valuation(1)"
+        assert closing is not None and cut is None
